@@ -32,11 +32,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fixtures, grid_io, reference
-from .config import load_run_config, make_grid, thread_cap
+from .config import load_run_config, make_grid
 from .errors import ConfigError, ConvergenceError
 from .measurement import (DetectorSpec, FiberSpec, RateRecord,
-                          estimate_squeezing, invert_visibility,
-                          multipair_visibility, rates_summary, tof_resolution)
+                          multipair_visibility, rates_summary, squeezing_point,
+                          squeezing_slope, tof_resolution)
 from .optics import (CrystalSpec, PumpSpec, compute_jsa,
                      coupling_coefficient, design_lobe_wavelengths,
                      peak_power, temporal_walkoff, transform_limited_fwhm)
@@ -299,26 +299,11 @@ def cmd_visibility(args: argparse.Namespace) -> int:
         scan_rows.append((mw, "DA", v_da))
         observed.append((p_w, v_hv, v_da))
 
-    if len(observed) >= 3:
-        est = estimate_squeezing([(p, v_hv) for p, v_hv, _ in observed],
-                                 det, n_trials=_MC_TRIALS, seed=args.seed)
-        c_fit = est["C_per_sqrt_w"]
-        inverted = est["points"]
-        fit_method = "least_squares"
-    else:
-        inverted = []
-        for p_w, v_hv, _ in observed:
-            r = invert_visibility(v_hv, det, _MC_TRIALS, args.seed)
-            inverted.append({
-                "pump_power_w": p_w,
-                "visibility": v_hv,
-                "r": r,
-                "mu": math.sinh(r) ** 2,
-                "squeezing_db": 10.0 * math.log10(math.exp(-2.0 * r)),
-            })
-        c_fit = (sum(math.sqrt(p["pump_power_w"]) * p["r"] for p in inverted)
-                 / sum(p["pump_power_w"] for p in inverted))
-        fit_method = "per_point"
+    # the least-squares C of estimate_squeezing, which needs three powers;
+    # fewer powers give a per-point slope, labelled as such
+    inverted = [squeezing_point(p_w, v_hv, det) for p_w, v_hv, _ in observed]
+    c_fit = squeezing_slope(inverted)
+    fit_method = "least_squares" if len(inverted) >= 3 else "per_point"
 
     points = {}
     for (p_w, v_hv, v_da), inv in zip(observed, inverted):
@@ -610,7 +595,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        thread_cap()
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

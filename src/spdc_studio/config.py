@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,16 +22,13 @@ __all__ = [
     "RunConfig",
     "load_run_config",
     "make_grid",
-    "thread_cap",
     "DEFAULT_SAMPLES",
     "DEFAULT_WINDOW_NM",
-    "THREADS_ENV_VAR",
 ]
 
 DEFAULT_SAMPLES = 512
 DEFAULT_WINDOW_NM = (1500.0, 1620.0)
 MIN_SAMPLES = 64
-THREADS_ENV_VAR = "SPDC_STUDIO_THREADS"
 
 _PUMP_FIELDS = {f.name for f in dataclasses.fields(PumpSpec)}
 _CRYSTAL_FIELDS = {f.name for f in dataclasses.fields(CrystalSpec)}
@@ -164,18 +160,3 @@ def make_grid(config: RunConfig) -> FrequencyGrid:
     return FrequencyGrid.wavelength_window(config.window[0], config.window[1],
                                            config.samples)
 
-
-def thread_cap() -> int:
-    """Worker cap from the environment; this build is single threaded, so
-    the cap is honored trivially, but the value is still validated."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be a positive integer, "
-                          f"got {raw!r}") from exc
-    if value < 1:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be >= 1, got {value}")
-    return value

@@ -3,18 +3,19 @@
 Covers the two workhorse measurements of the source characterization:
 time-of-flight joint-spectral-intensity spectroscopy through dispersive
 fiber, and polarization visibility scans with their sinusoid fits. Also
-houses the multi-pair (squeezed-vacuum) visibility Monte Carlo used to
-translate visibility into squeezing, and the coincidence-rate bookkeeping.
+houses the multi-pair (squeezed-vacuum) visibility model and the
+coincidence-rate bookkeeping. A Monte Carlo of that model simulates
+observed visibilities; the exact thermal-statistics form of the same
+model translates visibility into squeezing.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, curve_fit
+from scipy.optimize import brentq
 
 from .errors import ConfigError, ConvergenceError
 from .optics import TWO_PI_C, FrequencyGrid, JsaGrid
@@ -25,7 +26,6 @@ from .spectral import JsiGrid
 __all__ = [
     "FiberSpec",
     "DetectorSpec",
-    "DetectorModel",
     "ArrivalHistogram",
     "VisibilityScan",
     "RateRecord",
@@ -36,6 +36,8 @@ __all__ = [
     "fit_visibility",
     "multipair_visibility",
     "invert_visibility",
+    "squeezing_point",
+    "squeezing_slope",
     "estimate_squeezing",
     "rates_summary",
 ]
@@ -72,17 +74,12 @@ class FiberSpec:
         return self.dispersion_si * self.length
 
 
-class DetectorModel(enum.Enum):
-    THRESHOLD = "threshold"
-
-
 @dataclass(frozen=True)
 class DetectorSpec:
     """Click detector with Gaussian timing jitter."""
 
     jitter_fwhm: float = 150e-12
     efficiency: float = 1.0
-    model: DetectorModel = DetectorModel.THRESHOLD
 
     def __post_init__(self) -> None:
         if self.jitter_fwhm < 0:
@@ -111,7 +108,6 @@ class VisibilityScan:
     fixed_angle: float
     sweep_angles: np.ndarray
     counts: np.ndarray
-    fit: dict | None = None
 
     def __post_init__(self) -> None:
         angles = np.asarray(self.sweep_angles, dtype=float)
@@ -292,17 +288,17 @@ def visibility_scan(rho: TwoQubitState, fixed_angle: float,
                           counts=counts)
 
 
-def _sinusoid(theta, a, b, c, d):
-    return a * np.sin(b * theta + c) ** 2 + d
-
-
 def fit_visibility(scan: VisibilityScan, r_square_min: float = 0.99) -> dict:
-    """Least-squares fit of a sin^2(b theta + c) + d; V = a/(a + 2d).
+    """Weighted least-squares fit of a sin^2(theta + c) + d; V = a/(a + 2d).
 
-    Counts are weighted by their Poisson uncertainty. Returns the fit
-    parameters, V, and r_square; a fit with r_square below
-    ``r_square_min`` raises, mirroring the quality of the fits this
-    procedure is meant to reproduce.
+    With the fringe period fixed at half a turn (b = 1) the model equals
+    K0 + Kz cos(2 theta) + Kx sin(2 theta), which is linear in its
+    coefficients, so one weighted linear solve gives the optimum:
+    a = 2 hypot(Kz, Kx), d = K0 - a/2, c = atan2(Kx, -Kz)/2, and
+    V = hypot(Kz, Kx)/K0. Counts are weighted by their Poisson uncertainty;
+    d is clipped at zero, which keeps V <= 1. Returns the fit parameters,
+    V, and r_square; a fit with r_square below ``r_square_min`` raises,
+    mirroring the quality of the fits this procedure is meant to reproduce.
     """
     theta = scan.sweep_angles
     counts = scan.counts.astype(float)
@@ -312,28 +308,14 @@ def fit_visibility(scan: VisibilityScan, r_square_min: float = 0.99) -> dict:
     if span < math.pi / 2:
         raise ConfigError("sweep must span at least half a fringe period")
 
-    a0 = max(counts.max() - counts.min(), 1.0)
-    d0 = max(counts.min(), 0.0)
-    sigma = np.sqrt(np.clip(counts, 1.0, None))
-    best = None
-    for c0 in (0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4):
-        try:
-            popt, _ = curve_fit(
-                _sinusoid, theta, counts, p0=[a0, 1.0, c0, d0],
-                sigma=sigma, absolute_sigma=True,
-                bounds=([0.0, 0.5, -math.pi, 0.0],
-                        [np.inf, 2.0, 2.0 * math.pi, np.inf]),
-                maxfev=20000,
-            )
-        except RuntimeError:
-            continue
-        residual = counts - _sinusoid(theta, *popt)
-        ss_res = float(np.sum(residual**2))
-        if best is None or ss_res < best[1]:
-            best = (popt, ss_res)
-    if best is None:
-        raise ConvergenceError("visibility fit did not converge")
-    (a, b, c, d), ss_res = best
+    design = np.column_stack([np.ones_like(theta), np.cos(2.0 * theta),
+                              np.sin(2.0 * theta)])
+    weight = 1.0 / np.sqrt(np.clip(counts, 1.0, None))
+    (k0, kz, kx), *_ = np.linalg.lstsq(design * weight[:, None],
+                                       counts * weight, rcond=None)
+    half = math.hypot(kz, kx)
+    a, c, d = 2.0 * half, 0.5 * math.atan2(kx, -kz), max(float(k0) - half, 0.0)
+    ss_res = float(np.sum((counts - a * np.sin(theta + c) ** 2 - d) ** 2))
     ss_tot = float(np.sum((counts - counts.mean()) ** 2))
     r_square = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     if a + 2 * d <= 0:
@@ -341,10 +323,10 @@ def fit_visibility(scan: VisibilityScan, r_square_min: float = 0.99) -> dict:
     if r_square < r_square_min:
         raise ConvergenceError(
             f"visibility fit quality r^2 = {r_square:.4f} below the "
-            f"{r_square_min} gate (best residual {ss_res:.3g})"
+            f"{r_square_min} gate (residual {ss_res:.3g})"
         )
-    return {"a": float(a), "b": float(b), "c": float(c), "d": float(d),
-            "V": float(a / (a + 2 * d)), "r_square": r_square}
+    return {"a": a, "b": 1.0, "c": c, "d": d, "V": a / (a + 2 * d),
+            "r_square": r_square}
 
 
 # analyzer settings used for the multi-pair contrast: coincidence minimum
@@ -367,7 +349,7 @@ def _coincidences(mu: float, eff: float, setting: tuple[float, float],
         return 0
     q = mu / (1.0 + mu)
     # inverse CDF of the geometric pair-number law; monotone in mu for
-    # fixed u, which keeps the squeezing inversion's bisection stable
+    # fixed u
     n_pairs = np.floor(np.log1p(-u) / math.log(q)).astype(np.int64)
     total = int(n_pairs.sum())
     if total == 0:
@@ -416,69 +398,105 @@ def multipair_visibility(r: float, det: DetectorSpec, n_trials: int,
     return (c_max - c_min) / (c_max + c_min)
 
 
-def invert_visibility(target_v: float, det: DetectorSpec, n_trials: int,
-                      seed: int, r_max: float = 1.5) -> float:
-    """Squeezing parameter r whose simulated visibility equals ``target_v``.
+def _coincidence_probability(mu: float, eff: float,
+                             setting: tuple[float, float]) -> float:
+    """Exact per-pulse probability of clicks on both arms, the model that
+    ``_coincidences`` samples.
 
-    Bisection against the Monte Carlo forward model; every evaluation
-    reuses the same random substreams (common random numbers), which makes
-    the sampled V(r) effectively monotone and the root well-defined.
+    The pair number is thermal, with generating function
+    G(x) = (1 - q)/(1 - q x) and q = mu/(1 + mu). One singlet pair leaves
+    a given arm dark with probability 1 - eff/2 and both arms dark with
+    1 - eff + eff^2 s, where s = sin^2(delta)/2, so
+    P_cc = 1 - 2 G(1 - eff/2) + G(1 - eff + eff^2 s). Multiplied out, that
+    is the expression below, which has no cancellation as mu -> 0.
+    """
+    s = 0.5 * math.sin(setting[0] - setting[1]) ** 2
+    return (mu * eff**2 * (s + 0.5 * mu * (1.0 - eff * s))
+            / ((1.0 + 0.5 * mu * eff) * (1.0 + mu * eff * (1.0 - eff * s))))
+
+
+def _model_visibility(r: float, eff: float) -> float:
+    """Exact multi-pair visibility: the value ``multipair_visibility``
+    estimates, without sampling noise."""
+    mu = math.sinh(r) ** 2
+    c_max = _coincidence_probability(mu, eff, _SETTING_MAX)
+    c_min = _coincidence_probability(mu, eff, _SETTING_MIN)
+    if c_max + c_min == 0:
+        return 1.0
+    return (c_max - c_min) / (c_max + c_min)
+
+
+def invert_visibility(target_v: float, det: DetectorSpec,
+                      r_max: float = 1.5) -> float:
+    """Squeezing parameter r whose multi-pair visibility equals ``target_v``.
+
+    Root of the exact thermal-statistics visibility, which decreases
+    monotonically from 1 at r = 0; a visibility at or below its value at
+    ``r_max`` raises.
     """
     if not 0.0 < target_v <= 1.0:
         raise ConfigError("visibility must lie in (0, 1]")
-    v0 = multipair_visibility(0.0, det, n_trials, seed)
-    if target_v >= v0:
+    if target_v >= 1.0:
         return 0.0
-    v_floor = multipair_visibility(r_max, det, n_trials, seed)
+    v_floor = _model_visibility(r_max, det.efficiency)
     if target_v <= v_floor:
         raise ConvergenceError(
             f"visibility {target_v:.4f} is below the model floor "
             f"{v_floor:.4f} at r = {r_max}"
         )
     return float(brentq(
-        lambda r: multipair_visibility(r, det, n_trials, seed) - target_v,
-        0.0, r_max, xtol=1e-4,
+        lambda r: _model_visibility(r, det.efficiency) - target_v,
+        0.0, r_max,
     ))
 
 
-def estimate_squeezing(visibilities: list[tuple[float, float]],
-                       det: DetectorSpec, n_trials: int = 200_000,
-                       seed: int = 0) -> dict:
-    """Squeezing analysis of (pump_power_W, visibility) points.
+def squeezing_point(power: float, visibility: float,
+                    det: DetectorSpec) -> dict:
+    """One power point inverted to squeezing: r, the mean pair number
+    mu = sinh^2(r), and the squeezing level 10 log10(e^(-2r)) in dB."""
+    if power < 0:
+        raise ConfigError(f"negative pump power {power}")
+    if not 0.0 < visibility <= 1.0:
+        raise ConfigError(
+            f"visibility {visibility} at {power} W outside (0, 1]")
+    try:
+        r = invert_visibility(visibility, det)
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            f"inversion failed at pump power {power} W: {exc}"
+        ) from exc
+    return {
+        "pump_power_w": power,
+        "visibility": visibility,
+        "r": r,
+        "mu": math.sinh(r) ** 2,
+        "squeezing_db": 10.0 * math.log10(math.exp(-2.0 * r)),
+    }
 
-    Each visibility inverts to a squeezing parameter through the
-    multi-pair Monte Carlo; the ensemble is then fit to r = C sqrt(P).
-    Reports per-point r, mean pair number mu = sinh^2(r), and the
-    squeezing level 10 log10(e^(-2r)) in dB.
-    """
-    if len(visibilities) < 3:
-        raise ConfigError("need at least 3 power points to fit r = C sqrt(P)")
-    points = []
-    for power, vis in visibilities:
-        if power < 0:
-            raise ConfigError(f"negative pump power {power}")
-        if not 0.0 < vis <= 1.0:
-            raise ConfigError(f"visibility {vis} at {power} W outside (0, 1]")
-        try:
-            r = invert_visibility(vis, det, n_trials, seed)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"inversion failed at pump power {power} W: {exc}"
-            ) from exc
-        points.append({
-            "pump_power_w": power,
-            "visibility": vis,
-            "r": r,
-            "mu": math.sinh(r) ** 2,
-            "squeezing_db": 10.0 * math.log10(math.exp(-2.0 * r)),
-        })
+
+def squeezing_slope(points: list[dict]) -> float:
+    """Least-squares slope C of r = C sqrt(P) over ``squeezing_point``
+    records: C = sum(sqrt(P) r) / sum(P)."""
     sqrt_p = np.array([math.sqrt(p["pump_power_w"]) for p in points])
     rs = np.array([p["r"] for p in points])
     denom = float(np.sum(sqrt_p**2))
     if denom <= 0:
         raise ConfigError("pump powers are all zero; cannot fit C")
-    c_fit = float(np.sum(sqrt_p * rs) / denom)
-    return {"C_per_sqrt_w": c_fit, "points": points}
+    return float(np.sum(sqrt_p * rs) / denom)
+
+
+def estimate_squeezing(visibilities: list[tuple[float, float]],
+                       det: DetectorSpec) -> dict:
+    """Squeezing analysis of (pump_power_W, visibility) points.
+
+    Each visibility inverts to a squeezing parameter through the exact
+    multi-pair model (``squeezing_point``); the ensemble is then fit to
+    r = C sqrt(P) (``squeezing_slope``).
+    """
+    if len(visibilities) < 3:
+        raise ConfigError("need at least 3 power points to fit r = C sqrt(P)")
+    points = [squeezing_point(power, vis, det) for power, vis in visibilities]
+    return {"C_per_sqrt_w": squeezing_slope(points), "points": points}
 
 
 def rates_summary(rec: RateRecord) -> dict:

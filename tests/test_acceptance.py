@@ -228,7 +228,7 @@ def test_criterion_08_squeezing_bookkeeping():
                                      n_trials=200_000, seed=0))
             for p in powers
         ]
-        est = estimate_squeezing(observed, det, n_trials=200_000, seed=0)
+        est = estimate_squeezing(observed, det)
         assert est["C_per_sqrt_w"] == pytest.approx(c_true, rel=0.05)
 
         assert multipair_visibility(0.0, det, n_trials=200_000, seed=0) == 1.0

@@ -191,6 +191,13 @@ class TestVisibility:
         assert lines[0] == "power_mw,basis,visibility"
         assert len(lines) == 3  # one HV row and one DA row
 
+    def test_deterministic(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert main(["visibility", "--seed", "5", "--out", str(out)]) == 0
+        assert (a / "squeezing.json").read_bytes() == \
+            (b / "squeezing.json").read_bytes()
+
     def test_bad_powers_exit_2(self):
         assert main(["visibility", "--powers", "0"]) == 2
         assert main(["visibility", "--powers", "a,b"]) == 2

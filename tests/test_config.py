@@ -3,8 +3,7 @@ import json
 import pytest
 
 from spdc_studio.config import (DEFAULT_SAMPLES, DEFAULT_WINDOW_NM,
-                                THREADS_ENV_VAR, RunConfig, load_run_config,
-                                make_grid, thread_cap)
+                                RunConfig, load_run_config, make_grid)
 from spdc_studio.errors import ConfigError
 from spdc_studio.optics import PulseShape
 
@@ -127,23 +126,3 @@ class TestValidation:
         path = _write(tmp_path, {"pump": {"pulse_shape": "square"}})
         with pytest.raises(ConfigError, match="pulse_shape"):
             load_run_config(path)
-
-
-class TestThreadCap:
-    def test_default_is_single(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        assert thread_cap() == 1
-
-    def test_env_value_honored(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "4")
-        assert thread_cap() == 4
-
-    def test_non_integer_rejected(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "many")
-        with pytest.raises(ConfigError, match="positive integer"):
-            thread_cap()
-
-    def test_zero_rejected(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "0")
-        with pytest.raises(ConfigError, match=">= 1"):
-            thread_cap()

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from spdc_studio.errors import ConfigError, ConvergenceError
-from spdc_studio.measurement import (DetectorSpec, FiberSpec, RateRecord,
-                                     VisibilityScan, estimate_squeezing,
-                                     fit_visibility, invert_visibility,
-                                     multipair_visibility, rates_summary,
-                                     tof_reconstruct, tof_resolution,
-                                     tof_simulate, visibility_scan)
+from spdc_studio.measurement import (_SETTING_MAX, _SETTING_MIN,
+                                     DetectorSpec, FiberSpec, RateRecord,
+                                     VisibilityScan, _coincidence_probability,
+                                     _coincidences, _model_visibility,
+                                     estimate_squeezing, fit_visibility,
+                                     invert_visibility, multipair_visibility,
+                                     rates_summary, tof_reconstruct,
+                                     tof_resolution, tof_simulate,
+                                     visibility_scan)
 from spdc_studio.polarization import (BellKind, analyzer_projector,
                                       bell_state, predicted_visibility,
                                       werner_state)
+from spdc_studio.rng import substream
 from spdc_studio.spectral import jsa_from_jsi, lobe_metrics, overlap_integral
 
 
@@ -158,19 +162,61 @@ class TestMultipair:
         det = DetectorSpec()
         r_true = 0.4
         v = multipair_visibility(r_true, det, n_trials=100_000, seed=3)
-        r_est = invert_visibility(v, det, n_trials=100_000, seed=3)
+        r_est = invert_visibility(v, det)
         assert r_est == pytest.approx(r_true, abs=0.01)
 
     def test_invert_validation(self):
         det = DetectorSpec()
         with pytest.raises(ConfigError, match="\\(0, 1\\]"):
-            invert_visibility(0.0, det, n_trials=100, seed=0)
+            invert_visibility(0.0, det)
         with pytest.raises(ConfigError, match="\\(0, 1\\]"):
-            invert_visibility(1.2, det, n_trials=100, seed=0)
+            invert_visibility(1.2, det)
 
     def test_perfect_visibility_inverts_to_zero(self):
-        r = invert_visibility(1.0, DetectorSpec(), n_trials=10_000, seed=0)
+        r = invert_visibility(1.0, DetectorSpec())
         assert r == 0.0
+
+
+class TestExactMultipairModel:
+    """The closed-form thermal model against its Monte Carlo oracle."""
+
+    N_TRIALS = 100_000
+    SEEDS = range(8)
+
+    @pytest.mark.parametrize("eff", [0.3, 0.7, 1.0])
+    @pytest.mark.parametrize("r", [0.05, 0.2, 0.4, 0.8])
+    def test_monte_carlo_mean_matches(self, r, eff):
+        n, k = self.N_TRIALS, len(self.SEEDS)
+        mu = math.sinh(r) ** 2
+        p = {}
+        for name, setting in (("max", _SETTING_MAX), ("min", _SETTING_MIN)):
+            p[name] = _coincidence_probability(mu, eff, setting)
+            rate = np.mean([
+                _coincidences(mu, eff, setting, n,
+                              substream(seed, f"exact.{name}")) / n
+                for seed in self.SEEDS])
+            se = math.sqrt(p[name] * (1.0 - p[name]) / (n * k))
+            assert abs(rate - p[name]) <= 3.0 * se, name
+
+        det = DetectorSpec(efficiency=eff)
+        v = np.mean([multipair_visibility(r, det, n, seed)
+                     for seed in self.SEEDS])
+        # delta-method spread of (M - m)/(M + m) for Poisson counts M, m
+        c_max, c_min = n * p["max"], n * p["min"]
+        se = math.sqrt(4.0 * c_max * c_min / (c_max + c_min) ** 3 / k)
+        assert abs(v - _model_visibility(r, eff)) <= 3.0 * se
+
+    @pytest.mark.parametrize("eff", [0.3, 1.0])
+    def test_exact_round_trip(self, eff):
+        det = DetectorSpec(efficiency=eff)
+        for r in (1e-3, 0.05, 0.2, 0.4, 0.8, 1.4):
+            r_est = invert_visibility(_model_visibility(r, eff), det)
+            assert r_est == pytest.approx(r, abs=1e-9)
+
+    def test_below_model_floor_raises(self):
+        floor = _model_visibility(1.5, 1.0)
+        with pytest.raises(ConvergenceError, match="model floor"):
+            invert_visibility(0.9 * floor, DetectorSpec())
 
 
 class TestEstimateSqueezing:
@@ -183,7 +229,7 @@ class TestEstimateSqueezing:
             r = c_true * math.sqrt(p)
             points.append((p, multipair_visibility(r, det, n_trials=200_000,
                                                    seed=0)))
-        result = estimate_squeezing(points, det, n_trials=200_000, seed=0)
+        result = estimate_squeezing(points, det)
         assert result["C_per_sqrt_w"] == pytest.approx(c_true, rel=0.05)
         top = result["points"][-1]
         assert top["mu"] == pytest.approx(math.sinh(c_true * math.sqrt(0.620)) ** 2,
@@ -192,17 +238,16 @@ class TestEstimateSqueezing:
     def test_needs_three_points(self):
         det = DetectorSpec()
         with pytest.raises(ConfigError, match="at least 3"):
-            estimate_squeezing([(0.1, 0.99), (0.2, 0.98)], det,
-                               n_trials=1000, seed=0)
+            estimate_squeezing([(0.1, 0.99), (0.2, 0.98)], det)
 
     def test_rejects_bad_points(self):
         det = DetectorSpec()
         with pytest.raises(ConfigError, match="negative pump"):
             estimate_squeezing([(-0.1, 0.99), (0.2, 0.98), (0.3, 0.97)],
-                               det, n_trials=1000, seed=0)
+                               det)
         with pytest.raises(ConfigError, match="outside"):
             estimate_squeezing([(0.1, 1.1), (0.2, 0.98), (0.3, 0.97)],
-                               det, n_trials=1000, seed=0)
+                               det)
 
 
 class TestRates:
