@@ -140,7 +140,8 @@ def cmd_simulate_jsa(args: argparse.Namespace) -> int:
     except ConfigError:
         summary["lobe_overlap"] = None
 
-    grid_io.save_jsa_csv(out / "jsa_real.csv", out / "jsa_imag.csv", jsa)
+    # the amplitude is stored exactly; its axes are in the jsi.csv header
+    np.save(out / "jsa.npy", jsa.amplitude)
     grid_io.save_jsi_csv(out / "jsi.csv", jsi)
     _write_json(out / "summary.json", summary)
     print(f"simulate-jsa: overlap {summary['overlap_integral']:.6f}, "

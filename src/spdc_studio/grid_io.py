@@ -1,4 +1,9 @@
-"""CSV serialization for joint-spectrum grids.
+"""CSV serialization for real joint-spectrum grids.
+
+This is the text interchange format: ``simulate-jsa`` writes its intensity
+as ``jsi.csv`` in it and ``analyze-jsi`` reads it. The complex amplitude is
+not written here; ``simulate-jsa`` stores it exactly with ``numpy.save`` as
+``jsa.npy``, whose axes are the ones in the ``jsi.csv`` header.
 
 Layout: two header comment lines carrying the axes in nanometres,
 
@@ -18,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .optics import TWO_PI_C, FrequencyGrid, JsaGrid
+from .optics import TWO_PI_C, FrequencyGrid
 from .spectral import JsiGrid
 
 __all__ = [
@@ -26,17 +31,20 @@ __all__ = [
     "load_matrix_csv",
     "save_jsi_csv",
     "load_jsi_csv",
-    "save_jsa_csv",
-    "load_jsa_csv",
 ]
 
 _SIGNAL_KEY = "# signal_nm:"
 _IDLER_KEY = "# idler_nm:"
 
 
+def _format_row(values: np.ndarray) -> str:
+    # %-formatting Python floats writes the bytes of f"{v:.17g}" on numpy
+    # floats, faster; callers pass one row at a time to keep memory flat
+    return ",".join(["%.17g" % v for v in values.tolist()])
+
+
 def _format_axis(axis_omega: np.ndarray) -> str:
-    nm = TWO_PI_C / axis_omega * 1e9
-    return ",".join(f"{v:.17g}" for v in nm)
+    return _format_row(TWO_PI_C / axis_omega * 1e9)
 
 
 def save_matrix_csv(path: str | Path, grid: FrequencyGrid,
@@ -53,8 +61,7 @@ def save_matrix_csv(path: str | Path, grid: FrequencyGrid,
             lines.append(f"# {extra}")
     lines.append(f"{_SIGNAL_KEY} {_format_axis(grid.signal_axis)}")
     lines.append(f"{_IDLER_KEY} {_format_axis(grid.idler_axis)}")
-    for row in values:
-        lines.append(",".join(f"{v:.17g}" for v in row))
+    lines.extend(_format_row(row) for row in values)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -121,21 +128,3 @@ def load_jsi_csv(path: str | Path) -> JsiGrid:
         raise ConfigError(f"{path}: joint spectral intensity must be "
                           f"non-negative")
     return JsiGrid(grid=grid, intensity=values)
-
-
-def save_jsa_csv(real_path: str | Path, imag_path: str | Path,
-                 jsa: JsaGrid) -> None:
-    """Complex amplitudes are written as separate real and imaginary files."""
-    save_matrix_csv(real_path, jsa.grid, jsa.amplitude.real)
-    save_matrix_csv(imag_path, jsa.grid, jsa.amplitude.imag)
-
-
-def load_jsa_csv(real_path: str | Path, imag_path: str | Path) -> JsaGrid:
-    grid_re, re_part = load_matrix_csv(real_path)
-    grid_im, im_part = load_matrix_csv(imag_path)
-    if grid_re.shape != grid_im.shape or not np.allclose(
-            grid_re.signal_axis, grid_im.signal_axis, rtol=1e-12) \
-            or not np.allclose(grid_re.idler_axis, grid_im.idler_axis,
-                               rtol=1e-12):
-        raise ConfigError("real and imaginary files have mismatched axes")
-    return JsaGrid(grid=grid_re, amplitude=re_part + 1j * im_part)

@@ -1,12 +1,16 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spdc_studio import fixtures
 from spdc_studio.cli import main
-from spdc_studio.grid_io import save_jsi_csv
-from spdc_studio.optics import TWO_PI_C, FrequencyGrid, JsaGrid
+from spdc_studio.config import load_run_config, make_grid
+from spdc_studio.grid_io import load_jsi_csv, save_jsi_csv
+from spdc_studio.optics import TWO_PI_C, FrequencyGrid, JsaGrid, compute_jsa
 from spdc_studio.polarization import TwoQubitState
 from spdc_studio.spectral import jsi_of
 
@@ -24,9 +28,19 @@ class TestSimulateJsa:
     def test_writes_artifacts_and_metrics(self, tmp_path):
         out = tmp_path / "sim"
         assert main(["simulate-jsa", "--out", str(out)]) == 0
-        for name in ("summary.json", "jsa_real.csv", "jsa_imag.csv",
-                     "jsi.csv"):
+        for name in ("summary.json", "jsa.npy", "jsi.csv"):
             assert (out / name).exists()
+        for name in ("jsa_real.csv", "jsa_imag.csv"):
+            assert not (out / name).exists()
+        cfg = load_run_config()
+        expected = compute_jsa(make_grid(cfg), cfg.crystal, cfg.pump)
+        amplitude = np.load(out / "jsa.npy")
+        assert amplitude.dtype == np.complex128
+        assert amplitude.shape == (cfg.samples, cfg.samples)
+        assert amplitude.tobytes() == expected.amplitude.tobytes()
+        saved = JsaGrid(grid=expected.grid, amplitude=amplitude)
+        assert np.array_equal(load_jsi_csv(out / "jsi.csv").intensity,
+                              jsi_of(saved).intensity)
         summary = _read_json(out / "summary.json")
         assert summary["schema_version"] == 1
         assert summary["overlap_integral"] >= 0.995
@@ -42,7 +56,7 @@ class TestSimulateJsa:
                      "--out", str(a)]) == 0
         assert main(["simulate-jsa", "--samples", "128",
                      "--out", str(b)]) == 0
-        for name in ("summary.json", "jsi.csv", "jsa_real.csv"):
+        for name in ("summary.json", "jsi.csv", "jsa.npy"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_config_file_respected(self, tmp_path):
@@ -226,3 +240,19 @@ class TestReport:
         (runs / "simulate-jsa").mkdir(parents=True)
         (runs / "simulate-jsa" / "summary.json").write_text("{oops")
         assert main(["report", str(runs)]) == 2
+
+
+class TestFullPipeline:
+    def test_clean_checkout_headline(self, tmp_path, monkeypatch):
+        # the README's promise for scripts/run_full_pipeline.py at seed 0
+        script = (Path(__file__).resolve().parents[1] / "scripts"
+                  / "run_full_pipeline.py")
+        spec = importlib.util.spec_from_file_location("run_full_pipeline",
+                                                      script)
+        pipeline = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(pipeline)
+        monkeypatch.setattr(sys, "argv", [str(script), "0"])
+        assert pipeline.entry() == 0
+        report = (tmp_path / "runs" / "report" / "report.md").read_text()
+        assert report.splitlines()[-1] == \
+            "Totals: 28 pass, 0 fail, 0 not run."

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from spdc_studio.errors import ConfigError
-from spdc_studio.grid_io import (load_jsa_csv, load_jsi_csv, load_matrix_csv,
-                                 save_jsa_csv, save_jsi_csv, save_matrix_csv)
-from spdc_studio.optics import FrequencyGrid, JsaGrid
+from spdc_studio.grid_io import (load_jsi_csv, load_matrix_csv, save_jsi_csv,
+                                 save_matrix_csv)
+from spdc_studio.optics import TWO_PI_C, FrequencyGrid
 from spdc_studio.spectral import JsiGrid
 
 
@@ -51,6 +51,28 @@ class TestMatrixRoundTrip:
         assert text.startswith("# synthetic lobes\n# second line\n")
         _, values = load_matrix_csv(path)
         assert np.array_equal(values, small_values)
+
+    def test_edge_values_pinned_bytes(self, tmp_path):
+        # the row formatter must write exactly the bytes of per-element
+        # f"{v:.17g}" on numpy floats, and read back bit for bit
+        edge = np.array([-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1,
+                         1 / 3, -1.5e-17, 3.0])
+        grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, edge.size)
+        values = np.array([np.roll(edge, k) for k in range(edge.size)])
+
+        def fmt(row):
+            return ",".join(f"{v:.17g}" for v in row)
+
+        expected = "\n".join(
+            [f"# signal_nm: {fmt(TWO_PI_C / grid.signal_axis * 1e9)}",
+             f"# idler_nm: {fmt(TWO_PI_C / grid.idler_axis * 1e9)}"]
+            + [fmt(row) for row in values]) + "\n"
+        path = tmp_path / "m.csv"
+        save_matrix_csv(path, grid, values)
+        assert path.read_bytes() == expected.encode()
+        _, back = load_matrix_csv(path)
+        assert back.dtype == np.float64
+        assert back.tobytes() == values.tobytes()
 
     def test_shape_mismatch_rejected_on_save(self, tmp_path, small_grid):
         with pytest.raises(ConfigError, match="does not match grid"):
@@ -126,24 +148,3 @@ class TestJsiCsv:
                         np.full(small_grid.shape, -1.0))
         with pytest.raises(ConfigError, match="non-negative"):
             load_jsi_csv(path)
-
-
-class TestJsaCsv:
-    def test_complex_round_trip(self, tmp_path, small_grid, rng):
-        amp = rng.normal(size=small_grid.shape) \
-            + 1j * rng.normal(size=small_grid.shape)
-        jsa = JsaGrid(grid=small_grid, amplitude=amp)
-        re_path, im_path = tmp_path / "re.csv", tmp_path / "im.csv"
-        save_jsa_csv(re_path, im_path, jsa)
-        back = load_jsa_csv(re_path, im_path)
-        assert np.array_equal(back.amplitude, amp)
-
-    def test_mismatched_axes_rejected(self, tmp_path, small_grid, rng):
-        amp = rng.normal(size=small_grid.shape).astype(complex)
-        other_grid = FrequencyGrid.wavelength_window(1400e-9, 1520e-9, 12)
-        save_jsa_csv(tmp_path / "re.csv", tmp_path / "im_a.csv",
-                     JsaGrid(grid=small_grid, amplitude=amp))
-        save_jsa_csv(tmp_path / "re_b.csv", tmp_path / "im.csv",
-                     JsaGrid(grid=other_grid, amplitude=amp))
-        with pytest.raises(ConfigError, match="mismatched axes"):
-            load_jsa_csv(tmp_path / "re.csv", tmp_path / "im.csv")
