@@ -29,7 +29,6 @@ __all__ = [
     "concurrence",
     "fidelity",
     "chsh_max",
-    "chsh_at_angles",
     "analyzer_projector",
     "predicted_visibility",
     "trace_distance",
@@ -223,27 +222,6 @@ def _analyzer(theta: float) -> np.ndarray:
     """Plus/minus polarization analyzer: +1 along theta, -1 perpendicular."""
     return (math.cos(2 * theta) * PAULI["z"]
             + math.sin(2 * theta) * PAULI["x"])
-
-
-def chsh_at_angles(rho: TwoQubitState,
-                   angles: tuple[float, float, float, float] = (
-                       0.0, math.pi / 4, math.pi / 8, 3 * math.pi / 8)
-                   ) -> float:
-    """CHSH value at fixed polarizer angles (a, a2, b, b2) in radians.
-
-    The default settings are the canonical maximal-violation angles for
-    the psi-minus state: 0 and 45 degrees on one arm, 22.5 and 67.5 on
-    the other.
-    """
-    a, a2, b, b2 = angles
-
-    def correlator(t1: float, t2: float) -> float:
-        op = np.kron(_analyzer(t1), _analyzer(t2))
-        return float(np.real(np.trace(rho.matrix @ op)))
-
-    s = (correlator(a, b) + correlator(a2, b)
-         + correlator(a2, b2) - correlator(a, b2))
-    return abs(s)
 
 
 def analyzer_projector(theta: float) -> np.ndarray:

@@ -2,9 +2,13 @@
 
 Everything here operates on sampled joint spectra: intensity conversion,
 amplitude recovery from a measured intensity, the signal/idler exchange
-overlap integral, Schmidt decomposition, splitting the two-lobe spectrum at
-a cut wavelength, and the 2x2 lobe-overlap matrix that feeds the
-polarization density matrix.
+overlap integral, the Schmidt purity and Schmidt number, splitting the
+two-lobe spectrum at a cut wavelength, and the 2x2 lobe-overlap matrix that
+feeds the polarization density matrix.
+
+The Schmidt purity comes from the Gram matrix of the quadrature-weighted
+amplitude, not from a singular-value decomposition, so no Schmidt
+coefficients are computed or returned.
 """
 
 from __future__ import annotations
@@ -72,9 +76,8 @@ class LobePair:
 
 @dataclass(frozen=True)
 class SchmidtResult:
-    """Schmidt spectrum of a JSA: mode weights, purity, mode count."""
+    """Schmidt purity of a JSA and its Schmidt number (1 / purity)."""
 
-    coefficients: np.ndarray
     purity: float
     schmidt_number: float
 
@@ -130,20 +133,22 @@ def overlap_integral(jsa: JsaGrid) -> float:
 
 
 def schmidt(jsa: JsaGrid) -> SchmidtResult:
-    """Schmidt decomposition via SVD of the quadrature-weighted amplitude."""
-    jsa = jsa if jsa.normalized else jsa.normalized_copy()
-    weighted = jsa.amplitude * np.sqrt(_weights(jsa.grid))
-    try:
-        singular = np.linalg.svd(weighted, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(
-            f"SVD failed on a {weighted.shape} JSA grid"
-        ) from exc
-    coefficients = singular**2
-    coefficients = coefficients / np.sum(coefficients)
-    purity = float(np.sum(coefficients**2))
-    return SchmidtResult(coefficients=coefficients, purity=purity,
-                         schmidt_number=1.0 / purity)
+    """Schmidt purity from the Gram matrix of the weighted amplitude.
+
+    With A the quadrature-weighted amplitude, the Schmidt weights are the
+    eigenvalues of G = A^H A divided by tr G, so the purity sum(lambda_k^2)
+    is ||G||_F^2 / (tr G)^2 exactly. The ratio does not depend on the
+    normalization of the JSA.
+    """
+    grid = jsa.grid
+    weighted = jsa.amplitude * np.sqrt(grid.signal_weights)[:, np.newaxis]
+    weighted *= np.sqrt(grid.idler_weights)
+    gram = weighted.conj().T @ weighted
+    norm_squared = float(np.trace(gram).real)
+    if norm_squared <= 0:
+        raise ConfigError("cannot take the Schmidt purity of an all-zero JSA")
+    purity = float(np.vdot(gram, gram).real) / norm_squared**2
+    return SchmidtResult(purity=purity, schmidt_number=1.0 / purity)
 
 
 def _marginal(intensity: np.ndarray, grid: FrequencyGrid, axis: str
@@ -245,13 +250,13 @@ def lobe_overlap_matrix(lobes: LobePair) -> np.ndarray:
 
 
 def single_lobe_purity(lobes: LobePair, which: str = "f1") -> float:
-    """Schmidt purity of one lobe on its own (renormalized)."""
+    """Schmidt purity of one lobe on its own (independent of its norm)."""
     if which not in ("f1", "f2"):
         raise ConfigError(f"unknown lobe {which!r}, expected 'f1' or 'f2'")
     lobe = lobes.f1 if which == "f1" else lobes.f2
-    if lobe.norm_squared <= 0:
+    if not np.any(lobe.amplitude):
         raise ConfigError(f"lobe {which} is identically zero")
-    return schmidt(lobe.normalized_copy()).purity
+    return schmidt(lobe).purity
 
 
 def _fwhm_of(x: np.ndarray, y: np.ndarray) -> float:

@@ -25,8 +25,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize
 
-from . import polarization
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError
 from .polarization import PAULI, TwoQubitState
 from .rng import substream
 
@@ -40,7 +39,6 @@ __all__ = [
     "simulate_counts",
     "linear_inversion",
     "mle_reconstruct",
-    "tomography_report",
     "save_records",
     "load_records",
 ]
@@ -268,15 +266,6 @@ def mle_reconstruct(records: list[TomographyRecord], max_iter: int = 2000,
         converged=bool(result.success),
         nll_trace=tuple(trace),
     )
-
-
-def tomography_report(result: MleResult) -> polarization.MetricReport:
-    """Headline metrics of a converged reconstruction."""
-    if not result.converged:
-        raise ConvergenceError(
-            "tomography reconstruction did not converge; refusing to report"
-        )
-    return polarization.metric_report(result.state)
 
 
 def save_records(records: list[TomographyRecord], path: str | Path) -> None:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from spdc_studio.errors import ConfigError
 from spdc_studio.polarization import (BASIS_LABELS, PAULI, BellKind,
                                       TwoQubitState, analyzer_projector,
-                                      bell_state, chsh_at_angles, chsh_max,
+                                      bell_state, chsh_max,
                                       concurrence, correlation_matrix,
                                       fidelity, metric_report,
                                       predicted_visibility, purity,
@@ -61,10 +61,6 @@ class TestBellStates:
         for basis in ("H", "V", "D", "A", "HV", "DA"):
             assert predicted_visibility(rho, basis) == pytest.approx(
                 1.0, abs=1e-9)
-
-    def test_canonical_angles_reach_tsirelson(self):
-        rho = bell_state(BellKind.PSI_MINUS)
-        assert chsh_at_angles(rho) == pytest.approx(TSIRELSON, abs=1e-9)
 
 
 class TestWernerStates:
@@ -245,12 +241,6 @@ class TestRandomStateInvariants:
         assert 0.25 - 1e-9 <= purity(rho) <= 1.0 + 1e-9
         assert 0.0 <= concurrence(rho) <= 1.0 + 1e-9
         assert 0.0 <= chsh_max(rho) <= TSIRELSON + 1e-9
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_fixed_angles_never_beat_optimum(self, seed):
-        rho = _ginibre_state(seed)
-        assert chsh_at_angles(rho) <= chsh_max(rho) + 1e-9
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))

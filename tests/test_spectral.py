@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdc_studio.errors import ConfigError
-from spdc_studio.optics import TWO_PI_C, FrequencyGrid, JsaGrid
+from spdc_studio.optics import (TWO_PI_C, FrequencyGrid, JsaGrid,
+                                design_lobe_wavelengths)
 from spdc_studio.polarization import concurrence, predicted_visibility, purity, \
     rho_from_lobes
 from spdc_studio.spectral import (JsiGrid, PhaseRule, jsa_from_jsi, jsi_of,
@@ -29,6 +30,14 @@ def _random_jsa(seed, samples=24):
     amp = rng.normal(size=(samples, samples)) \
         + 1j * rng.normal(size=(samples, samples))
     return JsaGrid(grid=grid, amplitude=amp).normalized_copy()
+
+
+def _svd_purity(jsa):
+    """Reference purity sum(sigma^4) / (sum(sigma^2))^2 from a full SVD of
+    the quadrature-weighted amplitude."""
+    w = np.outer(jsa.grid.signal_weights, jsa.grid.idler_weights)
+    sigma = np.linalg.svd(jsa.amplitude * np.sqrt(w), compute_uv=False)
+    return float(np.sum(sigma**4) / np.sum(sigma**2) ** 2)
 
 
 class TestOverlapIntegral:
@@ -93,16 +102,44 @@ class TestSchmidt:
                + np.sqrt(lam2) * np.outer(u2, u2))
         res = schmidt(JsaGrid(grid=grid, amplitude=amp, normalized=True))
         assert res.purity == pytest.approx(lam1**2 + lam2**2, abs=1e-12)
-        assert np.sort(res.coefficients)[::-1][:2] == pytest.approx(
-            [lam1, lam2], abs=1e-12)
+
+    def test_all_zero_rejected(self):
+        grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 16)
+        jsa = JsaGrid(grid=grid, amplitude=np.zeros((16, 16)))
+        with pytest.raises(ConfigError, match="all-zero"):
+            schmidt(jsa)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_coefficients_normalized_and_purity_bounded(self, seed):
-        res = schmidt(_random_jsa(seed))
-        assert np.sum(res.coefficients) == pytest.approx(1.0, abs=1e-9)
-        n = res.coefficients.size
+        jsa = _random_jsa(seed)
+        res = schmidt(jsa)
+        n = min(jsa.grid.shape)
         assert 1.0 / n - 1e-9 <= res.purity <= 1.0 + 1e-9
+
+    def test_matches_svd_oracle_on_design_jsa_and_lobes(
+            self, default_jsa, default_crystal, default_pump):
+        lam1, lam2 = design_lobe_wavelengths(default_crystal, default_pump)
+        lobes = split_lobes(default_jsa, 0.5 * (lam1 + lam2))
+        for jsa in (default_jsa, lobes.f1, lobes.f2):
+            assert schmidt(jsa).purity == pytest.approx(_svd_purity(jsa),
+                                                        abs=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_matches_svd_oracle_on_random_jsas(self, seed):
+        jsa = _random_jsa(seed)
+        assert schmidt(jsa).purity == pytest.approx(_svd_purity(jsa),
+                                                    abs=1e-12)
+        # unequal, non-uniform axes and a complex, unnormalized amplitude:
+        # swapped signal/idler weights or a missing conjugate would show
+        rng = np.random.default_rng(seed)
+        grid = FrequencyGrid(signal_axis=np.cumsum(rng.uniform(0.5, 2.0, 20)),
+                             idler_axis=np.cumsum(rng.uniform(0.5, 2.0, 28)))
+        amp = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+        jsa = JsaGrid(grid=grid, amplitude=amp)
+        assert schmidt(jsa).purity == pytest.approx(_svd_purity(jsa),
+                                                    abs=1e-12)
 
 
 class TestJsaFromJsi:

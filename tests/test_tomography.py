@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spdc_studio.errors import ConfigError, ConvergenceError
+from spdc_studio.errors import ConfigError
 from spdc_studio.polarization import (BellKind, TwoQubitState, bell_state,
                                       concurrence, trace_distance,
                                       werner_state)
@@ -9,8 +9,7 @@ from spdc_studio.tomography import (KETS, ProjectorSetting, TomographyRecord,
                                     expected_probability, linear_inversion,
                                     load_records, mle_reconstruct,
                                     save_records, setting_from_label,
-                                    simulate_counts, standard_16_settings,
-                                    tomography_report)
+                                    simulate_counts, standard_16_settings)
 
 EXPECTED_ORDER = ["HH", "HV", "VV", "VH", "RH", "RV", "DV", "DH",
                   "DR", "DD", "RD", "HD", "VD", "VL", "HL", "RL"]
@@ -163,15 +162,6 @@ class TestMleReconstruct:
                                   1e4, seed=9)
         result = mle_reconstruct(records, max_iter=1)
         assert not result.converged
-        with pytest.raises(ConvergenceError, match="did not converge"):
-            tomography_report(result)
-
-    def test_report_bundles_metrics(self):
-        records = _noiseless_records(bell_state(BellKind.PSI_MINUS))
-        result = mle_reconstruct(records)
-        report = tomography_report(result)
-        assert report.concurrence > 0.995
-        assert report.chsh_s > 2.82
 
 
 class TestRecordsIo:
