@@ -34,9 +34,8 @@ from spdc_studio.grid_io import save_jsi_csv
 from spdc_studio.optics import TWO_PI_C, FrequencyGrid
 from spdc_studio.polarization import (TwoQubitState, metric_report,
                                       predicted_visibility)
-from spdc_studio.spectral import (JsiGrid, PhaseRule, jsa_from_jsi,
-                                  lobe_overlap_matrix, overlap_integral,
-                                  schmidt, split_lobes)
+from spdc_studio.spectral import (JsiGrid, jsa_from_jsi, lobe_overlap_matrix,
+                                  overlap_integral, schmidt, split_lobes)
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "spdc_studio" / "data"
 
@@ -130,7 +129,7 @@ def synth_jsi(p: float, w2: float, a2: float) -> JsiGrid:
 
 
 def pipeline_metrics(jsi: JsiGrid) -> dict:
-    jsa = jsa_from_jsi(jsi, PhaseRule.PI_BETWEEN_LOBES)
+    jsa = jsa_from_jsi(jsi)
     lobes = split_lobes(jsa, CUT_NM * 1e-9)
     f_mn = lobe_overlap_matrix(lobes)
     return {

@@ -43,9 +43,9 @@ from .optics import (CrystalSpec, PumpSpec, compute_jsa,
 from .polarization import (BellKind, TwoQubitState, bell_state,
                            metric_report, predicted_visibility,
                            rho_from_lobes, trace_distance, werner_state)
-from .spectral import (PhaseRule, jsa_from_jsi, jsi_of, lobe_metrics,
-                       lobe_overlap_matrix, overlap_integral, schmidt,
-                       single_lobe_purity, split_lobes)
+from .spectral import (jsa_from_jsi, jsi_of, lobe_metrics, lobe_overlap_matrix,
+                       overlap_integral, schmidt, single_lobe_purity,
+                       split_lobes)
 from .tomography import (load_records, mle_reconstruct, save_records,
                          simulate_counts, standard_16_settings)
 
@@ -153,7 +153,7 @@ def cmd_analyze_jsi(args: argparse.Namespace) -> int:
     out = _out_dir(args.out, None, "analyze-jsi")
     jsi = grid_io.load_jsi_csv(args.jsi_file)
     cut = args.cut_nm * 1e-9
-    jsa = jsa_from_jsi(jsi, PhaseRule.PI_BETWEEN_LOBES)
+    jsa = jsa_from_jsi(jsi)
     sr = schmidt(jsa)
     lobes = split_lobes(jsa, cut)
     f_mn = lobe_overlap_matrix(lobes)
@@ -209,8 +209,9 @@ def _simulated_state(label: str):
 def cmd_tomography(args: argparse.Namespace) -> int:
     out = _out_dir(args.out, None, "tomography")
     n = args.n_per_setting
-    if n is not None and n <= 0:
-        raise ConfigError("--n-per-setting must be positive")
+    if n is not None and not (math.isfinite(n) and n > 0):
+        raise ConfigError(f"--n-per-setting must be positive and finite, "
+                          f"got {n}")
 
     truth = None
     if args.records is not None:
@@ -277,8 +278,9 @@ def _parse_powers(text: str) -> list[float]:
         raise ConfigError(f"bad --powers list {text!r}: {exc}") from exc
     if not powers:
         raise ConfigError("--powers list is empty")
-    if any(p <= 0 for p in powers):
-        raise ConfigError("pump powers must be positive (mW)")
+    if not all(math.isfinite(p) and p > 0 for p in powers):
+        raise ConfigError(f"pump powers must be positive and finite (mW), "
+                          f"got {text!r}")
     return powers
 
 

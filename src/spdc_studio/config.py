@@ -57,8 +57,9 @@ class RunConfig:
         lo, hi = self.window
         if not 0 < lo < hi:
             raise ConfigError("window must satisfy 0 < min < max")
-        if int(self.seed) != self.seed:
-            raise ConfigError("seed must be an integer")
+        if int(self.seed) != self.seed or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, "
+                              f"got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
         try:
             lam1, lam2 = design_lobe_wavelengths(self.crystal, self.pump,

@@ -149,21 +149,17 @@ _FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 
 def tof_simulate(jsa: JsaGrid, fiber: FiberSpec, det: DetectorSpec,
-                 n_pairs: int, seed: int,
-                 bin_width: float | None = None) -> ArrivalHistogram:
+                 n_pairs: int, seed: int) -> ArrivalHistogram:
     """Monte Carlo arrival-time histogram of ``n_pairs`` photon pairs.
 
     Pairs are drawn from |f|^2, dithered uniformly within their grid cell,
     mapped to arrival time through t = D L (lambda - lambda_ref) per arm,
-    and smeared by per-arm Gaussian jitter. Bin width defaults to a third
-    of the jitter FWHM. Deterministic for a fixed seed.
+    and smeared by per-arm Gaussian jitter. Bins are a third of the jitter
+    FWHM wide (1 ps without jitter). Deterministic for a fixed seed.
     """
     if n_pairs <= 0:
         raise ConfigError("n_pairs must be positive")
-    if bin_width is None:
-        bin_width = det.jitter_fwhm / 3.0 if det.jitter_fwhm > 0 else 1e-12
-    if bin_width <= 0:
-        raise ConfigError("bin_width must be positive")
+    bin_width = det.jitter_fwhm / 3.0 if det.jitter_fwhm > 0 else 1e-12
 
     grid = jsa.grid
     w_s, w_i = grid.signal_weights, grid.idler_weights
@@ -218,14 +214,14 @@ def _rebin_edges(edges: np.ndarray, counts: np.ndarray, factor: int,
 
 
 def tof_reconstruct(hist: ArrivalHistogram, fiber: FiberSpec,
-                    det: DetectorSpec, rebin: int | None = None) -> JsiGrid:
+                    det: DetectorSpec) -> JsiGrid:
     """Invert the time-to-wavelength map back to a joint spectral intensity.
 
     Bin centers map to wavelength via the fiber's delay slope; counts are
     converted to a density in angular frequency (the axes come out
     non-uniform in omega). The achievable wavelength resolution is
-    tof_resolution(fiber, det); by default the histogram is aggregated to
-    one output bin per jitter FWHM, which carries the full resolution while
+    tof_resolution(fiber, det); the histogram is aggregated to one output
+    bin per jitter FWHM, which carries the full resolution while
     keeping the per-bin counts high enough that downstream square-root
     amplitude estimates are not biased by shot noise.
     """
@@ -234,11 +230,8 @@ def tof_reconstruct(hist: ArrivalHistogram, fiber: FiberSpec,
     slope = fiber.delay_per_wavelength
     counts = hist.counts
     edges_s, edges_i = hist.signal_edges, hist.idler_edges
-    if rebin is None:
-        bin_width = float(edges_s[1] - edges_s[0])
-        rebin = max(1, round(det.jitter_fwhm / bin_width))
-    if rebin < 1:
-        raise ConfigError("rebin factor must be >= 1")
+    bin_width = float(edges_s[1] - edges_s[0])
+    rebin = max(1, round(det.jitter_fwhm / bin_width))
     if rebin > 1:
         edges_s, counts = _rebin_edges(edges_s, counts, rebin, axis=0)
         edges_i, counts = _rebin_edges(edges_i, counts, rebin, axis=1)
@@ -288,7 +281,10 @@ def visibility_scan(rho: TwoQubitState, fixed_angle: float,
                           counts=counts)
 
 
-def fit_visibility(scan: VisibilityScan, r_square_min: float = 0.99) -> dict:
+_R_SQUARE_MIN = 0.99
+
+
+def fit_visibility(scan: VisibilityScan) -> dict:
     """Weighted least-squares fit of a sin^2(theta + c) + d; V = a/(a + 2d).
 
     With the fringe period fixed at half a turn (b = 1) the model equals
@@ -297,7 +293,7 @@ def fit_visibility(scan: VisibilityScan, r_square_min: float = 0.99) -> dict:
     a = 2 hypot(Kz, Kx), d = K0 - a/2, c = atan2(Kx, -Kz)/2, and
     V = hypot(Kz, Kx)/K0. Counts are weighted by their Poisson uncertainty;
     d is clipped at zero, which keeps V <= 1. Returns the fit parameters,
-    V, and r_square; a fit with r_square below ``r_square_min`` raises,
+    V, and r_square; a fit with r_square below ``_R_SQUARE_MIN`` raises,
     mirroring the quality of the fits this procedure is meant to reproduce.
     """
     theta = scan.sweep_angles
@@ -320,10 +316,10 @@ def fit_visibility(scan: VisibilityScan, r_square_min: float = 0.99) -> dict:
     r_square = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     if a + 2 * d <= 0:
         raise ConfigError("degenerate fit: a + 2d is zero, no fringe")
-    if r_square < r_square_min:
+    if r_square < _R_SQUARE_MIN:
         raise ConvergenceError(
             f"visibility fit quality r^2 = {r_square:.4f} below the "
-            f"{r_square_min} gate (residual {ss_res:.3g})"
+            f"{_R_SQUARE_MIN} gate (residual {ss_res:.3g})"
         )
     return {"a": a, "b": 1.0, "c": c, "d": d, "V": a / (a + 2 * d),
             "r_square": r_square}
@@ -426,27 +422,29 @@ def _model_visibility(r: float, eff: float) -> float:
     return (c_max - c_min) / (c_max + c_min)
 
 
-def invert_visibility(target_v: float, det: DetectorSpec,
-                      r_max: float = 1.5) -> float:
+_R_MAX = 1.5
+
+
+def invert_visibility(target_v: float, det: DetectorSpec) -> float:
     """Squeezing parameter r whose multi-pair visibility equals ``target_v``.
 
     Root of the exact thermal-statistics visibility, which decreases
     monotonically from 1 at r = 0; a visibility at or below its value at
-    ``r_max`` raises.
+    r = ``_R_MAX`` raises.
     """
     if not 0.0 < target_v <= 1.0:
         raise ConfigError("visibility must lie in (0, 1]")
     if target_v >= 1.0:
         return 0.0
-    v_floor = _model_visibility(r_max, det.efficiency)
+    v_floor = _model_visibility(_R_MAX, det.efficiency)
     if target_v <= v_floor:
         raise ConvergenceError(
             f"visibility {target_v:.4f} is below the model floor "
-            f"{v_floor:.4f} at r = {r_max}"
+            f"{v_floor:.4f} at r = {_R_MAX}"
         )
     return float(brentq(
         lambda r: _model_visibility(r, det.efficiency) - target_v,
-        0.0, r_max,
+        0.0, _R_MAX,
     ))
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,6 +67,8 @@ TWO_PI_C = 2.0 * math.pi * C_LIGHT
 # per-run knob.
 DESIGN_WIDTH_SCALE = 6.0
 
+MIN_SAMPLES_PER_FWHM = 8
+
 _FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 
@@ -93,6 +95,13 @@ class DkMapping(enum.Enum):
     RAW = "raw"
 
 
+def _reject_non_finite(spec, where: str) -> None:
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{where} {field.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PumpSpec:
     """Pulsed pump field. Powers in W, lengths in m, rate in Hz."""
@@ -104,6 +113,7 @@ class PumpSpec:
     average_power: float = 0.620
 
     def __post_init__(self) -> None:
+        _reject_non_finite(self, "pump")
         if self.center_wavelength <= 0:
             raise ConfigError("pump center_wavelength must be positive")
         if self.bandwidth_fwhm <= 0:
@@ -127,7 +137,11 @@ class PumpSpec:
 
 @dataclass(frozen=True)
 class CrystalSpec:
-    """Poled KTP crystal plus its perpendicular compensation crystal."""
+    """Poled KTP crystal plus its perpendicular compensation crystal.
+
+    ``temperature`` (deg C) is metadata only: the Sellmeier fits are
+    room-temperature fits and no thermo-optic correction is applied.
+    """
 
     length: float = 4e-3
     poling_period: float = 46e-6
@@ -137,6 +151,7 @@ class CrystalSpec:
     compensation_length: float = 2e-3
 
     def __post_init__(self) -> None:
+        _reject_non_finite(self, "crystal")
         if self.length <= 0:
             raise ConfigError("crystal length must be positive")
         if self.poling_period <= 0:
@@ -272,32 +287,28 @@ class JsaGrid:
                        normalized=True)
 
 
-def wavevector(omega, axis: str, temperature: float = 23.0):
+def wavevector(omega, axis: str):
     """k = n(omega) * omega / c along a principal axis."""
     omega = np.asarray(omega, dtype=float)
     lam = TWO_PI_C / omega
-    n = sellmeier.refractive_index(lam, axis, temperature)
+    n = sellmeier.refractive_index(lam, axis)
     return n * omega / C_LIGHT
 
 
-def delta_k(omega_s, omega_i, crystal: CrystalSpec,
-            axes: tuple[str, str, str] = ("y", "y", "z")):
+def delta_k(omega_s, omega_i, crystal: CrystalSpec):
     """Quasi-phase-matched wavevector mismatch in 1/m.
 
-    ``axes`` assigns (pump, signal, idler) to crystal principal axes; the
-    default is the type-II d24 arrangement (pump and signal on y, idler
-    on z). With this dispersion data k_p < k_s + k_i around degeneracy, so
-    the grating vector enters with a positive sign to close the momentum
+    Type-II d24 arrangement: pump and signal on the y axis, idler on z.
+    With this dispersion data k_p < k_s + k_i around degeneracy, so the
+    grating vector enters with a positive sign to close the momentum
     balance; the degenerate mismatch then sits between the engineered
     lobes at +-a.
     """
-    pump_axis, signal_axis, idler_axis = axes
     omega_s = np.asarray(omega_s, dtype=float)
     omega_i = np.asarray(omega_i, dtype=float)
-    t = crystal.temperature
-    k_p = wavevector(omega_s + omega_i, pump_axis, t)
-    k_s = wavevector(omega_s, signal_axis, t)
-    k_i = wavevector(omega_i, idler_axis, t)
+    k_p = wavevector(omega_s + omega_i, "y")
+    k_s = wavevector(omega_s, "y")
+    k_i = wavevector(omega_i, "z")
     return k_p - k_s - k_i + 2.0 * math.pi / crystal.poling_period
 
 
@@ -366,18 +377,16 @@ def _lobe_slopes(crystal: CrystalSpec, pump: PumpSpec) -> tuple[float, float]:
     """|d(delta_k)/d(omega)| along each grid axis at the degenerate point."""
     lam_p = pump.center_wavelength
     lam_d = 2.0 * lam_p
-    t = crystal.temperature
-    ng_p = sellmeier.group_index(lam_p, "y", t)
-    ng_s = sellmeier.group_index(lam_d, "y", t)
-    ng_i = sellmeier.group_index(lam_d, "z", t)
+    ng_p = sellmeier.group_index(lam_p, "y")
+    ng_s = sellmeier.group_index(lam_d, "y")
+    ng_i = sellmeier.group_index(lam_d, "z")
     return abs(ng_p - ng_s) / C_LIGHT, abs(ng_p - ng_i) / C_LIGHT
 
 
 def compute_jsa(grid: FrequencyGrid, crystal: CrystalSpec, pump: PumpSpec,
                 pmf_mode: PmfMode = PmfMode.ANALYTIC,
                 dk_mapping: DkMapping = DkMapping.DESIGN,
-                pattern: PolingPattern | None = None,
-                min_samples_per_fwhm: int = 8) -> JsaGrid:
+                pattern: PolingPattern | None = None) -> JsaGrid:
     """Assemble and normalize the joint spectral amplitude on ``grid``.
 
     f(ws, wi) = P(ws + wi) * Phi(nu), where nu is delta_k mapped per
@@ -386,7 +395,7 @@ def compute_jsa(grid: FrequencyGrid, crystal: CrystalSpec, pump: PumpSpec,
     defaults to the uniform grating implied by the crystal). The grid is
     rejected if the narrowest expected spectral feature (pump bandwidth or
     PMF lobe projected onto an axis) would see fewer than
-    ``min_samples_per_fwhm`` samples.
+    ``MIN_SAMPLES_PER_FWHM`` samples.
     """
     ws = grid.signal_axis[:, np.newaxis]
     wi = grid.idler_axis[np.newaxis, :]
@@ -410,11 +419,11 @@ def compute_jsa(grid: FrequencyGrid, crystal: CrystalSpec, pump: PumpSpec,
         narrow = min(pump.bandwidth_omega, pmf_fwhm / slope)
         step = float(np.max(np.diff(axis)))
         got = narrow / step
-        if got < min_samples_per_fwhm:
-            need = math.ceil((axis[-1] - axis[0]) / narrow * min_samples_per_fwhm) + 1
+        if got < MIN_SAMPLES_PER_FWHM:
+            need = math.ceil((axis[-1] - axis[0]) / narrow * MIN_SAMPLES_PER_FWHM) + 1
             raise ConfigError(
                 f"grid too coarse on the {name} axis: {got:.1f} samples per "
-                f"narrowest spectral FWHM, need >= {min_samples_per_fwhm} "
+                f"narrowest spectral FWHM, need >= {MIN_SAMPLES_PER_FWHM} "
                 f"(use at least {need} samples over this window)"
             )
 
@@ -469,9 +478,7 @@ def temporal_walkoff(crystal: CrystalSpec, wavelength_h: float,
     ``group_index_fn(wavelength, axis)`` may be injected for testing.
     """
     if group_index_fn is None:
-        def group_index_fn(lam: float, axis: str) -> float:
-            return sellmeier.group_index(lam, axis, crystal.temperature)
-
+        group_index_fn = sellmeier.group_index
     half = crystal.length / 2.0
     comp = crystal.compensation_length
     poled = half * (group_index_fn(wavelength_v, "z")
@@ -493,13 +500,12 @@ def transform_limited_fwhm(pump: PumpSpec) -> float:
 _PEAK_SHAPE_FACTORS = {PulseShape.SECH2: 0.88, PulseShape.GAUSSIAN: 0.94}
 
 
-def peak_power(pump: PumpSpec, pulse_fwhm: float,
-               shape_factor: float | None = None) -> float:
-    """Peak pulse power P_avg * factor / (rep_rate * pulse_fwhm) in W."""
+def peak_power(pump: PumpSpec, pulse_fwhm: float) -> float:
+    """Peak pulse power P_avg * factor / (rep_rate * pulse_fwhm) in W, with
+    the shape factor of the pump's pulse shape."""
     if pulse_fwhm <= 0:
         raise ConfigError("pulse_fwhm must be positive")
-    if shape_factor is None:
-        shape_factor = _PEAK_SHAPE_FACTORS[pump.pulse_shape]
+    shape_factor = _PEAK_SHAPE_FACTORS[pump.pulse_shape]
     return shape_factor * pump.average_power / (pump.repetition_rate * pulse_fwhm)
 
 

@@ -231,24 +231,21 @@ def analyzer_projector(theta: float) -> np.ndarray:
 
 _BASIS_ANGLES = {
     "H": 0.0, "V": math.pi / 2, "D": math.pi / 4, "A": 3 * math.pi / 4,
-    # aliases naming the basis rather than the fixed port
-    "HV": 0.0, "DA": math.pi / 4,
 }
 
 
-def predicted_visibility(rho: TwoQubitState, basis: str = "HV") -> float:
+def predicted_visibility(rho: TwoQubitState, basis: str) -> float:
     """Fringe visibility with one analyzer fixed on the given basis angle.
 
-    ``basis`` picks the fixed analyzer: H, V, D or A (or the aliases HV
-    and DA for the H and D ports). The coincidence probability as the
-    second analyzer rotates is
+    ``basis`` picks the fixed analyzer: H, V, D or A. The coincidence
+    probability as the second analyzer rotates is
     p(theta) = (K0 + Kz cos 2theta + Kx sin 2theta)/2 with
     K_s = Tr(rho P1 x sigma_s), so V = sqrt(Kz^2 + Kx^2)/K0 in closed
     form, no angle sweep needed.
     """
     if basis not in _BASIS_ANGLES:
         raise ConfigError(f"unknown basis {basis!r}, expected one of "
-                          f"{sorted(set(_BASIS_ANGLES))}")
+                          f"{sorted(_BASIS_ANGLES)}")
     p1 = analyzer_projector(_BASIS_ANGLES[basis])
 
     def coeff(op2: np.ndarray) -> float:
@@ -277,14 +274,11 @@ class MetricReport:
     chsh_s: float
 
 
-def metric_report(rho: TwoQubitState,
-                  target: TwoQubitState | None = None) -> MetricReport:
-    """Bundle purity, concurrence, fidelity (to psi-minus by default), CHSH."""
-    if target is None:
-        target = bell_state(BellKind.PSI_MINUS)
+def metric_report(rho: TwoQubitState) -> MetricReport:
+    """Bundle purity, concurrence, fidelity to psi-minus and CHSH S."""
     return MetricReport(
         purity=purity(rho),
         concurrence=concurrence(rho),
-        fidelity_to_target=fidelity(rho, target),
+        fidelity_to_target=fidelity(rho, bell_state(BellKind.PSI_MINUS)),
         chsh_s=chsh_max(rho),
     )

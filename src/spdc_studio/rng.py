@@ -11,6 +11,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = ["substream"]
 
 
@@ -20,6 +22,8 @@ def substream(seed: int, name: str) -> np.random.Generator:
     The same (seed, name) pair always yields the same stream, and distinct
     names yield statistically independent streams.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16, 4)]
     return np.random.default_rng(np.random.SeedSequence([int(seed), *words]))

@@ -74,13 +74,11 @@ def _dn2_dlam(coeff: _AxisCoefficients, lam_um: np.ndarray) -> np.ndarray:
     return out
 
 
-def refractive_index(wavelength: float | np.ndarray, axis: str,
-                     temperature: float = 23.0):
+def refractive_index(wavelength: float | np.ndarray, axis: str):
     """Principal refractive index at ``wavelength`` (metres).
 
-    ``axis`` is ``"y"`` or ``"z"``. The temperature argument is accepted for
-    interface compatibility; the stored fits are room-temperature fits and no
-    thermo-optic correction is applied.
+    ``axis`` is ``"y"`` or ``"z"``. The stored fits are room-temperature
+    fits and no thermo-optic correction is applied.
     """
     if axis not in _COEFFS:
         raise ConfigError(f"unknown crystal axis {axis!r}, expected 'y' or 'z'")
@@ -90,8 +88,7 @@ def refractive_index(wavelength: float | np.ndarray, axis: str,
     return float(n) if np.isscalar(wavelength) else n
 
 
-def group_index(wavelength: float | np.ndarray, axis: str,
-                temperature: float = 23.0):
+def group_index(wavelength: float | np.ndarray, axis: str):
     """Group index n_g = n - lambda * dn/dlambda at ``wavelength`` (metres)."""
     if axis not in _COEFFS:
         raise ConfigError(f"unknown crystal axis {axis!r}, expected 'y' or 'z'")

@@ -13,7 +13,6 @@ coefficients are computed or returned.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -26,7 +25,6 @@ __all__ = [
     "JsiGrid",
     "LobePair",
     "SchmidtResult",
-    "PhaseRule",
     "jsi_of",
     "jsa_from_jsi",
     "overlap_integral",
@@ -82,13 +80,6 @@ class SchmidtResult:
     schmidt_number: float
 
 
-class PhaseRule(enum.Enum):
-    """Phase assumed when lifting a measured intensity to an amplitude."""
-
-    FLAT = "flat"
-    PI_BETWEEN_LOBES = "pi_between_lobes"
-
-
 def _weights(grid: FrequencyGrid) -> np.ndarray:
     return np.outer(grid.signal_weights, grid.idler_weights)
 
@@ -98,22 +89,19 @@ def jsi_of(jsa: JsaGrid) -> JsiGrid:
     return JsiGrid(grid=jsa.grid, intensity=np.abs(jsa.amplitude) ** 2)
 
 
-def jsa_from_jsi(jsi: JsiGrid, phase_rule: PhaseRule = PhaseRule.PI_BETWEEN_LOBES
-                 ) -> JsaGrid:
-    """Square root of a normalized intensity with an assumed phase.
+def jsa_from_jsi(jsi: JsiGrid) -> JsaGrid:
+    """Square root of a normalized intensity with a pi phase between lobes.
 
-    PI_BETWEEN_LOBES negates every sample with omega_i > omega_s, which is
-    the relative phase the two-lobe design imprints; FLAT keeps the plain
-    square root.
+    Every sample with omega_i > omega_s is negated, which is the relative
+    phase the two-lobe design imprints.
     """
     total = float(np.sum(jsi.intensity * _weights(jsi.grid)))
     if total <= 0:
         raise ConfigError("cannot build an amplitude from an all-zero JSI")
     amplitude = np.sqrt(jsi.intensity / total).astype(complex)
-    if phase_rule is PhaseRule.PI_BETWEEN_LOBES:
-        ws = jsi.grid.signal_axis[:, np.newaxis]
-        wi = jsi.grid.idler_axis[np.newaxis, :]
-        amplitude = np.where(wi > ws, -amplitude, amplitude)
+    ws = jsi.grid.signal_axis[:, np.newaxis]
+    wi = jsi.grid.idler_axis[np.newaxis, :]
+    amplitude = np.where(wi > ws, -amplitude, amplitude)
     return JsaGrid(grid=jsi.grid, amplitude=amplitude, normalized=True)
 
 
@@ -151,26 +139,14 @@ def schmidt(jsa: JsaGrid) -> SchmidtResult:
     return SchmidtResult(purity=purity, schmidt_number=1.0 / purity)
 
 
-def _marginal(intensity: np.ndarray, grid: FrequencyGrid, axis: str
-              ) -> tuple[np.ndarray, np.ndarray]:
-    if axis == "signal":
-        density = intensity @ grid.idler_weights
-        return grid.signal_axis, density
-    if axis == "idler":
-        density = grid.signal_weights @ intensity
-        return grid.idler_axis, density
-    raise ConfigError(f"unknown axis {axis!r}, expected 'signal' or 'idler'")
-
-
-def marginal_spectrum(jsi: JsiGrid, axis: str = "signal"
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Marginal intensity density along one axis (omega axis, density)."""
-    return _marginal(jsi.intensity, jsi.grid, axis)
+def marginal_spectrum(jsi: JsiGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Signal marginal intensity density (signal omega axis, density)."""
+    return jsi.grid.signal_axis, jsi.intensity @ jsi.grid.idler_weights
 
 
 def _suggest_cut(jsi: JsiGrid) -> float:
     """Wavelength of the marginal-intensity minimum between the two lobes."""
-    omega, density = marginal_spectrum(jsi, "signal")
+    omega, density = marginal_spectrum(jsi)
     peak = int(np.argmax(density))
     # second peak: best sample at least one lobe-width away on the other side
     mask = np.abs(omega - omega[peak]) > 0.2 * (omega[-1] - omega[0])
@@ -182,13 +158,15 @@ def _suggest_cut(jsi: JsiGrid) -> float:
     return float(TWO_PI_C / omega[valley])
 
 
-def split_lobes(jsa: JsaGrid, cut_wavelength: float,
-                max_cut_fraction: float = 0.05,
-                strip_halfwidth: float = 1e-9) -> LobePair:
+_MAX_CUT_FRACTION = 0.05
+_STRIP_HALFWIDTH = 1e-9  # m
+
+
+def split_lobes(jsa: JsaGrid, cut_wavelength: float) -> LobePair:
     """Split the JSA at a signal-axis cut wavelength.
 
-    The cut must fall between the lobes: if more than ``max_cut_fraction``
-    of the total intensity lies within ``strip_halfwidth`` of the cut on
+    The cut must fall between the lobes: if more than ``_MAX_CUT_FRACTION``
+    of the total intensity lies within ``_STRIP_HALFWIDTH`` of the cut on
     the signal axis, the cut is rejected and the error suggests the
     marginal-valley wavelength instead.
     """
@@ -203,14 +181,14 @@ def split_lobes(jsa: JsaGrid, cut_wavelength: float,
     total = float(np.sum(intensity))
     if total <= 0:
         raise ConfigError("cannot split an all-zero JSA")
-    strip = np.abs(lam_s - cut_wavelength) <= strip_halfwidth
+    strip = np.abs(lam_s - cut_wavelength) <= _STRIP_HALFWIDTH
     strip_fraction = float(np.sum(intensity[strip, :])) / total
-    if strip_fraction > max_cut_fraction:
+    if strip_fraction > _MAX_CUT_FRACTION:
         suggestion = _suggest_cut(jsi_of(jsa))
         raise ConfigError(
             f"cut at {cut_wavelength * 1e9:.2f} nm lies inside a lobe "
             f"({100 * strip_fraction:.1f}% of intensity within "
-            f"+-{strip_halfwidth * 1e9:.1f} nm); try a cut near "
+            f"+-{_STRIP_HALFWIDTH * 1e9:.1f} nm); try a cut near "
             f"{suggestion * 1e9:.1f} nm"
         )
 
@@ -298,7 +276,7 @@ def lobe_metrics(jsi: JsiGrid, cut_wavelength: float) -> dict:
     robust against noise but pulled by asymmetric tails; the refined peak
     is what lobe positions are usually quoted as.
     """
-    omega, density = marginal_spectrum(jsi, "signal")
+    omega, density = marginal_spectrum(jsi)
     lam = TWO_PI_C / omega
     # express the marginal as a density in wavelength so centroids and
     # widths read directly in nm

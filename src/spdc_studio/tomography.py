@@ -110,7 +110,6 @@ class MleResult:
     neg_log_likelihood: float
     iterations: int
     converged: bool
-    nll_trace: tuple[float, ...] = ()
 
 
 def standard_16_settings() -> list[ProjectorSetting]:
@@ -135,20 +134,15 @@ def expected_probability(rho: TwoQubitState, setting: ProjectorSetting) -> float
 
 
 def simulate_counts(rho: TwoQubitState, settings: list[ProjectorSetting],
-                    pairs_per_setting: float, seed: int,
-                    background: float = 0.0) -> list[TomographyRecord]:
-    """Poisson coincidence counts for each setting, deterministic per seed.
-
-    ``background`` adds a flat accidental mean to every setting.
-    """
+                    pairs_per_setting: float, seed: int
+                    ) -> list[TomographyRecord]:
+    """Poisson coincidence counts for each setting, deterministic per seed."""
     if not pairs_per_setting > 0:
         raise ConfigError("pairs_per_setting must be positive")
-    if background < 0:
-        raise ConfigError("background must be non-negative")
     rng = substream(seed, "tomography.counts")
     records = []
     for setting in settings:
-        mean = pairs_per_setting * expected_probability(rho, setting) + background
+        mean = pairs_per_setting * expected_probability(rho, setting)
         records.append(TomographyRecord(
             setting=setting,
             counts=int(rng.poisson(mean)),
@@ -222,8 +216,7 @@ def _rho_of(t: np.ndarray) -> np.ndarray:
     return rho / np.real(np.trace(rho))
 
 
-def mle_reconstruct(records: list[TomographyRecord], max_iter: int = 2000,
-                    tol: float = 1e-10) -> MleResult:
+def mle_reconstruct(records: list[TomographyRecord]) -> MleResult:
     """Maximum-likelihood state estimate under the Poisson counting model.
 
     Minimizes sum_k [N_k p_k - n_k log(N_k p_k)] over a triangular-factor
@@ -250,13 +243,8 @@ def mle_reconstruct(records: list[TomographyRecord], max_iter: int = 2000,
         means = np.clip(scales * probs, floor, None)
         return float(np.sum(means - counts * np.log(means)))
 
-    trace: list[float] = [nll(t0)]
-
-    result = minimize(
-        nll, t0, method="L-BFGS-B",
-        callback=lambda tk: trace.append(nll(tk)),
-        options={"maxiter": max_iter, "ftol": tol, "gtol": 1e-9},
-    )
+    result = minimize(nll, t0, method="L-BFGS-B",
+                      options={"maxiter": 2000, "ftol": 1e-10, "gtol": 1e-9})
 
     state = TwoQubitState(matrix=_rho_of(result.x))
     return MleResult(
@@ -264,7 +252,6 @@ def mle_reconstruct(records: list[TomographyRecord], max_iter: int = 2000,
         neg_log_likelihood=float(result.fun),
         iterations=int(result.nit),
         converged=bool(result.success),
-        nll_trace=tuple(trace),
     )
 
 

@@ -189,6 +189,12 @@ class TestTomography:
         assert main(["tomography", "--state-file",
                      str(tmp_path / "gone.json")]) == 2
 
+    @pytest.mark.parametrize("n", ["inf", "nan"])
+    def test_non_finite_n_per_setting_exits_2(self, capsys, n):
+        assert main(["tomography", "--n-per-setting", n]) == 2
+        assert "--n-per-setting must be positive and finite" in \
+            capsys.readouterr().err
+
 
 class TestVisibility:
     def test_single_power_per_point_path(self, tmp_path):
@@ -216,6 +222,22 @@ class TestVisibility:
         assert main(["visibility", "--powers", "0"]) == 2
         assert main(["visibility", "--powers", "a,b"]) == 2
         assert main(["visibility", "--powers", ""]) == 2
+
+    @pytest.mark.parametrize("powers", ["nan", "inf", "50,inf,620"])
+    def test_non_finite_powers_exit_2(self, tmp_path, capsys, powers):
+        out = tmp_path / "vis"
+        assert main(["visibility", "--powers", powers,
+                     "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "squeezing.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["simulate-jsa", "--samples", "128"],
+                                  ["tomography"], ["visibility"]])
+def test_negative_seed_exits_2(capsys, argv):
+    assert main([*argv, "--seed", "-1"]) == 2
+    assert "seed must be a non-negative integer, got -1" in \
+        capsys.readouterr().err
 
 
 class TestReport:

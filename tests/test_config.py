@@ -101,6 +101,24 @@ class TestValidation:
         with pytest.raises(ConfigError, match="seed"):
             RunConfig(seed=0.5)
 
+    def test_negative_seed(self, tmp_path):
+        with pytest.raises(ConfigError, match="seed must be a non-negative "
+                                              "integer, got -3"):
+            load_run_config(_write(tmp_path, {"seed": -3}))
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("crystal", "length", float("inf")),
+        ("pump", "average_power", float("nan")),
+        ("crystal", "temperature", float("nan")),
+        ("pump", "repetition_rate", float("inf")),
+    ])
+    def test_non_finite_field_rejected(self, tmp_path, section, key, value):
+        # json.dumps writes these as the non-standard Infinity / NaN tokens,
+        # which json.loads accepts
+        path = _write(tmp_path, {section: {key: value}})
+        with pytest.raises(ConfigError, match=f"{section} {key} must be finite"):
+            load_run_config(path)
+
     def test_inverted_window(self):
         with pytest.raises(ConfigError, match="0 < min < max"):
             RunConfig(window=(1620e-9, 1500e-9))

@@ -86,12 +86,6 @@ class TestTofRoundTrip:
         with pytest.raises(ConfigError, match="empty"):
             tof_reconstruct(empty, fiber, det)
 
-    def test_bad_rebin_rejected(self, default_jsa):
-        fiber, det = FiberSpec(), DetectorSpec()
-        hist = tof_simulate(default_jsa, fiber, det, n_pairs=100, seed=0)
-        with pytest.raises(ConfigError, match="rebin"):
-            tof_reconstruct(hist, fiber, det, rebin=0)
-
 
 class TestVisibilityScanFit:
     def test_noiseless_fit_recovers_visibility(self):
@@ -107,7 +101,7 @@ class TestVisibilityScanFit:
                               counts=means)
         fit = fit_visibility(scan)
         assert fit["V"] == pytest.approx(
-            predicted_visibility(rho, "HV"), abs=1e-6)
+            predicted_visibility(rho, "H"), abs=1e-6)
         assert fit["r_square"] > 0.999999
 
     def test_psi_minus_scan_near_unity(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spdc_studio import tomography
 from spdc_studio.errors import ConfigError
 from spdc_studio.polarization import (BellKind, TwoQubitState, bell_state,
                                       concurrence, trace_distance,
@@ -85,20 +86,10 @@ class TestSimulateCounts:
         assert by_label["HH"] == 0
         assert by_label["HV"] == pytest.approx(5e4, rel=0.05)
 
-    def test_background_adds_accidentals(self):
-        rho = bell_state(BellKind.PSI_MINUS)
-        records = simulate_counts(rho, standard_16_settings(), 1e4, seed=3,
-                                  background=200.0)
-        by_label = {r.setting.label: r.counts for r in records}
-        assert by_label["HH"] == pytest.approx(200, abs=80)
-
     def test_validation(self):
         rho = werner_state(0.5)
         with pytest.raises(ConfigError, match="positive"):
             simulate_counts(rho, standard_16_settings(), 0.0, seed=1)
-        with pytest.raises(ConfigError, match="non-negative"):
-            simulate_counts(rho, standard_16_settings(), 1e4, seed=1,
-                            background=-1.0)
 
 
 class TestLinearInversion:
@@ -135,14 +126,6 @@ class TestMleReconstruct:
         assert result.converged
         assert trace_distance(result.state, rho) < 2e-3
 
-    def test_nll_trace_monotone_nonincreasing(self):
-        rho = werner_state(0.8)
-        records = simulate_counts(rho, standard_16_settings(), 1e4, seed=5)
-        result = mle_reconstruct(records)
-        trace = np.array(result.nll_trace)
-        assert trace.size >= 2
-        assert np.all(np.diff(trace) <= 1e-6 * np.abs(trace[:-1]))
-
     def test_deterministic(self):
         records = simulate_counts(werner_state(0.85), standard_16_settings(),
                                   1e4, seed=21)
@@ -157,10 +140,17 @@ class TestMleReconstruct:
         result = mle_reconstruct(records)
         assert concurrence(result.state) == pytest.approx(0.85, abs=0.02)
 
-    def test_nonconverged_result_flagged(self):
+    def test_nonconverged_result_flagged(self, monkeypatch):
+        real_minimize = tomography.minimize
+
+        def one_iteration(*args, options, **kwargs):
+            return real_minimize(*args, options={**options, "maxiter": 1},
+                                 **kwargs)
+
+        monkeypatch.setattr(tomography, "minimize", one_iteration)
         records = simulate_counts(werner_state(0.9), standard_16_settings(),
                                   1e4, seed=9)
-        result = mle_reconstruct(records, max_iter=1)
+        result = mle_reconstruct(records)
         assert not result.converged
 
 
