@@ -43,6 +43,7 @@ from .optics import (CrystalSpec, PumpSpec, compute_jsa,
 from .polarization import (BellKind, TwoQubitState, bell_state,
                            metric_report, predicted_visibility,
                            rho_from_lobes, trace_distance, werner_state)
+from .rng import check_seed
 from .spectral import (jsa_from_jsi, jsi_of, lobe_metrics, lobe_overlap_matrix,
                        overlap_integral, schmidt, single_lobe_purity,
                        split_lobes)
@@ -544,7 +545,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="JSON source configuration")
             p.add_argument("--samples", type=int, default=None,
                            help="grid samples per axis (override)")
-        p.add_argument("--seed", type=int, default=0,
+        # with a config, an explicit --seed beats the config's "seed",
+        # which beats 0
+        p.add_argument("--seed", type=int, default=None if needs_config else 0,
                        help="run seed; all randomness derives from it")
         p.add_argument("--out", default=None,
                        help="output directory (default runs/<command>)")
@@ -598,6 +601,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None:
+            check_seed(args.seed)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

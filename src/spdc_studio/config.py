@@ -17,6 +17,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .optics import (CrystalSpec, FrequencyGrid, PulseShape, PumpSpec,
                      design_lobe_wavelengths)
+from .rng import check_seed
 
 __all__ = [
     "RunConfig",
@@ -50,17 +51,18 @@ class RunConfig:
     output_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if int(self.samples) != self.samples or self.samples < MIN_SAMPLES:
+        try:
+            whole = int(self.samples) == self.samples
+        except (TypeError, ValueError, OverflowError):
+            whole = False
+        if not whole or self.samples < MIN_SAMPLES:
             raise ConfigError(f"samples must be an integer >= {MIN_SAMPLES}, "
                               f"got {self.samples}")
         object.__setattr__(self, "samples", int(self.samples))
         lo, hi = self.window
         if not 0 < lo < hi:
             raise ConfigError("window must satisfy 0 < min < max")
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, "
-                              f"got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         try:
             lam1, lam2 = design_lobe_wavelengths(self.crystal, self.pump,
                                                  window=self.window)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
@@ -69,6 +70,12 @@ DESIGN_WIDTH_SCALE = 6.0
 
 MIN_SAMPLES_PER_FWHM = 8
 
+# Points per sinc fringe 2 pi/L of the 1-D mismatch sample that
+# compute_jsa(FROM_DOMAINS) interpolates from. Phi is the transform of a
+# pattern on [0, L], so |d^4 Phi/d dk^4| <= L^4 and 4-point Lagrange
+# interpolation errs by at most (9/16)/4! * (2 pi/200)^4 = 2.3e-8 in Phi.
+DOMAIN_SAMPLES_PER_FRINGE = 200
+
 _FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 
@@ -95,10 +102,17 @@ class DkMapping(enum.Enum):
     RAW = "raw"
 
 
-def _reject_non_finite(spec, where: str) -> None:
+def _check_numbers(spec, where: str) -> None:
+    """Reject float fields that are not finite real numbers; JSON configs
+    can hand in strings, booleans and the NaN/Infinity tokens."""
     for field in fields(spec):
+        if field.type != "float":
+            continue
         value = getattr(spec, field.name)
-        if isinstance(value, float) and not math.isfinite(value):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigError(
+                f"{where} {field.name} must be a number, got {value!r}")
+        if not math.isfinite(value):
             raise ConfigError(f"{where} {field.name} must be finite, got {value}")
 
 
@@ -113,7 +127,7 @@ class PumpSpec:
     average_power: float = 0.620
 
     def __post_init__(self) -> None:
-        _reject_non_finite(self, "pump")
+        _check_numbers(self, "pump")
         if self.center_wavelength <= 0:
             raise ConfigError("pump center_wavelength must be positive")
         if self.bandwidth_fwhm <= 0:
@@ -151,7 +165,7 @@ class CrystalSpec:
     compensation_length: float = 2e-3
 
     def __post_init__(self) -> None:
-        _reject_non_finite(self, "crystal")
+        _check_numbers(self, "crystal")
         if self.length <= 0:
             raise ConfigError("crystal length must be positive")
         if self.poling_period <= 0:
@@ -351,26 +365,63 @@ def pmf_from_domains(pattern: PolingPattern, dk_without_qpm):
     k_p - k_s - k_i: the grating momentum lives in the pattern itself. For
     a uniform grating of period Lambda, |Phi| peaks near |dk| = 2 pi/Lambda
     with value about 2/pi and sinc-like sidelobes of null spacing 2 pi/L.
+
+    Because neighbouring domains have opposite signs the sum telescopes to
+    one term per boundary z_b,
+
+        Phi = [s_last (e^{i dk L} - 1) + 2 sum_b s_{b-1} (e^{i dk z_b} - 1)]
+              / (i dk L),
+
+    written with expm1 so it stays accurate as dk -> 0 (the -1 terms sum
+    to zero). It is exact up to rounding.
     """
     dk = np.asarray(dk_without_qpm, dtype=float)
     scalar = dk.ndim == 0
     dk = np.atleast_1d(dk)
 
-    z = np.concatenate(([0.0], pattern.boundaries, [pattern.length]))
-    near_zero = np.abs(dk) * pattern.length < 1e-9
+    length = pattern.length
+    near_zero = np.abs(dk) * length < 1e-9
     dk_safe = np.where(near_zero, 1.0, dk)
 
-    total = np.zeros(dk.shape, dtype=complex)
-    prev = np.exp(1j * dk * z[0])
     sign = pattern.first_sign
-    for j in range(z.size - 1):
-        cur = np.exp(1j * dk * z[j + 1])
-        segment = np.where(near_zero, z[j + 1] - z[j], (cur - prev) / (1j * dk_safe))
-        total += sign * segment
-        prev = cur
-        sign = -sign
-    total /= pattern.length
+    last_sign = sign * (-1) ** len(pattern.boundaries)
+    total = last_sign * np.expm1(1j * length * dk_safe)
+    weight = 2 * sign
+    for z in pattern.boundaries:
+        total += weight * np.expm1(1j * z * dk_safe)
+        weight = -weight
+    total /= 1j * length * dk_safe
+    if np.any(near_zero):
+        # Phi(0) is the sign-weighted mean: (1/L) sum_j s_j (z_{j+1} - z_j)
+        z = np.concatenate(([0.0], pattern.boundaries, [length]))
+        signs = sign * (-1.0) ** np.arange(z.size - 1)
+        total[near_zero] = float(np.dot(signs, np.diff(z))) / length
     return complex(total[0]) if scalar else total
+
+
+def _sampled_domain_pmf(pattern: PolingPattern, bare: np.ndarray) -> np.ndarray:
+    """``pmf_from_domains`` on a 2-D mismatch grid, through a 1-D sample.
+
+    Phi is evaluated once on a uniform sample spanning [min, max] of
+    ``bare`` at DOMAIN_SAMPLES_PER_FRINGE points per 2 pi/L, then mapped
+    onto the grid with 4-point Lagrange (cubic) weights, one row at a time
+    so no grid-sized temporaries are made.
+    """
+    h = 2.0 * math.pi / (pattern.length * DOMAIN_SAMPLES_PER_FRINGE)
+    lo = float(bare.min()) - h
+    n = math.ceil((float(bare.max()) - lo) / h) + 3
+    sample = pmf_from_domains(pattern, lo + h * np.arange(n))
+    phi = np.empty(bare.shape, dtype=complex)
+    for out, dk in zip(phi, bare):
+        t = (dk - lo) / h
+        # 1 <= floor(t) <= n - 3 by construction; the clip absorbs rounding
+        j = np.clip(np.floor(t).astype(np.intp), 1, n - 3)
+        f = t - j
+        fp, fm, fmm = f + 1.0, f - 1.0, f - 2.0
+        out[:] = 0.5 * (fm * fmm * (fp * sample[j] - f / 3.0 * sample[j - 1])
+                        + fp * f * (fm / 3.0 * sample[j + 2]
+                                    - fmm * sample[j + 1]))
+    return phi
 
 
 def _lobe_slopes(crystal: CrystalSpec, pump: PumpSpec) -> tuple[float, float]:
@@ -392,7 +443,8 @@ def compute_jsa(grid: FrequencyGrid, crystal: CrystalSpec, pump: PumpSpec,
     f(ws, wi) = P(ws + wi) * Phi(nu), where nu is delta_k mapped per
     ``dk_mapping`` for the analytic PMF, or the bare mismatch for a poling
     pattern (FROM_DOMAINS always works in physical coordinates; ``pattern``
-    defaults to the uniform grating implied by the crystal). The grid is
+    defaults to the uniform grating implied by the crystal; its Phi is
+    interpolated from a 1-D sample, see ``_sampled_domain_pmf``). The grid is
     rejected if the narrowest expected spectral feature (pump bandwidth or
     PMF lobe projected onto an axis) would see fewer than
     ``MIN_SAMPLES_PER_FWHM`` samples.
@@ -435,7 +487,7 @@ def compute_jsa(grid: FrequencyGrid, crystal: CrystalSpec, pump: PumpSpec,
         phi = pmf_analytic(dk, sigma_eff, crystal.pmf_a)
     else:
         bare = delta_k(ws, wi, crystal) - 2.0 * math.pi / crystal.poling_period
-        phi = pmf_from_domains(pattern, bare)
+        phi = _sampled_domain_pmf(pattern, bare)
 
     amplitude = pump_envelope(ws + wi, pump) * phi
     return JsaGrid(grid=grid, amplitude=amplitude).normalized_copy()

@@ -73,6 +73,30 @@ class TestSimulateJsa:
         cfg.write_text(json.dumps({"grid": {"n_samples": 96}}))
         assert main(["simulate-jsa", "--config", str(cfg)]) == 2
 
+    def test_seed_precedence(self, tmp_path):
+        # an explicit --seed wins, then the config's "seed", then 0
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"grid": {"samples": 96}, "seed": 9}))
+        for extra, expected in (([], 9), (["--seed", "4"], 4),
+                                (["--seed", "0"], 0)):
+            out = tmp_path / f"sim{len(extra)}{expected}"
+            assert main(["simulate-jsa", "--config", str(cfg), *extra,
+                         "--out", str(out)]) == 0
+            assert _read_json(out / "summary.json")["seed"] == expected
+        out = tmp_path / "no-config"
+        assert main(["simulate-jsa", "--samples", "96", "--out", str(out)]) == 0
+        assert _read_json(out / "summary.json")["seed"] == 0
+
+    def test_string_config_value_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"crystal": {"length": "4e-3"}}))
+        out = tmp_path / "sim"
+        assert main(["simulate-jsa", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+        assert "crystal length must be a number, got '4e-3'" in \
+            capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
 
 class TestAnalyzeJsi:
     def test_fixture_headline_numbers(self, tmp_path):
@@ -238,6 +262,21 @@ def test_negative_seed_exits_2(capsys, argv):
     assert main([*argv, "--seed", "-1"]) == 2
     assert "seed must be a non-negative integer, got -1" in \
         capsys.readouterr().err
+
+
+def test_negative_seed_with_records_exits_2(tmp_path, capsys):
+    # reconstructing from records draws no random numbers, so the seed is
+    # checked on parsing rather than where it first seeds a stream
+    first = tmp_path / "first"
+    assert main(["tomography", "--n-per-setting", "1000",
+                 "--out", str(first)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "second"
+    assert main(["tomography", "--records", str(first / "records.csv"),
+                 "--seed", "-1", "--out", str(out)]) == 2
+    assert "seed must be a non-negative integer, got -1" in \
+        capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 class TestReport:

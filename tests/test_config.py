@@ -119,6 +119,26 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"{section} {key} must be finite"):
             load_run_config(path)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("crystal", "length", "4e-3"),
+        ("pump", "average_power", True),
+        ("crystal", "temperature", None),
+        ("pump", "repetition_rate", [76e6]),
+    ])
+    def test_non_number_field_rejected(self, tmp_path, section, key, value):
+        path = _write(tmp_path, {section: {key: value}})
+        with pytest.raises(ConfigError,
+                           match=f"{section} {key} must be a number"):
+            load_run_config(path)
+
+    @pytest.mark.parametrize("doc", [{"seed": "9"}, {"seed": float("nan")},
+                                     {"seed": True},
+                                     {"grid": {"samples": "512"}},
+                                     {"grid": {"samples": float("inf")}}])
+    def test_non_integer_seed_or_samples_rejected(self, tmp_path, doc):
+        with pytest.raises(ConfigError, match="must be"):
+            load_run_config(_write(tmp_path, doc))
+
     def test_inverted_window(self):
         with pytest.raises(ConfigError, match="0 < min < max"):
             RunConfig(window=(1620e-9, 1500e-9))

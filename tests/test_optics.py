@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from spdc_studio import sellmeier
 from spdc_studio.errors import ConfigError
 from spdc_studio.optics import (C_LIGHT, TWO_PI_C, CrystalSpec, DkMapping,
-                                FrequencyGrid, PmfMode, PolingPattern,
+                                FrequencyGrid, JsaGrid, PmfMode, PolingPattern,
                                 PulseShape, PumpSpec, compute_jsa,
                                 coupling_coefficient, delta_k,
                                 design_lobe_wavelengths, peak_power,
@@ -145,6 +145,76 @@ class TestPmf:
     def test_scalar_input(self):
         pattern = PolingPattern(length=1e-3)
         assert pmf_from_domains(pattern, 0.0) == pytest.approx(1.0)
+
+
+def _loop_pmf(pattern, dk):
+    """Reference PMF: one integral per domain, summed in a loop."""
+    dk = np.asarray(dk, dtype=float)
+    z = np.concatenate(([0.0], pattern.boundaries, [pattern.length]))
+    near_zero = np.abs(dk) * pattern.length < 1e-9
+    dk_safe = np.where(near_zero, 1.0, dk)
+    total = np.zeros(dk.shape, dtype=complex)
+    prev = np.exp(1j * dk * z[0])
+    sign = pattern.first_sign
+    for j in range(z.size - 1):
+        cur = np.exp(1j * dk * z[j + 1])
+        total += sign * np.where(near_zero, z[j + 1] - z[j],
+                                 (cur - prev) / (1j * dk_safe))
+        prev = cur
+        sign = -sign
+    return total / pattern.length
+
+
+def _patterns(crystal):
+    rng = np.random.default_rng(2024)
+    irregular = np.sort(rng.uniform(0.0, crystal.length, 60))
+    return {
+        "uniform": uniform_grating(crystal.length, crystal.poling_period),
+        "irregular": PolingPattern(length=crystal.length,
+                                   boundaries=tuple(irregular), first_sign=-1),
+    }
+
+
+def _max_rel_dev(got, expected):
+    return float(np.max(np.abs(got - expected)) / np.max(np.abs(expected)))
+
+
+class TestDomainPmfOracle:
+    @pytest.mark.parametrize("name", ["uniform", "irregular"])
+    def test_closed_form_matches_loop(self, default_crystal, name):
+        pattern = _patterns(default_crystal)[name]
+        dk = np.linspace(-2e5, 2e5, 4001)
+        assert 0.0 in dk
+        got = pmf_from_domains(pattern, dk)
+        assert _max_rel_dev(got, _loop_pmf(pattern, dk)) <= 1e-12
+
+    def test_small_mismatch_matches_moment_expansion(self, default_crystal):
+        # Phi(d) = M0 + i d M1 - d^2 M2 / 2 + O((d L)^3), with
+        # Mn = (1/L) sum_j s_j (z_{j+1}^{n+1} - z_j^{n+1}) / (n + 1); at
+        # d L = 4e-6 per-domain differences of exponentials lose ~1e-10
+        for pattern in _patterns(default_crystal).values():
+            z = np.concatenate(([0.0], pattern.boundaries, [pattern.length]))
+            signs = pattern.first_sign * (-1.0) ** np.arange(z.size - 1)
+            m = [np.dot(signs, np.diff(z ** (n + 1))) / (n + 1)
+                 / pattern.length for n in range(3)]
+            d = 1e-3
+            expected = m[0] + 1j * d * m[1] - d * d * m[2] / 2
+            assert abs(pmf_from_domains(pattern, d) - expected) <= 1e-14
+
+    @pytest.mark.parametrize("name", ["uniform", "irregular"])
+    def test_compute_jsa_matches_loop_oracle(self, default_crystal,
+                                             default_pump, name):
+        pattern = _patterns(default_crystal)[name]
+        grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 128)
+        ws = grid.signal_axis[:, np.newaxis]
+        wi = grid.idler_axis[np.newaxis, :]
+        bare = (delta_k(ws, wi, default_crystal)
+                - 2 * np.pi / default_crystal.poling_period)
+        oracle = JsaGrid(grid=grid, amplitude=pump_envelope(
+            ws + wi, default_pump) * _loop_pmf(pattern, bare)).normalized_copy()
+        got = compute_jsa(grid, default_crystal, default_pump,
+                          pmf_mode=PmfMode.FROM_DOMAINS, pattern=pattern)
+        assert _max_rel_dev(got.amplitude, oracle.amplitude) <= 1e-8
 
 
 class TestComputeJsa:
