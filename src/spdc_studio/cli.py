@@ -2,10 +2,11 @@
 
 Five subcommands cover the standard workflow:
 
-* ``simulate-jsa``  build the designed joint spectral amplitude and its
-  headline spectral metrics.
-* ``analyze-jsi``   two-lobe analysis of a joint spectral intensity file,
-  down to the polarization density matrix it implies.
+* ``simulate-jsa``  build the designed joint spectral amplitude, save it
+  exactly as ``jsa.npy`` and run the two-lobe analysis on it at the design
+  cut.
+* ``analyze-jsi``   the same two-lobe analysis, down to the polarization
+  density matrix it implies, of a joint spectral intensity CSV file.
 * ``tomography``    sixteen-setting coincidence tomography, either on
   simulated counts or on a records file, with MLE reconstruction.
 * ``visibility``    pump-power sweep of two-photon visibility and the
@@ -37,16 +38,16 @@ from .errors import ConfigError, ConvergenceError
 from .measurement import (DetectorSpec, FiberSpec, RateRecord,
                           multipair_visibility, rates_summary, squeezing_point,
                           squeezing_slope, tof_resolution)
-from .optics import (CrystalSpec, PumpSpec, compute_jsa,
+from .optics import (CrystalSpec, JsaGrid, PumpSpec, compute_jsa,
                      coupling_coefficient, design_lobe_wavelengths,
                      peak_power, temporal_walkoff, transform_limited_fwhm)
 from .polarization import (BellKind, TwoQubitState, bell_state,
                            metric_report, predicted_visibility,
                            rho_from_lobes, trace_distance, werner_state)
 from .rng import check_seed
-from .spectral import (jsa_from_jsi, jsi_of, lobe_metrics, lobe_overlap_matrix,
-                       overlap_integral, schmidt, single_lobe_purity,
-                       split_lobes)
+from .spectral import (JsiGrid, jsa_from_jsi, jsi_of, lobe_metrics,
+                       lobe_overlap_matrix, overlap_integral, schmidt,
+                       single_lobe_purity, split_lobes)
 from .tomography import (load_records, mle_reconstruct, save_records,
                          simulate_counts, standard_16_settings)
 
@@ -98,75 +99,21 @@ def _complex_pair(z: complex) -> list[float]:
 
 # ---------------------------------------------------------------- commands
 
-def cmd_simulate_jsa(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config, samples=args.samples, seed=args.seed,
-                          output_dir=args.out)
-    out = _out_dir(args.out, cfg.output_dir, "simulate-jsa")
-    grid = make_grid(cfg)
-    jsa = compute_jsa(grid, cfg.crystal, cfg.pump)
-    jsi = jsi_of(jsa)
+def _two_lobe_summary(jsa: JsaGrid, jsi: JsiGrid, cut: float) -> dict:
+    """The two-lobe analysis shared by ``simulate-jsa`` and ``analyze-jsi``.
 
-    lam1, lam2 = design_lobe_wavelengths(cfg.crystal, cfg.pump,
-                                         window=cfg.window)
-    cut = 0.5 * (lam1 + lam2)
-    sr = schmidt(jsa)
-    summary = {
-        "command": "simulate-jsa",
-        "seed": cfg.seed,
-        "grid": {"samples": cfg.samples,
-                 "window_nm": list(cfg.window_nm)},
-        "overlap_integral": overlap_integral(jsa),
-        "schmidt_purity": sr.purity,
-        "schmidt_number": sr.schmidt_number,
-        "design_lobe_centers_nm": [lam1 * 1e9, lam2 * 1e9],
-        "cut_nm": cut * 1e9,
-        "lobes": lobe_metrics(jsi, cut),
-        "walkoff_fs": {
-            "h_short_v_long": temporal_walkoff(cfg.crystal, lam1, lam2) * 1e15,
-            "h_long_v_short": temporal_walkoff(cfg.crystal, lam2, lam1) * 1e15,
-        },
-    }
-    try:
-        lobes = split_lobes(jsa, cut)
-        f_mn = lobe_overlap_matrix(lobes)
-        summary["lobe_overlap"] = {
-            "f11": float(np.real(f_mn[0, 0])),
-            "f22": float(np.real(f_mn[1, 1])),
-            "f12": _complex_pair(f_mn[0, 1]),
-            "single_lobe_purity": {
-                "f1": single_lobe_purity(lobes, "f1"),
-                "f2": single_lobe_purity(lobes, "f2"),
-            },
-        }
-    except ConfigError:
-        summary["lobe_overlap"] = None
-
-    # the amplitude is stored exactly; its axes are in the jsi.csv header
-    np.save(out / "jsa.npy", jsa.amplitude)
-    grid_io.save_jsi_csv(out / "jsi.csv", jsi)
-    _write_json(out / "summary.json", summary)
-    print(f"simulate-jsa: overlap {summary['overlap_integral']:.6f}, "
-          f"Schmidt purity {summary['schmidt_purity']:.6f} -> {out}")
-    return 0
-
-
-def cmd_analyze_jsi(args: argparse.Namespace) -> int:
-    out = _out_dir(args.out, None, "analyze-jsi")
-    jsi = grid_io.load_jsi_csv(args.jsi_file)
-    cut = args.cut_nm * 1e-9
-    jsa = jsa_from_jsi(jsi)
+    Splits ``jsa`` at the signal cut wavelength ``cut`` (m) and returns its
+    spectral metrics, the lobe overlaps f_mn and the polarization state
+    they imply. Lobe positions come from ``jsi``, the intensity as given.
+    """
     sr = schmidt(jsa)
     lobes = split_lobes(jsa, cut)
     f_mn = lobe_overlap_matrix(lobes)
     rho = rho_from_lobes(f_mn)
     metrics = metric_report(rho)
-
     f11 = float(np.real(f_mn[0, 0]))
     f22 = float(np.real(f_mn[1, 1]))
-    summary = {
-        "command": "analyze-jsi",
-        "input": Path(args.jsi_file).name,
-        "cut_nm": args.cut_nm,
+    return {
         "overlap_integral": overlap_integral(jsa),
         "schmidt_purity": sr.purity,
         "schmidt_number": sr.schmidt_number,
@@ -185,9 +132,52 @@ def cmd_analyze_jsi(args: argparse.Namespace) -> int:
         "visibility": {b: predicted_visibility(rho, b)
                        for b in ("H", "V", "D", "A")},
     }
+
+
+def cmd_simulate_jsa(args: argparse.Namespace) -> int:
+    cfg = load_run_config(args.config, samples=args.samples, seed=args.seed,
+                          output_dir=args.out)
+    out = _out_dir(args.out, cfg.output_dir, "simulate-jsa")
+    jsa = compute_jsa(make_grid(cfg), cfg.crystal, cfg.pump)
+    lam1, lam2 = design_lobe_wavelengths(cfg.crystal, cfg.pump,
+                                         window=cfg.window)
+    cut = 0.5 * (lam1 + lam2)
+    summary = {
+        "command": "simulate-jsa",
+        "seed": cfg.seed,
+        "grid": {"samples": cfg.samples,
+                 "window_nm": list(cfg.window_nm)},
+        "design_lobe_centers_nm": [lam1 * 1e9, lam2 * 1e9],
+        "cut_nm": cut * 1e9,
+        "walkoff_fs": {
+            "h_short_v_long": temporal_walkoff(cfg.crystal, lam1, lam2) * 1e15,
+            "h_long_v_short": temporal_walkoff(cfg.crystal, lam2, lam1) * 1e15,
+        },
+        **_two_lobe_summary(jsa, jsi_of(jsa), cut),
+    }
+    # the amplitude is stored exactly; the "grid" block rebuilds its axes
+    np.save(out / "jsa.npy", jsa.amplitude)
     _write_json(out / "summary.json", summary)
-    print(f"analyze-jsi: concurrence {metrics.concurrence:.6f}, "
-          f"purity {metrics.purity:.6f} -> {out}")
+    print(f"simulate-jsa: overlap {summary['overlap_integral']:.6f}, "
+          f"Schmidt purity {summary['schmidt_purity']:.6f} -> {out}")
+    return 0
+
+
+def cmd_analyze_jsi(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.cut_nm) and args.cut_nm > 0):
+        raise ConfigError(f"--cut-nm must be positive and finite, "
+                          f"got {args.cut_nm}")
+    out = _out_dir(args.out, None, "analyze-jsi")
+    jsi = grid_io.load_jsi_csv(args.jsi_file)
+    summary = {
+        "command": "analyze-jsi",
+        "input": Path(args.jsi_file).name,
+        "cut_nm": args.cut_nm,
+        **_two_lobe_summary(jsa_from_jsi(jsi), jsi, args.cut_nm * 1e-9),
+    }
+    _write_json(out / "summary.json", summary)
+    print(f"analyze-jsi: concurrence {summary['concurrence']:.6f}, "
+          f"purity {summary['purity']:.6f} -> {out}")
     return 0
 
 
@@ -553,7 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output directory (default runs/<command>)")
 
     p = sub.add_parser("simulate-jsa",
-                       help="designed JSA, grids and spectral summary")
+                       help="designed JSA (jsa.npy) and its two-lobe summary")
     common(p, needs_config=True)
     p.set_defaults(func=cmd_simulate_jsa)
 

@@ -1,9 +1,9 @@
 """CSV serialization for real joint-spectrum grids.
 
-This is the text interchange format: ``simulate-jsa`` writes its intensity
-as ``jsi.csv`` in it and ``analyze-jsi`` reads it. The complex amplitude is
-not written here; ``simulate-jsa`` stores it exactly with ``numpy.save`` as
-``jsa.npy``, whose axes are the ones in the ``jsi.csv`` header.
+This is the text interchange format for measured spectra: ``analyze-jsi``
+reads a JSI in it, and ``scripts/make_fixtures.py`` writes the bundled
+measured fixture with it. Complex amplitudes are not written here;
+``simulate-jsa`` stores its JSA exactly with ``numpy.save`` as ``jsa.npy``.
 
 Layout: two header comment lines carrying the axes in nanometres,
 

@@ -295,10 +295,15 @@ class JsaGrid:
 
     def normalized_copy(self) -> "JsaGrid":
         n2 = self.norm_squared
-        if n2 <= 0:
-            raise ConfigError("cannot normalize an all-zero JSA")
-        return JsaGrid(grid=self.grid, amplitude=self.amplitude / math.sqrt(n2),
-                       normalized=True)
+        if not 0 < n2 < math.inf:
+            raise ConfigError(f"cannot normalize a JSA of norm {n2}; it is "
+                              f"all-zero or overflows")
+        # a checked amplitude over its own finite norm is finite with unit
+        # norm, so the copy skips __post_init__ and the norm is summed once
+        copy = object.__new__(JsaGrid)
+        copy.__dict__.update(grid=self.grid, normalized=True,
+                             amplitude=self.amplitude / math.sqrt(n2))
+        return copy
 
 
 def wavevector(omega, axis: str):

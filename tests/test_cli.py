@@ -7,12 +7,18 @@ import numpy as np
 import pytest
 
 from spdc_studio import fixtures
-from spdc_studio.cli import main
+from spdc_studio.cli import _jsonable, _two_lobe_summary, main
 from spdc_studio.config import load_run_config, make_grid
-from spdc_studio.grid_io import load_jsi_csv, save_jsi_csv
+from spdc_studio.grid_io import save_jsi_csv
 from spdc_studio.optics import TWO_PI_C, FrequencyGrid, JsaGrid, compute_jsa
 from spdc_studio.polarization import TwoQubitState
 from spdc_studio.spectral import jsi_of
+
+
+TWO_LOBE_KEYS = {"overlap_integral", "schmidt_purity", "schmidt_number",
+                 "lobes", "f_mn", "single_lobe_purity", "concurrence",
+                 "concurrence_bound", "purity", "fidelity_psi_minus",
+                 "chsh_s", "visibility"}
 
 
 def _read_json(path):
@@ -28,19 +34,14 @@ class TestSimulateJsa:
     def test_writes_artifacts_and_metrics(self, tmp_path):
         out = tmp_path / "sim"
         assert main(["simulate-jsa", "--out", str(out)]) == 0
-        for name in ("summary.json", "jsa.npy", "jsi.csv"):
-            assert (out / name).exists()
-        for name in ("jsa_real.csv", "jsa_imag.csv"):
-            assert not (out / name).exists()
+        assert sorted(p.name for p in out.iterdir()) == ["jsa.npy",
+                                                         "summary.json"]
         cfg = load_run_config()
         expected = compute_jsa(make_grid(cfg), cfg.crystal, cfg.pump)
         amplitude = np.load(out / "jsa.npy")
         assert amplitude.dtype == np.complex128
         assert amplitude.shape == (cfg.samples, cfg.samples)
         assert amplitude.tobytes() == expected.amplitude.tobytes()
-        saved = JsaGrid(grid=expected.grid, amplitude=amplitude)
-        assert np.array_equal(load_jsi_csv(out / "jsi.csv").intensity,
-                              jsi_of(saved).intensity)
         summary = _read_json(out / "summary.json")
         assert summary["schema_version"] == 1
         assert summary["overlap_integral"] >= 0.995
@@ -49,6 +50,10 @@ class TestSimulateJsa:
             1548, abs=1.0)
         assert summary["lobes"]["long"]["peak_nm"] == pytest.approx(
             1572, abs=1.0)
+        assert "lobe_overlap" not in summary
+        assert summary["f_mn"]["f11"] + summary["f_mn"]["f22"] == \
+            pytest.approx(1.0, abs=1e-9)
+        assert summary["concurrence"] <= summary["concurrence_bound"] + 1e-9
 
     def test_deterministic_outputs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -56,8 +61,33 @@ class TestSimulateJsa:
                      "--out", str(a)]) == 0
         assert main(["simulate-jsa", "--samples", "128",
                      "--out", str(b)]) == 0
-        for name in ("summary.json", "jsi.csv", "jsa.npy"):
+        for name in ("summary.json", "jsa.npy"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("grid", [None, {"samples": 96,
+                                             "window_nm": [1510.5, 1610.25]}])
+    def test_summary_rebuilds_from_jsa_npy(self, tmp_path, grid):
+        # jsa.npy plus the summary's "grid" block are the whole artifact:
+        # they give back the grid and, at cut_nm, every two-lobe number
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"grid": grid} if grid else {}))
+        out = tmp_path / "sim"
+        assert main(["simulate-jsa", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        summary = _read_json(out / "summary.json")
+        lo_nm, hi_nm = summary["grid"]["window_nm"]
+        rebuilt = FrequencyGrid.wavelength_window(
+            lo_nm * 1e-9, hi_nm * 1e-9, summary["grid"]["samples"])
+        expected = make_grid(load_run_config(cfg_path))
+        assert np.array_equal(rebuilt.signal_axis, expected.signal_axis)
+        assert np.array_equal(rebuilt.idler_axis, expected.idler_axis)
+
+        jsa = JsaGrid(grid=rebuilt, amplitude=np.load(out / "jsa.npy"),
+                      normalized=True)
+        again = _two_lobe_summary(jsa, jsi_of(jsa), summary["cut_nm"] * 1e-9)
+        assert set(again) == TWO_LOBE_KEYS
+        assert json.loads(json.dumps(_jsonable(again))) == \
+            {k: summary[k] for k in TWO_LOBE_KEYS}
 
     def test_config_file_respected(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -131,6 +161,27 @@ class TestAnalyzeJsi:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["analyze-jsi", str(tmp_path / "gone.csv")]) == 2
+
+    @pytest.mark.parametrize("cut", ["nan", "inf", "-1"])
+    def test_bad_cut_exits_2(self, tmp_path, capsys, cut):
+        out = tmp_path / "an"
+        jsi_path = str(fixtures.measured_jsi_path())
+        assert main(["analyze-jsi", jsi_path, "--cut-nm", cut,
+                     "--out", str(out)]) == 2
+        assert f"--cut-nm must be positive and finite, got {float(cut)}" \
+            in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    def test_same_two_lobe_keys_as_simulate_jsa(self, tmp_path):
+        sim, an = tmp_path / "sim", tmp_path / "an"
+        assert main(["simulate-jsa", "--samples", "128",
+                     "--out", str(sim)]) == 0
+        assert main(["analyze-jsi", str(fixtures.measured_jsi_path()),
+                     "--out", str(an)]) == 0
+        shared = set(_read_json(sim / "summary.json")) & \
+            set(_read_json(an / "summary.json"))
+        assert shared == TWO_LOBE_KEYS | {"command", "cut_nm",
+                                          "schema_version"}
 
     def test_cut_inside_lobe_exits_2(self, tmp_path, capsys):
         jsi_path = str(fixtures.measured_jsi_path())

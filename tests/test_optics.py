@@ -221,6 +221,23 @@ class TestComputeJsa:
     def test_normalized(self, default_jsa):
         assert default_jsa.norm_squared == pytest.approx(1.0, abs=1e-9)
 
+    def test_normalized_flag_checked(self, default_jsa):
+        # normalized_copy skips the check; a caller's flag does not
+        doubled = 2.0 * default_jsa.amplitude
+        with pytest.raises(ConfigError, match="norm differs from 1"):
+            JsaGrid(grid=default_jsa.grid, amplitude=doubled, normalized=True)
+        copy = JsaGrid(grid=default_jsa.grid, amplitude=doubled).normalized_copy()
+        assert copy.normalized
+        assert copy.norm_squared == pytest.approx(1.0, abs=1e-12)
+
+    def test_normalizing_zero_or_overflow_rejected(self, default_jsa):
+        for amplitude in (np.zeros(default_jsa.grid.shape),
+                          np.full(default_jsa.grid.shape, 1e300)):
+            with np.errstate(over="ignore"), \
+                    pytest.raises(ConfigError, match="cannot normalize"):
+                JsaGrid(grid=default_jsa.grid,
+                        amplitude=amplitude).normalized_copy()
+
     def test_grid_too_coarse_rejected(self, default_crystal, default_pump):
         grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 32)
         with pytest.raises(ConfigError, match="samples"):
