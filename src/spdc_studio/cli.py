@@ -88,6 +88,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _out_dir(explicit: str | None, config_dir: str | None,
              command: str) -> Path:
+    """Create and return the output directory. Commands call it only once
+    their input checks have passed, so a run that exits 2 leaves none."""
     out = Path(explicit or config_dir or Path("runs") / command)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -137,7 +139,6 @@ def _two_lobe_summary(jsa: JsaGrid, jsi: JsiGrid, cut: float) -> dict:
 def cmd_simulate_jsa(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, samples=args.samples, seed=args.seed,
                           output_dir=args.out)
-    out = _out_dir(args.out, cfg.output_dir, "simulate-jsa")
     jsa = compute_jsa(make_grid(cfg), cfg.crystal, cfg.pump)
     lam1, lam2 = design_lobe_wavelengths(cfg.crystal, cfg.pump,
                                          window=cfg.window)
@@ -155,6 +156,7 @@ def cmd_simulate_jsa(args: argparse.Namespace) -> int:
         },
         **_two_lobe_summary(jsa, jsi_of(jsa), cut),
     }
+    out = _out_dir(args.out, cfg.output_dir, "simulate-jsa")
     # the amplitude is stored exactly; the "grid" block rebuilds its axes
     np.save(out / "jsa.npy", jsa.amplitude)
     _write_json(out / "summary.json", summary)
@@ -167,7 +169,6 @@ def cmd_analyze_jsi(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.cut_nm) and args.cut_nm > 0):
         raise ConfigError(f"--cut-nm must be positive and finite, "
                           f"got {args.cut_nm}")
-    out = _out_dir(args.out, None, "analyze-jsi")
     jsi = grid_io.load_jsi_csv(args.jsi_file)
     summary = {
         "command": "analyze-jsi",
@@ -175,6 +176,7 @@ def cmd_analyze_jsi(args: argparse.Namespace) -> int:
         "cut_nm": args.cut_nm,
         **_two_lobe_summary(jsa_from_jsi(jsi), jsi, args.cut_nm * 1e-9),
     }
+    out = _out_dir(args.out, None, "analyze-jsi")
     _write_json(out / "summary.json", summary)
     print(f"analyze-jsi: concurrence {summary['concurrence']:.6f}, "
           f"purity {summary['purity']:.6f} -> {out}")
@@ -198,7 +200,6 @@ def _simulated_state(label: str):
 
 
 def cmd_tomography(args: argparse.Namespace) -> int:
-    out = _out_dir(args.out, None, "tomography")
     n = args.n_per_setting
     if n is not None and not (math.isfinite(n) and n > 0):
         raise ConfigError(f"--n-per-setting must be positive and finite, "
@@ -222,13 +223,15 @@ def cmd_tomography(args: argparse.Namespace) -> int:
         pairs = n if n is not None else 1e5
         records = simulate_counts(truth, standard_16_settings(), pairs,
                                   args.seed)
-        save_records(records, out / "records.csv")
 
     result = mle_reconstruct(records)
     if not result.converged:
         raise ConvergenceError("MLE reconstruction did not converge")
     metrics = metric_report(result.state)
 
+    out = _out_dir(args.out, None, "tomography")
+    if truth is not None:
+        save_records(records, out / "records.csv")
     _write_json(out / "rho.json", result.state.to_json_dict())
     report = {
         "command": "tomography",
@@ -276,7 +279,6 @@ def _parse_powers(text: str) -> list[float]:
 
 
 def cmd_visibility(args: argparse.Namespace) -> int:
-    out = _out_dir(args.out, None, "visibility")
     powers_mw = _parse_powers(args.powers)
     det = DetectorSpec()
 
@@ -314,6 +316,7 @@ def cmd_visibility(args: argparse.Namespace) -> int:
     lines = ["power_mw,basis,visibility"]
     for mw, basis, v in scan_rows:
         lines.append(f"{mw:g},{basis},{v:.17g}")
+    out = _out_dir(args.out, None, "visibility")
     (out / "scans.csv").write_text("\n".join(lines) + "\n")
 
     _write_json(out / "squeezing.json", {

@@ -4,9 +4,9 @@ Covers the two workhorse measurements of the source characterization:
 time-of-flight joint-spectral-intensity spectroscopy through dispersive
 fiber, and polarization visibility scans with their sinusoid fits. Also
 houses the multi-pair (squeezed-vacuum) visibility model and the
-coincidence-rate bookkeeping. A Monte Carlo of that model simulates
-observed visibilities; the exact thermal-statistics form of the same
-model translates visibility into squeezing.
+coincidence-rate bookkeeping. One exact thermal-statistics form of that
+model serves both ways: binomial draws from it simulate observed
+visibilities, and its root translates visibility into squeezing.
 """
 
 from __future__ import annotations
@@ -332,63 +332,29 @@ _SETTING_MIN = (0.0, 0.0)
 _SETTING_MAX = (0.0, math.pi / 2)
 
 
-def _coincidences(mu: float, eff: float, setting: tuple[float, float],
-                  n_trials: int, rng: np.random.Generator) -> int:
-    """Trials (pulses) with clicks on both arms at one analyzer setting.
-
-    Pair number per pulse is thermal with mean mu; every generated pair is
-    an independent singlet routed through the analyzers; detectors are
-    threshold detectors with the given efficiency.
-    """
-    u = rng.random(n_trials)
-    if mu <= 0:
-        return 0
-    q = mu / (1.0 + mu)
-    # inverse CDF of the geometric pair-number law; monotone in mu for
-    # fixed u
-    n_pairs = np.floor(np.log1p(-u) / math.log(q)).astype(np.int64)
-    total = int(n_pairs.sum())
-    if total == 0:
-        return 0
-
-    delta = setting[0] - setting[1]
-    p_both = 0.5 * math.sin(delta) ** 2
-    p_one = 0.5 - p_both  # photon reaches arm 1 only (arm 2 symmetric)
-
-    trial_of = np.repeat(np.arange(n_trials), n_pairs)
-    u_route = rng.random(total)
-    to_arm1 = u_route < (p_both + p_one)
-    to_arm2 = (u_route < p_both) | ((u_route >= p_both + p_one)
-                                    & (u_route < p_both + 2 * p_one))
-    if eff < 1.0:
-        to_arm1 &= rng.random(total) < eff
-        to_arm2 &= rng.random(total) < eff
-
-    click1 = np.bincount(trial_of[to_arm1], minlength=n_trials) > 0
-    click2 = np.bincount(trial_of[to_arm2], minlength=n_trials) > 0
-    return int(np.count_nonzero(click1 & click2))
-
-
 def multipair_visibility(r: float, det: DetectorSpec, n_trials: int,
                          seed: int, stream: str = "multipair") -> float:
-    """Polarization visibility including multi-pair emission, by Monte Carlo.
+    """Polarization visibility including multi-pair emission, as observed
+    over ``n_trials`` pulses.
 
     Pair number per pulse is thermal with mean mu = sinh^2(r) (a single
-    Schmidt mode of squeezed vacuum). V = (C_max - C_min)/(C_max + C_min)
-    over the two analyzer settings; r = 0 gives V = 1 up to sampling
-    noise, and V decreases as accidental multi-pair coincidences fill in
-    the minimum. ``stream`` names the random substream, so callers can
-    draw statistically independent repetitions under one seed.
+    Schmidt mode of squeezed vacuum). Pulses are independent, so the
+    coincidence count at each analyzer setting is one binomial draw from
+    the exact thermal model, Binomial(n_trials, P_cc). V = (C_max - C_min)
+    /(C_max + C_min) over the two settings; r = 0 gives V = 1, and V
+    decreases as accidental multi-pair coincidences fill in the minimum.
+    ``stream`` names the random substream, so callers can draw
+    statistically independent repetitions under one seed.
     """
     if r < 0:
         raise ConfigError("squeezing parameter must be non-negative")
     if n_trials < 1:
         raise ConfigError("n_trials must be positive")
     mu = math.sinh(r) ** 2
-    c_max = _coincidences(mu, det.efficiency, _SETTING_MAX, n_trials,
-                          substream(seed, f"{stream}.max"))
-    c_min = _coincidences(mu, det.efficiency, _SETTING_MIN, n_trials,
-                          substream(seed, f"{stream}.min"))
+    c_max = int(substream(seed, f"{stream}.max").binomial(
+        n_trials, _coincidence_probability(mu, det.efficiency, _SETTING_MAX)))
+    c_min = int(substream(seed, f"{stream}.min").binomial(
+        n_trials, _coincidence_probability(mu, det.efficiency, _SETTING_MIN)))
     if c_max + c_min == 0:
         return 1.0
     return (c_max - c_min) / (c_max + c_min)
@@ -396,15 +362,16 @@ def multipair_visibility(r: float, det: DetectorSpec, n_trials: int,
 
 def _coincidence_probability(mu: float, eff: float,
                              setting: tuple[float, float]) -> float:
-    """Exact per-pulse probability of clicks on both arms, the model that
-    ``_coincidences`` samples.
+    """Exact per-pulse probability of clicks on both arms.
 
     The pair number is thermal, with generating function
-    G(x) = (1 - q)/(1 - q x) and q = mu/(1 + mu). One singlet pair leaves
-    a given arm dark with probability 1 - eff/2 and both arms dark with
-    1 - eff + eff^2 s, where s = sin^2(delta)/2, so
-    P_cc = 1 - 2 G(1 - eff/2) + G(1 - eff + eff^2 s). Multiplied out, that
-    is the expression below, which has no cancellation as mu -> 0.
+    G(x) = (1 - q)/(1 - q x) and q = mu/(1 + mu). Every pair is an
+    independent singlet routed through the analyzers to threshold
+    detectors of efficiency ``eff``. One pair leaves a given arm dark with
+    probability 1 - eff/2 and both arms dark with 1 - eff + eff^2 s, where
+    s = sin^2(delta)/2, so P_cc = 1 - 2 G(1 - eff/2) + G(1 - eff + eff^2 s).
+    Multiplied out, that is the expression below, which has no
+    cancellation as mu -> 0.
     """
     s = 0.5 * math.sin(setting[0] - setting[1]) ** 2
     return (mu * eff**2 * (s + 0.5 * mu * (1.0 - eff * s))

@@ -35,7 +35,6 @@ __all__ = [
     "DESIGN_WIDTH_SCALE",
     "PulseShape",
     "PmfMode",
-    "DkMapping",
     "PumpSpec",
     "CrystalSpec",
     "PolingPattern",
@@ -58,8 +57,8 @@ __all__ = [
 C_LIGHT = 299_792_458.0
 TWO_PI_C = 2.0 * math.pi * C_LIGHT
 
-# Width multiplier applied to pmf_sigma when building the JSA in design
-# mode. The nominal sigma parameterizes the poling-design target; the
+# Width multiplier applied to pmf_sigma when building the analytic JSA.
+# The nominal sigma parameterizes the poling-design target; the
 # spectral response actually realized by a finite crystal is broader (a
 # 4 mm aperture cannot produce Delta-k features much narrower than its own
 # Fourier width of roughly 800 1/m, while the nominal sigma is 333 1/m).
@@ -87,19 +86,6 @@ class PulseShape(enum.Enum):
 class PmfMode(enum.Enum):
     ANALYTIC = "analytic"
     FROM_DOMAINS = "from_domains"
-
-
-class DkMapping(enum.Enum):
-    """How the phase mismatch feeds the analytic phase-matching function.
-
-    DESIGN subtracts the degenerate-point mismatch so the two engineered
-    lobes land symmetrically at the designed +-a, and widens sigma by
-    DESIGN_WIDTH_SCALE (see that constant). RAW uses the physical mismatch
-    and sigma verbatim.
-    """
-
-    DESIGN = "design"
-    RAW = "raw"
 
 
 def _check_numbers(spec, where: str) -> None:
@@ -441,13 +427,14 @@ def _lobe_slopes(crystal: CrystalSpec, pump: PumpSpec) -> tuple[float, float]:
 
 def compute_jsa(grid: FrequencyGrid, crystal: CrystalSpec, pump: PumpSpec,
                 pmf_mode: PmfMode = PmfMode.ANALYTIC,
-                dk_mapping: DkMapping = DkMapping.DESIGN,
                 pattern: PolingPattern | None = None) -> JsaGrid:
     """Assemble and normalize the joint spectral amplitude on ``grid``.
 
-    f(ws, wi) = P(ws + wi) * Phi(nu), where nu is delta_k mapped per
-    ``dk_mapping`` for the analytic PMF, or the bare mismatch for a poling
-    pattern (FROM_DOMAINS always works in physical coordinates; ``pattern``
+    f(ws, wi) = P(ws + wi) * Phi(nu). For the analytic PMF, nu is delta_k
+    less its value at the degenerate point, so the two engineered lobes
+    land symmetrically at the designed +-a, and sigma is widened by
+    ``DESIGN_WIDTH_SCALE``. For a poling pattern nu is the bare mismatch
+    (FROM_DOMAINS always works in physical coordinates; ``pattern``
     defaults to the uniform grating implied by the crystal; its Phi is
     interpolated from a 1-D sample, see ``_sampled_domain_pmf``). The grid is
     rejected if the narrowest expected spectral feature (pump bandwidth or
@@ -458,10 +445,7 @@ def compute_jsa(grid: FrequencyGrid, crystal: CrystalSpec, pump: PumpSpec,
     wi = grid.idler_axis[np.newaxis, :]
 
     if pmf_mode is PmfMode.ANALYTIC:
-        if dk_mapping is DkMapping.DESIGN:
-            sigma_eff = crystal.pmf_sigma * DESIGN_WIDTH_SCALE
-        else:
-            sigma_eff = crystal.pmf_sigma
+        sigma_eff = crystal.pmf_sigma * DESIGN_WIDTH_SCALE
         pmf_fwhm = _FWHM_SIGMA * sigma_eff
     elif pmf_mode is PmfMode.FROM_DOMAINS:
         if pattern is None:
@@ -485,10 +469,8 @@ def compute_jsa(grid: FrequencyGrid, crystal: CrystalSpec, pump: PumpSpec,
             )
 
     if pmf_mode is PmfMode.ANALYTIC:
-        dk = delta_k(ws, wi, crystal)
-        if dk_mapping is DkMapping.DESIGN:
-            w0 = pump.center_omega / 2.0
-            dk = dk - float(delta_k(w0, w0, crystal))
+        w0 = pump.center_omega / 2.0
+        dk = delta_k(ws, wi, crystal) - float(delta_k(w0, w0, crystal))
         phi = pmf_analytic(dk, sigma_eff, crystal.pmf_a)
     else:
         bare = delta_k(ws, wi, crystal) - 2.0 * math.pi / crystal.poling_period
@@ -501,7 +483,8 @@ def compute_jsa(grid: FrequencyGrid, crystal: CrystalSpec, pump: PumpSpec,
 def design_lobe_wavelengths(crystal: CrystalSpec, pump: PumpSpec,
                             window: tuple[float, float] = (1500e-9, 1620e-9)
                             ) -> tuple[float, float]:
-    """Signal wavelengths where the design-mode mismatch hits -a and +a.
+    """Signal wavelengths where the mismatch, less its degenerate-point
+    value (the analytic PMF's argument), hits -a and +a.
 
     Solved along the energy-conservation anti-diagonal (omega_i fixed by
     the pump center), which is where the JSA lobes actually sit. Returns

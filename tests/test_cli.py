@@ -330,6 +330,24 @@ def test_negative_seed_with_records_exits_2(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    # passes config validation, then compute_jsa finds the grid too coarse
+    ["simulate-jsa", "--config", "coarse.json"],
+    ["analyze-jsi", "gone.csv"],
+    ["tomography", "--simulate", "ghz"],
+    ["visibility", "--powers", "0"],
+    ["report", "empty-runs"],
+], ids=lambda argv: argv[0])
+def test_exit_2_creates_no_output_directory(tmp_path, capsys, argv):
+    (tmp_path / "coarse.json").write_text(json.dumps(
+        {"grid": {"samples": 64}, "crystal": {"pmf_sigma": 30}}))
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    assert not (tmp_path / "runs").exists()
+
+
 class TestReport:
     def test_empty_runs_dir_exits_2(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "runs")]) == 2

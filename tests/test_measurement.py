@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom, chisquare
 
+from spdc_studio import measurement
 from spdc_studio.errors import ConfigError, ConvergenceError
 from spdc_studio.measurement import (_SETTING_MAX, _SETTING_MIN,
                                      DetectorSpec, FiberSpec, RateRecord,
                                      VisibilityScan, _coincidence_probability,
-                                     _coincidences, _model_visibility,
+                                     _model_visibility,
                                      estimate_squeezing, fit_visibility,
                                      invert_visibility, multipair_visibility,
                                      rates_summary, tof_reconstruct,
@@ -18,6 +20,62 @@ from spdc_studio.polarization import (BellKind, analyzer_projector,
                                       werner_state)
 from spdc_studio.rng import substream
 from spdc_studio.spectral import jsa_from_jsi, lobe_metrics, overlap_integral
+
+
+def _coincidences(mu: float, eff: float, setting: tuple[float, float],
+                  n_trials: int, rng: np.random.Generator) -> int:
+    """Trials (pulses) with clicks on both arms at one analyzer setting.
+
+    Pair number per pulse is thermal with mean mu; every generated pair is
+    an independent singlet routed through the analyzers; detectors are
+    threshold detectors with the given efficiency.
+    """
+    u = rng.random(n_trials)
+    if mu <= 0:
+        return 0
+    q = mu / (1.0 + mu)
+    # inverse CDF of the geometric pair-number law; monotone in mu for
+    # fixed u
+    n_pairs = np.floor(np.log1p(-u) / math.log(q)).astype(np.int64)
+    total = int(n_pairs.sum())
+    if total == 0:
+        return 0
+
+    delta = setting[0] - setting[1]
+    p_both = 0.5 * math.sin(delta) ** 2
+    p_one = 0.5 - p_both  # photon reaches arm 1 only (arm 2 symmetric)
+
+    trial_of = np.repeat(np.arange(n_trials), n_pairs)
+    u_route = rng.random(total)
+    to_arm1 = u_route < (p_both + p_one)
+    to_arm2 = (u_route < p_both) | ((u_route >= p_both + p_one)
+                                    & (u_route < p_both + 2 * p_one))
+    if eff < 1.0:
+        to_arm1 &= rng.random(total) < eff
+        to_arm2 &= rng.random(total) < eff
+
+    click1 = np.bincount(trial_of[to_arm1], minlength=n_trials) > 0
+    click2 = np.bincount(trial_of[to_arm2], minlength=n_trials) > 0
+    return int(np.count_nonzero(click1 & click2))
+
+
+def _binomial_fit_p_value(draws, n: int, p: float) -> float:
+    """Chi-square p-value of integer ``draws`` against Binomial(n, p).
+
+    Adjacent counts are pooled until each bin expects at least 5 draws.
+    """
+    expected = len(draws) * binom.pmf(np.arange(n + 1), n, p)
+    observed = np.bincount(draws, minlength=n + 1)
+    f_obs, f_exp, acc_obs, acc_exp = [], [], 0, 0.0
+    for o, e in zip(observed, expected):
+        acc_obs, acc_exp = acc_obs + o, acc_exp + e
+        if acc_exp >= 5.0:
+            f_obs.append(acc_obs)
+            f_exp.append(acc_exp)
+            acc_obs, acc_exp = 0, 0.0
+    f_obs[-1] += acc_obs
+    f_exp[-1] += acc_exp
+    return float(chisquare(f_obs, f_exp).pvalue)
 
 
 class TestTofResolution:
@@ -199,6 +257,54 @@ class TestExactMultipairModel:
         c_max, c_min = n * p["max"], n * p["min"]
         se = math.sqrt(4.0 * c_max * c_min / (c_max + c_min) ** 3 / k)
         assert abs(v - _model_visibility(r, eff)) <= 3.0 * se
+
+    # few trials per draw, many draws: the whole count distribution, not
+    # only its mean, must be Binomial(n, P_cc); a per-pulse dependence
+    # would show as over- or underdispersion
+    FEW_TRIALS = 200
+    MANY_SEEDS = range(2000)
+
+    @pytest.mark.parametrize("eff", [0.3, 1.0])
+    def test_oracle_counts_are_binomial(self, eff):
+        mu = math.sinh(0.8) ** 2
+        for name, setting in (("max", _SETTING_MAX), ("min", _SETTING_MIN)):
+            draws = [_coincidences(mu, eff, setting, self.FEW_TRIALS,
+                                   substream(seed, f"exact.{name}"))
+                     for seed in self.MANY_SEEDS]
+            p = _coincidence_probability(mu, eff, setting)
+            assert _binomial_fit_p_value(draws, self.FEW_TRIALS, p) > 1e-3, \
+                name
+
+    @pytest.mark.parametrize("eff", [0.3, 1.0])
+    def test_multipair_visibility_counts_are_binomial(self, eff,
+                                                      monkeypatch):
+        # record every count multipair_visibility draws, by stream name
+        draws = {}
+
+        class Recorder:
+            def __init__(self, seed, name):
+                self.rng, self.name = substream(seed, name), name
+
+            def binomial(self, n, p):
+                value = self.rng.binomial(n, p)
+                draws.setdefault(self.name.rsplit(".", 1)[1], []).append(
+                    (n, p, int(value)))
+                return value
+
+        monkeypatch.setattr(measurement, "substream", Recorder)
+        det = DetectorSpec(efficiency=eff)
+        for seed in self.MANY_SEEDS:
+            multipair_visibility(0.8, det, self.FEW_TRIALS, seed)
+        mu = math.sinh(0.8) ** 2
+        assert set(draws) == {"max", "min"}
+        for name, setting in (("max", _SETTING_MAX), ("min", _SETTING_MIN)):
+            p = _coincidence_probability(mu, eff, setting)
+            assert len(draws[name]) == len(self.MANY_SEEDS)
+            assert {(n, q) for n, q, _ in draws[name]} == \
+                {(self.FEW_TRIALS, p)}
+            counts = [c for _, _, c in draws[name]]
+            assert _binomial_fit_p_value(counts, self.FEW_TRIALS, p) > 1e-3, \
+                name
 
     @pytest.mark.parametrize("eff", [0.3, 1.0])
     def test_exact_round_trip(self, eff):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from spdc_studio import sellmeier
 from spdc_studio.errors import ConfigError
-from spdc_studio.optics import (C_LIGHT, TWO_PI_C, CrystalSpec, DkMapping,
+from spdc_studio.optics import (C_LIGHT, TWO_PI_C, CrystalSpec,
                                 FrequencyGrid, JsaGrid, PmfMode, PolingPattern,
                                 PulseShape, PumpSpec, compute_jsa,
                                 coupling_coefficient, delta_k,
@@ -258,16 +258,6 @@ class TestComputeJsa:
         overlap = np.sum(np.conj(amp) * (-amp.T) * w)
         assert overlap.real > 0.995
         assert abs(overlap.imag) < 1e-9
-
-    def test_raw_mapping_differs(self, default_crystal, default_pump):
-        grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 256)
-        design = compute_jsa(grid, default_crystal, default_pump,
-                             dk_mapping=DkMapping.DESIGN)
-        raw = compute_jsa(grid, default_crystal, default_pump,
-                          dk_mapping=DkMapping.RAW)
-        w = np.outer(grid.signal_weights, grid.idler_weights)
-        overlap = abs(np.sum(np.conj(design.amplitude) * raw.amplitude * w))
-        assert overlap < 0.9
 
     def test_from_domains_mode_runs(self, default_crystal, default_pump):
         grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 128)
