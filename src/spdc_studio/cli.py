@@ -91,7 +91,11 @@ def _out_dir(explicit: str | None, config_dir: str | None,
     """Create and return the output directory. Commands call it only once
     their input checks have passed, so a run that exits 2 leaves none."""
     out = Path(explicit or config_dir or Path("runs") / command)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: "
+                          f"{exc.strerror}") from exc
     return out
 
 

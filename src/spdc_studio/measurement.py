@@ -4,9 +4,12 @@ Covers the two workhorse measurements of the source characterization:
 time-of-flight joint-spectral-intensity spectroscopy through dispersive
 fiber, and polarization visibility scans with their sinusoid fits. Also
 houses the multi-pair (squeezed-vacuum) visibility model and the
-coincidence-rate bookkeeping. One exact thermal-statistics form of that
-model serves both ways: binomial draws from it simulate observed
-visibilities, and its root translates visibility into squeezing.
+coincidence-rate bookkeeping. Both simulators draw from exact models
+rather than following single pairs: a time-of-flight histogram is one
+multinomial draw from the closed-form bin probabilities of the dithered,
+dispersed and jittered pairs, and multi-pair coincidences are binomial
+draws from one exact thermal-statistics form, whose root also translates
+visibility into squeezing.
 """
 
 from __future__ import annotations
@@ -16,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import ndtr
 
 from .errors import ConfigError, ConvergenceError
-from .optics import TWO_PI_C, FrequencyGrid, JsaGrid
+from .optics import _FWHM_SIGMA, TWO_PI_C, FrequencyGrid, JsaGrid
 from .polarization import TwoQubitState, analyzer_projector
 from .rng import substream
 from .spectral import JsiGrid
@@ -96,6 +100,24 @@ class ArrivalHistogram:
     idler_edges: np.ndarray
     counts: np.ndarray
 
+    def __post_init__(self) -> None:
+        edges = [np.asarray(e, dtype=float)
+                 for e in (self.signal_edges, self.idler_edges)]
+        counts = np.asarray(self.counts)
+        for name, e in zip(("signal_edges", "idler_edges"), edges):
+            if e.ndim != 1 or e.size < 2 or not np.all(np.diff(e) > 0):
+                raise ConfigError(f"{name} must be 1-D and strictly "
+                                  f"increasing")
+        shape = (edges[0].size - 1, edges[1].size - 1)
+        if counts.shape != shape:
+            raise ConfigError(f"counts has shape {counts.shape}; the edges "
+                              f"need {shape}")
+        if np.any(counts < 0):
+            raise ConfigError("counts must be non-negative")
+        object.__setattr__(self, "signal_edges", edges[0])
+        object.__setattr__(self, "idler_edges", edges[1])
+        object.__setattr__(self, "counts", counts)
+
     @property
     def total(self) -> int:
         return int(self.counts.sum())
@@ -145,62 +167,60 @@ def tof_resolution(fiber: FiberSpec, det: DetectorSpec) -> float:
     return det.jitter_fwhm / abs(fiber.delay_per_wavelength)
 
 
-_FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
+def _tof_response(axis: np.ndarray, widths: np.ndarray, fiber: FiberSpec,
+                  det: DetectorSpec) -> tuple[np.ndarray, np.ndarray]:
+    """One arm's bin edges and response R[cell, bin]: the chance that a
+    photon dithered uniformly across the cell in omega, timed by
+    t = D L (2 pi c/omega - lambda_ref) and jittered lands in the bin. Bins
+    are FWHM/3 wide; 5 FWHM plus one bin of padding make rows sum to 1."""
+    slope, lam_ref = fiber.delay_per_wavelength, fiber.reference_wavelength
+    bin_width = det.jitter_fwhm / 3.0
+    pad = 5.0 * det.jitter_fwhm + bin_width
+    t_ends = slope * (TWO_PI_C / axis[[-1, 0]] - lam_ref)
+    t_min = t_ends.min() - pad
+    n_bins = math.ceil((t_ends.max() + pad - t_min) / bin_width)
+    edges = t_min + bin_width * np.arange(n_bins + 1)
+    sigma = det.jitter_fwhm / _FWHM_SIGMA
+    cdf = np.zeros((axis.size, edges.size))
+    # mean over the dither at 8 Gauss-Legendre nodes; 32 nodes change it by
+    # about 5e-14 on the default grid
+    for x, w in zip(*np.polynomial.legendre.leggauss(8)):
+        t = slope * (TWO_PI_C / (axis + 0.5 * x * widths) - lam_ref)
+        cdf += 0.5 * w * ndtr((edges - t[:, None]) / sigma)
+    return edges, np.diff(cdf, axis=1)
+
+
+def _tof_bin_probabilities(jsa: JsaGrid, fiber: FiberSpec, det: DetectorSpec
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signal edges, idler edges and the exact probability P of each
+    (signal, idler) time bin. Given a grid cell the arms are independent,
+    so P = R_s^T prob R_i with prob the normalized cell-weighted |f|^2."""
+    g = jsa.grid
+    prob = np.abs(jsa.amplitude) ** 2 * np.outer(g.signal_weights,
+                                                 g.idler_weights)
+    total = prob.sum()
+    if total <= 0:
+        raise ConfigError("cannot sample from an all-zero JSA")
+    edges_s, r_s = _tof_response(g.signal_axis, g.signal_weights, fiber, det)
+    edges_i, r_i = _tof_response(g.idler_axis, g.idler_weights, fiber, det)
+    return edges_s, edges_i, r_s.T @ (prob / total) @ r_i
 
 
 def tof_simulate(jsa: JsaGrid, fiber: FiberSpec, det: DetectorSpec,
                  n_pairs: int, seed: int) -> ArrivalHistogram:
-    """Monte Carlo arrival-time histogram of ``n_pairs`` photon pairs.
-
-    Pairs are drawn from |f|^2, dithered uniformly within their grid cell,
-    mapped to arrival time through t = D L (lambda - lambda_ref) per arm,
-    and smeared by per-arm Gaussian jitter. Bins are a third of the jitter
-    FWHM wide (1 ps without jitter). Deterministic for a fixed seed.
-    """
+    """Arrival-time histogram of ``n_pairs`` pairs from |f|^2, dithered
+    within their cell, timed per arm and jittered: one multinomial draw
+    from that model's exact bin probabilities, dropping pairs outside the
+    window. Needs a positive jitter. Deterministic for a fixed seed."""
     if n_pairs <= 0:
         raise ConfigError("n_pairs must be positive")
-    bin_width = det.jitter_fwhm / 3.0 if det.jitter_fwhm > 0 else 1e-12
-
-    grid = jsa.grid
-    w_s, w_i = grid.signal_weights, grid.idler_weights
-    prob = np.abs(jsa.amplitude) ** 2 * np.outer(w_s, w_i)
-    total = prob.sum()
-    if total <= 0:
-        raise ConfigError("cannot sample from an all-zero JSA")
-    prob = (prob / total).ravel()
-
-    rng = substream(seed, "tof.sampling")
-    flat = rng.choice(prob.size, size=n_pairs, p=prob)
-    rows, cols = np.unravel_index(flat, grid.shape)
-
-    omega_s = grid.signal_axis[rows] + (rng.random(n_pairs) - 0.5) * w_s[rows]
-    omega_i = grid.idler_axis[cols] + (rng.random(n_pairs) - 0.5) * w_i[cols]
-
-    slope = fiber.delay_per_wavelength
-    t_s = slope * (TWO_PI_C / omega_s - fiber.reference_wavelength)
-    t_i = slope * (TWO_PI_C / omega_i - fiber.reference_wavelength)
-    if det.jitter_fwhm > 0:
-        sigma = det.jitter_fwhm / _FWHM_SIGMA
-        t_s = t_s + rng.normal(0.0, sigma, n_pairs)
-        t_i = t_i + rng.normal(0.0, sigma, n_pairs)
-
-    # deterministic edges derived from the grid window, not from the draws
-    pad = 5.0 * det.jitter_fwhm + bin_width
-    lam_lo = TWO_PI_C / grid.signal_axis[-1]
-    lam_hi = TWO_PI_C / grid.signal_axis[0]
-    lam_lo_i = TWO_PI_C / grid.idler_axis[-1]
-    lam_hi_i = TWO_PI_C / grid.idler_axis[0]
-    bounds = []
-    for lo, hi in ((lam_lo, lam_hi), (lam_lo_i, lam_hi_i)):
-        t_all = slope * (np.array([lo, hi]) - fiber.reference_wavelength)
-        t_min, t_max = min(t_all) - pad, max(t_all) + pad
-        n_bins = int(math.ceil((t_max - t_min) / bin_width))
-        bounds.append(t_min + bin_width * np.arange(n_bins + 1))
-    edges_s, edges_i = bounds
-
-    counts, _, _ = np.histogram2d(t_s, t_i, bins=(edges_s, edges_i))
+    if det.jitter_fwhm <= 0:
+        raise ConfigError("tof_simulate needs a positive jitter_fwhm")
+    edges_s, edges_i, prob = _tof_bin_probabilities(jsa, fiber, det)
+    draw = substream(seed, "tof.sampling").multinomial(
+        n_pairs, np.append(prob.ravel(), max(1.0 - prob.sum(), 0.0)))
     return ArrivalHistogram(signal_edges=edges_s, idler_edges=edges_i,
-                            counts=counts)
+                            counts=draw[:-1].reshape(prob.shape))
 
 
 def _rebin_edges(edges: np.ndarray, counts: np.ndarray, factor: int,

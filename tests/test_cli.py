@@ -348,6 +348,23 @@ def test_exit_2_creates_no_output_directory(tmp_path, capsys, argv):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("argv, out", [
+    (["visibility"], "afile"),
+    (["report", "runs"], "afile"),
+    (["visibility"], "afile/below"),
+], ids=["visibility", "report", "below-a-file"])
+def test_out_not_a_directory_exits_2(tmp_path, capsys, argv, out):
+    assert main(["visibility", "--out", str(tmp_path / "runs" / "visibility")
+                 ]) == 0
+    (tmp_path / "afile").write_text("keep")
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create output directory")
+    assert str(tmp_path / out) in err
+    assert (tmp_path / "afile").read_text() == "keep"
+
+
 class TestReport:
     def test_empty_runs_dir_exits_2(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "runs")]) == 2

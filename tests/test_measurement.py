@@ -7,14 +7,17 @@ from scipy.stats import binom, chisquare
 from spdc_studio import measurement
 from spdc_studio.errors import ConfigError, ConvergenceError
 from spdc_studio.measurement import (_SETTING_MAX, _SETTING_MIN,
-                                     DetectorSpec, FiberSpec, RateRecord,
-                                     VisibilityScan, _coincidence_probability,
+                                     ArrivalHistogram, DetectorSpec,
+                                     FiberSpec, RateRecord, VisibilityScan,
+                                     _coincidence_probability,
                                      _model_visibility,
+                                     _tof_bin_probabilities, _tof_response,
                                      estimate_squeezing, fit_visibility,
                                      invert_visibility, multipair_visibility,
                                      rates_summary, tof_reconstruct,
                                      tof_resolution, tof_simulate,
                                      visibility_scan)
+from spdc_studio.optics import _FWHM_SIGMA, TWO_PI_C, JsaGrid
 from spdc_studio.polarization import (BellKind, analyzer_projector,
                                       bell_state, predicted_visibility,
                                       werner_state)
@@ -59,13 +62,66 @@ def _coincidences(mu: float, eff: float, setting: tuple[float, float],
     return int(np.count_nonzero(click1 & click2))
 
 
-def _binomial_fit_p_value(draws, n: int, p: float) -> float:
-    """Chi-square p-value of integer ``draws`` against Binomial(n, p).
+def _tof_monte_carlo(jsa: JsaGrid, fiber: FiberSpec, det: DetectorSpec,
+                     n_pairs: int, seed: int) -> ArrivalHistogram:
+    """Monte Carlo arrival-time histogram of ``n_pairs`` photon pairs.
 
-    Adjacent counts are pooled until each bin expects at least 5 draws.
+    Pairs are drawn from |f|^2, dithered uniformly within their grid cell,
+    mapped to arrival time through t = D L (lambda - lambda_ref) per arm,
+    and smeared by per-arm Gaussian jitter. Bins are a third of the jitter
+    FWHM wide (1 ps without jitter). Deterministic for a fixed seed.
     """
-    expected = len(draws) * binom.pmf(np.arange(n + 1), n, p)
-    observed = np.bincount(draws, minlength=n + 1)
+    if n_pairs <= 0:
+        raise ConfigError("n_pairs must be positive")
+    bin_width = det.jitter_fwhm / 3.0 if det.jitter_fwhm > 0 else 1e-12
+
+    grid = jsa.grid
+    w_s, w_i = grid.signal_weights, grid.idler_weights
+    prob = np.abs(jsa.amplitude) ** 2 * np.outer(w_s, w_i)
+    total = prob.sum()
+    if total <= 0:
+        raise ConfigError("cannot sample from an all-zero JSA")
+    prob = (prob / total).ravel()
+
+    rng = substream(seed, "tof.sampling")
+    flat = rng.choice(prob.size, size=n_pairs, p=prob)
+    rows, cols = np.unravel_index(flat, grid.shape)
+
+    omega_s = grid.signal_axis[rows] + (rng.random(n_pairs) - 0.5) * w_s[rows]
+    omega_i = grid.idler_axis[cols] + (rng.random(n_pairs) - 0.5) * w_i[cols]
+
+    slope = fiber.delay_per_wavelength
+    t_s = slope * (TWO_PI_C / omega_s - fiber.reference_wavelength)
+    t_i = slope * (TWO_PI_C / omega_i - fiber.reference_wavelength)
+    if det.jitter_fwhm > 0:
+        sigma = det.jitter_fwhm / _FWHM_SIGMA
+        t_s = t_s + rng.normal(0.0, sigma, n_pairs)
+        t_i = t_i + rng.normal(0.0, sigma, n_pairs)
+
+    # deterministic edges derived from the grid window, not from the draws
+    pad = 5.0 * det.jitter_fwhm + bin_width
+    lam_lo = TWO_PI_C / grid.signal_axis[-1]
+    lam_hi = TWO_PI_C / grid.signal_axis[0]
+    lam_lo_i = TWO_PI_C / grid.idler_axis[-1]
+    lam_hi_i = TWO_PI_C / grid.idler_axis[0]
+    bounds = []
+    for lo, hi in ((lam_lo, lam_hi), (lam_lo_i, lam_hi_i)):
+        t_all = slope * (np.array([lo, hi]) - fiber.reference_wavelength)
+        t_min, t_max = min(t_all) - pad, max(t_all) + pad
+        n_bins = int(math.ceil((t_max - t_min) / bin_width))
+        bounds.append(t_min + bin_width * np.arange(n_bins + 1))
+    edges_s, edges_i = bounds
+
+    counts, _, _ = np.histogram2d(t_s, t_i, bins=(edges_s, edges_i))
+    return ArrivalHistogram(signal_edges=edges_s, idler_edges=edges_i,
+                            counts=counts)
+
+
+def _pooled_p_value(observed, expected) -> float:
+    """Chi-square p-value of ``observed`` against ``expected`` counts.
+
+    Consecutive entries are pooled until each group expects at least 5.
+    """
     f_obs, f_exp, acc_obs, acc_exp = [], [], 0, 0.0
     for o, e in zip(observed, expected):
         acc_obs, acc_exp = acc_obs + o, acc_exp + e
@@ -76,6 +132,23 @@ def _binomial_fit_p_value(draws, n: int, p: float) -> float:
     f_obs[-1] += acc_obs
     f_exp[-1] += acc_exp
     return float(chisquare(f_obs, f_exp).pvalue)
+
+
+def _binomial_fit_p_value(draws, n: int, p: float) -> float:
+    """Chi-square p-value of integer ``draws`` against Binomial(n, p),
+    adjacent counts pooled."""
+    expected = len(draws) * binom.pmf(np.arange(n + 1), n, p)
+    return _pooled_p_value(np.bincount(draws, minlength=n + 1), expected)
+
+
+def _tof_fit_p_value(hist, n_pairs: int, prob) -> float:
+    """Chi-square p-value of a TOF histogram against bin probabilities
+    ``prob``, with the pairs outside the window as one more cell. Cells
+    are pooled in order of their expected count."""
+    observed = np.append(hist.counts.ravel(), n_pairs - hist.total)
+    expected = n_pairs * np.append(prob.ravel(), max(1.0 - prob.sum(), 0.0))
+    order = np.argsort(expected, kind="stable")
+    return _pooled_p_value(observed[order], expected[order])
 
 
 class TestTofResolution:
@@ -120,6 +193,81 @@ class TestTofSimulate:
         with pytest.raises(ConfigError, match="n_pairs"):
             tof_simulate(default_jsa, FiberSpec(), DetectorSpec(),
                          n_pairs=0, seed=1)
+
+
+@pytest.fixture(scope="module")
+def three_cell_jsa(default_jsa):
+    """Three off-diagonal cells of unequal weight on the default grid.
+
+    Each cell is far narrower than the jitter, so its histogram is one
+    arm response per axis: the jitter width, the dither across the cell
+    and the order of the arms all change it, where the default JSA's
+    lobes are too broad for any of them to show.
+    """
+    amplitude = np.zeros(default_jsa.grid.shape)
+    amplitude[80, 360], amplitude[84, 360], amplitude[256, 120] = 1.0, 0.7, 0.5
+    return JsaGrid(grid=default_jsa.grid, amplitude=amplitude)
+
+
+class TestExactTofModel:
+    """The closed-form bin probabilities against the per-pair Monte Carlo
+    oracle, and tof_simulate's draws against the same probabilities."""
+
+    N_PAIRS = 1_000_000
+
+    @pytest.mark.parametrize("jsa_name", ["default_jsa", "three_cell_jsa"])
+    @pytest.mark.parametrize("simulate", [_tof_monte_carlo, tof_simulate],
+                             ids=["oracle", "tof_simulate"])
+    def test_histogram_fits_bin_probabilities(self, request, jsa_name,
+                                              simulate):
+        jsa = request.getfixturevalue(jsa_name)
+        fiber, det = FiberSpec(), DetectorSpec()
+        edges_s, edges_i, prob = _tof_bin_probabilities(jsa, fiber, det)
+        hist = simulate(jsa, fiber, det, self.N_PAIRS, 0)
+        assert np.array_equal(hist.signal_edges, edges_s)
+        assert np.array_equal(hist.idler_edges, edges_i)
+        assert _tof_fit_p_value(hist, self.N_PAIRS, prob) > 1e-3
+
+    @pytest.mark.parametrize("jitter", [50e-12, 150e-12, 400e-12])
+    def test_response_rows_sum_to_one(self, default_jsa, jitter):
+        grid = default_jsa.grid
+        fiber, det = FiberSpec(), DetectorSpec(jitter_fwhm=jitter)
+        for axis, widths in ((grid.signal_axis, grid.signal_weights),
+                             (grid.idler_axis, grid.idler_weights)):
+            edges, response = _tof_response(axis, widths, fiber, det)
+            assert response.shape == (axis.size, edges.size - 1)
+            assert np.all(response >= 0)
+            assert np.max(np.abs(response.sum(axis=1) - 1.0)) <= 1e-12
+
+    def test_zero_jitter_rejected(self, default_jsa):
+        with pytest.raises(ConfigError, match="jitter"):
+            tof_simulate(default_jsa, FiberSpec(),
+                         DetectorSpec(jitter_fwhm=0.0), n_pairs=100, seed=0)
+
+
+class TestArrivalHistogram:
+    EDGES = np.linspace(0.0, 1e-9, 11)
+
+    @pytest.mark.parametrize("signal_edges, counts, message", [
+        (EDGES, np.ones((4, 4)), "shape"),
+        (EDGES, np.ones((10, 10, 1)), "shape"),
+        (EDGES[::-1], np.ones((10, 10)), "increasing"),
+        (np.r_[EDGES[:5], EDGES[4:]], np.ones((11, 10)), "increasing"),
+        (np.r_[EDGES[:5], np.nan, EDGES[6:]], np.ones((10, 10)),
+         "increasing"),
+        (EDGES[:, None], np.ones((10, 10)), "1-D"),
+        (EDGES, -np.ones((10, 10)), "non-negative"),
+    ], ids=["too-few-counts", "3-d-counts", "decreasing", "repeated-edge",
+            "nan-edge", "2-d-edges", "negative"])
+    def test_rejects_bad_input(self, signal_edges, counts, message):
+        with pytest.raises(ConfigError, match=message):
+            ArrivalHistogram(signal_edges=signal_edges,
+                             idler_edges=self.EDGES, counts=counts)
+
+    def test_accepts_matching_shapes(self):
+        hist = ArrivalHistogram(signal_edges=self.EDGES[:6],
+                                idler_edges=self.EDGES, counts=np.ones((5, 10)))
+        assert hist.total == 50
 
 
 class TestTofRoundTrip:
