@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__, fixtures, grid_io, reference
 from .config import load_run_config, make_grid
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError, ConvergenceError, read_json
 from .measurement import (DetectorSpec, FiberSpec, RateRecord,
                           multipair_visibility, rates_summary, squeezing_point,
                           squeezing_slope, tof_resolution)
@@ -215,12 +215,9 @@ def cmd_tomography(args: argparse.Namespace) -> int:
         source = f"records:{Path(args.records).name}"
     else:
         if args.state_file is not None:
-            state_path = Path(args.state_file)
-            if not state_path.exists():
-                raise ConfigError(f"{state_path}: no such state file")
-            payload = json.loads(state_path.read_text())
-            truth = TwoQubitState.from_json_dict(payload)
-            source = f"state-file:{state_path.name}"
+            truth = TwoQubitState.from_json_dict(
+                read_json(args.state_file, "state file"))
+            source = f"state-file:{Path(args.state_file).name}"
         else:
             truth = _simulated_state(args.simulate)
             source = f"simulate:{args.simulate}"
@@ -244,7 +241,7 @@ def cmd_tomography(args: argparse.Namespace) -> int:
         "n_per_setting": n if n is not None else 1e5,
         "converged": result.converged,
         "iterations": result.iterations,
-        "neg_log_likelihood": result.neg_log_likelihood,
+        "deviance": result.deviance,
         "purity": metrics.purity,
         "concurrence": metrics.concurrence,
         "fidelity_psi_minus": metrics.fidelity_to_target,
@@ -464,13 +461,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     artifacts = {}
     for command, filename in _ARTIFACTS.items():
         path = runs_dir / command / filename
-        if path.exists():
-            try:
-                artifacts[command] = json.loads(path.read_text())
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-        else:
-            artifacts[command] = None
+        artifacts[command] = (read_json(path, "run artifact")
+                              if path.exists() else None)
 
     if all(v is None for v in artifacts.values()):
         expected = ", ".join(str(runs_dir / c / f)

@@ -10,11 +10,10 @@ loudly.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, read_json
 from .optics import (CrystalSpec, FrequencyGrid, PulseShape, PumpSpec,
                      design_lobe_wavelengths)
 from .rng import check_seed
@@ -120,13 +119,7 @@ def load_run_config(path: str | Path | None = None,
     """
     doc: dict = {}
     if path is not None:
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"{path}: no such config file")
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+        doc = read_json(path, "config file")
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
         _reject_unknown(doc, _TOP_FIELDS, f"{path}")

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, read_input
 from .optics import TWO_PI_C, FrequencyGrid
 from .spectral import JsiGrid
 
@@ -78,12 +78,10 @@ def _parse_axis(text: str, path: str, lineno: int) -> np.ndarray:
 
 def load_matrix_csv(path: str | Path) -> tuple[FrequencyGrid, np.ndarray]:
     """Read a matrix written by :func:`save_matrix_csv`."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"{path}: no such file")
+    text = read_input(path, "file")
     signal = idler = None
     rows = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue

@@ -22,7 +22,8 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from .errors import ConfigError, ConvergenceError
-from .optics import _FWHM_SIGMA, TWO_PI_C, FrequencyGrid, JsaGrid
+from .optics import (_FWHM_SIGMA, TWO_PI_C, FrequencyGrid, JsaGrid,
+                     _check_numbers)
 from .polarization import TwoQubitState, analyzer_projector
 from .rng import substream
 from .spectral import JsiGrid
@@ -60,6 +61,7 @@ class FiberSpec:
     reference_wavelength: float = 1560e-9
 
     def __post_init__(self) -> None:
+        _check_numbers(self, "fiber")
         if self.length <= 0:
             raise ConfigError("fiber length must be positive")
         if self.dispersion_ps_nm_km == 0:
@@ -86,6 +88,7 @@ class DetectorSpec:
     efficiency: float = 1.0
 
     def __post_init__(self) -> None:
+        _check_numbers(self, "detector")
         if self.jitter_fwhm < 0:
             raise ConfigError("jitter_fwhm must be non-negative")
         if not 0.0 <= self.efficiency <= 1.0:

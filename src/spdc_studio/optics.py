@@ -268,7 +268,7 @@ class JsaGrid:
             raise ConfigError(
                 f"amplitude shape {amp.shape} does not match grid {self.grid.shape}"
             )
-        if not np.all(np.isfinite(amp.view(float))):
+        if not np.all(np.isfinite(amp)):
             raise ConfigError("JSA amplitude contains non-finite entries")
         object.__setattr__(self, "amplitude", amp)
         if self.normalized and abs(self.norm_squared - 1.0) > 1e-9:

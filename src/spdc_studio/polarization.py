@@ -78,7 +78,7 @@ class TwoQubitState:
         rho = np.asarray(self.matrix, dtype=complex)
         if rho.shape != (4, 4):
             raise ConfigError(f"density matrix must be 4x4, got {rho.shape}")
-        if not np.all(np.isfinite(rho.view(float))):
+        if not np.all(np.isfinite(rho)):
             raise ConfigError("density matrix contains non-finite entries")
         if np.linalg.norm(rho - rho.conj().T) > _HERMITIAN_TOL:
             raise ConfigError("density matrix is not Hermitian")

@@ -1,9 +1,11 @@
 """Sixteen-setting two-qubit state tomography.
 
 Forward simulation draws Poisson coincidence counts for the canonical
-sixteen projective settings; reconstruction runs a maximum-likelihood fit
-over a Cholesky-style parameterization that keeps every iterate a valid
-density matrix, seeded by linear (Stokes) inversion.
+sixteen projective settings (James et al., PRA 64, 052312 (2001)).
+Reconstruction minimizes the Poisson deviance over a full complex factor
+T of rho = T T~ / tr(T T~), which keeps every iterate a valid density
+matrix, with L-BFGS-B on the closed-form gradient, starting from linear
+(Stokes) inversion.
 
 Single-qubit analysis kets, written in the (H, V) basis:
 
@@ -18,6 +20,7 @@ labs; this one is fixed here and used consistently everywhere.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +28,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import ConfigError
+from .errors import ConfigError, read_input
 from .polarization import PAULI, TwoQubitState
 from .rng import substream
 
@@ -100,14 +103,15 @@ class TomographyRecord:
     def __post_init__(self) -> None:
         if self.counts < 0:
             raise ConfigError("counts must be non-negative")
-        if not self.acquisition_scale > 0:
-            raise ConfigError("acquisition_scale must be positive")
+        if not (math.isfinite(self.acquisition_scale)
+                and self.acquisition_scale > 0):
+            raise ConfigError("acquisition_scale must be positive and finite")
 
 
 @dataclass(frozen=True)
 class MleResult:
     state: TwoQubitState
-    neg_log_likelihood: float
+    deviance: float
     iterations: int
     converged: bool
 
@@ -191,65 +195,59 @@ def linear_inversion(records: list[TomographyRecord]) -> TwoQubitState:
     return TwoQubitState(matrix=rho)
 
 
-_TRIL_ROWS, _TRIL_COLS = np.tril_indices(4, k=-1)
+def _deviance(x: np.ndarray, ops: np.ndarray, counts: np.ndarray,
+              scales: np.ndarray) -> tuple[float, np.ndarray]:
+    """Poisson deviance sum_k [m_k - n_k - n_k log(m_k/n_k)] of the state
+    rho = T T~ / tau, tau = tr(T T~), with m_k = N_k p_k = N_k tr(O_k rho),
+    and its gradient in x, the complex 4x4 factor T viewed as 32 floats.
 
-
-def _params_to_t(t: np.ndarray) -> np.ndarray:
-    tri = np.zeros((4, 4), dtype=complex)
-    tri[np.diag_indices(4)] = t[:4]
-    tri[_TRIL_ROWS, _TRIL_COLS] = t[4:10] + 1j * t[10:16]
-    return tri
-
-
-def _t_to_params(tri: np.ndarray) -> np.ndarray:
-    t = np.empty(16)
-    t[:4] = np.real(np.diag(tri))
-    off = tri[_TRIL_ROWS, _TRIL_COLS]
-    t[4:10] = off.real
-    t[10:16] = off.imag
-    return t
-
-
-def _rho_of(t: np.ndarray) -> np.ndarray:
-    tri = _params_to_t(t)
-    rho = tri @ tri.conj().T
-    return rho / np.real(np.trace(rho))
+    The gradient is X = 2 (G - g 1) T / tau viewed the same way, with
+    G = sum_k (N_k - n_k/p_k) O_k and g = tr(G rho) (Rehacek et al.,
+    PRA 75, 042108 (2007)).
+    """
+    t = x.view(complex).reshape(4, 4)
+    tau = np.vdot(t, t).real
+    rho = t @ t.conj().T / tau
+    # the floor keeps n/m finite where a predicted mean underflows
+    means = np.maximum(scales * np.einsum("kij,ji->k", ops, rho).real, 1e-12)
+    excess = means - counts
+    # term by term: the total of m - n log m, offset by the saturated
+    # constant afterwards, cancels to rounding noise above ftol; n = 0
+    # contributes m alone
+    terms = excess - counts * np.log1p(excess / np.maximum(counts, 1.0))
+    g_op = np.einsum("k,kij->ij", scales * excess / means, ops)
+    grad = 2.0 * (g_op - np.trace(g_op @ rho).real * np.eye(4)) @ t / tau
+    return float(np.sum(terms)), grad.ravel().view(float)
 
 
 def mle_reconstruct(records: list[TomographyRecord]) -> MleResult:
     """Maximum-likelihood state estimate under the Poisson counting model.
 
-    Minimizes sum_k [N_k p_k - n_k log(N_k p_k)] over a triangular-factor
-    parameterization rho = T T~ / Tr(T T~), which is positive and unit
-    trace by construction. Initialized from the projected linear
-    inversion. Non-convergence is reported through the ``converged`` flag
-    rather than an exception.
+    L-BFGS-B minimizes the deviance of ``_deviance`` with its closed-form
+    gradient over a full complex factor T; rho = T T~ / tr(T T~) is
+    positive and unit trace by construction. The start T0 = V sqrt(L)
+    diagonalizes the projected linear inversion mixed with 0.1 % of the
+    maximally mixed state: the gradient of a zero column of T is zero, so
+    a rank-deficient start would keep its rank. Non-convergence is
+    reported through the ``converged`` flag rather than an exception.
     """
     init = linear_inversion(records)  # also validates the design
     ops = np.array([rec.setting.operator for rec in records])
     counts = np.array([rec.counts for rec in records], dtype=float)
     scales = np.array([rec.acquisition_scale for rec in records], dtype=float)
 
-    # small admixture of the maximally mixed state keeps the Cholesky
-    # factor well-defined when the linear inversion is rank-deficient
-    rho0 = 0.999 * init.matrix + 0.001 * np.eye(4) / 4.0
-    t0 = _t_to_params(np.linalg.cholesky(rho0))
-
-    floor = 1e-12
-
-    def nll(t: np.ndarray) -> float:
-        rho = _rho_of(t)
-        probs = np.real(np.einsum("kij,ji->k", ops, rho))
-        means = np.clip(scales * probs, floor, None)
-        return float(np.sum(means - counts * np.log(means)))
-
-    result = minimize(nll, t0, method="L-BFGS-B",
+    eigvals, eigvecs = np.linalg.eigh(0.999 * init.matrix
+                                      + 0.001 * np.eye(4) / 4.0)
+    t0 = eigvecs * np.sqrt(eigvals)
+    result = minimize(_deviance, t0.ravel().view(float),
+                      args=(ops, counts, scales), jac=True, method="L-BFGS-B",
                       options={"maxiter": 2000, "ftol": 1e-10, "gtol": 1e-9})
 
-    state = TwoQubitState(matrix=_rho_of(result.x))
+    t = result.x.view(complex).reshape(4, 4)
+    rho = t @ t.conj().T
     return MleResult(
-        state=state,
-        neg_log_likelihood=float(result.fun),
+        state=TwoQubitState(matrix=rho / np.trace(rho).real),
+        deviance=float(result.fun),
         iterations=int(result.nit),
         converged=bool(result.success),
     )
@@ -266,24 +264,22 @@ def save_records(records: list[TomographyRecord], path: str | Path) -> None:
 
 
 def load_records(path: str | Path) -> list[TomographyRecord]:
-    if not Path(path).exists():
-        raise ConfigError(f"{path}: no such records file")
+    reader = csv.DictReader(io.StringIO(read_input(path, "records file"),
+                                        newline=""))
+    if reader.fieldnames != ["label", "counts", "acquisition_scale"]:
+        raise ConfigError(
+            f"{path}: expected header label,counts,acquisition_scale"
+        )
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["label", "counts", "acquisition_scale"]:
-            raise ConfigError(
-                f"{path}: expected header label,counts,acquisition_scale"
-            )
-        for row in reader:
-            try:
-                records.append(TomographyRecord(
-                    setting=setting_from_label(row["label"]),
-                    counts=int(row["counts"]),
-                    acquisition_scale=float(row["acquisition_scale"]),
-                ))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}: malformed row {row}: {exc}") from exc
+    for row in reader:
+        try:
+            records.append(TomographyRecord(
+                setting=setting_from_label(row["label"]),
+                counts=int(row["counts"]),
+                acquisition_scale=float(row["acquisition_scale"]),
+            ))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}: malformed row {row}: {exc}") from exc
     if not records:
         raise ConfigError(f"{path}: no tomography records found")
     return records

@@ -13,6 +13,7 @@ from spdc_studio.grid_io import save_jsi_csv
 from spdc_studio.optics import TWO_PI_C, FrequencyGrid, JsaGrid, compute_jsa
 from spdc_studio.polarization import TwoQubitState
 from spdc_studio.spectral import jsi_of
+from spdc_studio.tomography import standard_16_settings
 
 
 TWO_LOBE_KEYS = {"overlap_integral", "schmidt_purity", "schmidt_number",
@@ -344,6 +345,35 @@ def test_exit_2_creates_no_output_directory(tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["tomography", "--state-file", "bad.json"], "bad.json:1:"),
+    (["tomography", "--state-file", "adir"], "adir: cannot read state file"),
+    (["tomography", "--records", "adir"], "adir: cannot read records file"),
+    (["tomography", "--records", "binary.csv"], "binary.csv: records file is "
+                                                "not UTF-8"),
+    (["tomography", "--records", "inf.csv"], "inf.csv: malformed row"),
+    (["analyze-jsi", "adir"], "adir: cannot read file"),
+    (["simulate-jsa", "--config", "adir"], "adir: cannot read config file"),
+    (["report", "dirruns"], "report.json: cannot read run artifact"),
+], ids=["malformed-state", "state-dir", "records-dir", "records-binary",
+        "records-inf-scale", "jsi-dir", "config-dir", "artifact-dir"])
+def test_unreadable_input_exits_2(tmp_path, capsys, argv, named):
+    (tmp_path / "bad.json").write_text('{"matrix": [[')
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "binary.csv").write_bytes(b"label,counts\n\xff\xfe\n")
+    (tmp_path / "inf.csv").write_text(
+        "label,counts,acquisition_scale\n"
+        + "".join(f"{s.label},100,inf\n" for s in standard_16_settings()))
+    (tmp_path / "dirruns" / "tomography" / "report.json").mkdir(parents=True)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert named in err
     assert not out.exists()
     assert not (tmp_path / "runs").exists()
 

@@ -174,6 +174,17 @@ class TestTofResolution:
         with pytest.raises(ConfigError, match="jitter"):
             DetectorSpec(jitter_fwhm=-1e-12)
 
+    @pytest.mark.parametrize("make", [
+        lambda: FiberSpec(length=np.nan),
+        lambda: FiberSpec(dispersion_ps_nm_km=np.inf),
+        lambda: FiberSpec(reference_wavelength=np.inf),
+        lambda: DetectorSpec(jitter_fwhm=np.nan),
+        lambda: DetectorSpec(jitter_fwhm=np.inf),
+    ], ids=["length", "dispersion", "reference", "jitter-nan", "jitter-inf"])
+    def test_non_finite_spec_rejected(self, make):
+        with pytest.raises(ConfigError, match="must be finite"):
+            make()
+
 
 class TestTofSimulate:
     def test_deterministic_and_complete(self, default_jsa):

@@ -238,6 +238,16 @@ class TestComputeJsa:
                 JsaGrid(grid=default_jsa.grid,
                         amplitude=amplitude).normalized_copy()
 
+    def test_non_contiguous_amplitude(self, default_jsa):
+        # a transposed view has no contiguous last axis
+        amplitude = np.abs(default_jsa.amplitude)
+        grid = JsaGrid(grid=default_jsa.grid, amplitude=amplitude.T)
+        assert np.array_equal(grid.amplitude, amplitude.T)
+        bad = amplitude.T.copy(order="F")
+        bad[3, 5] = np.inf
+        with pytest.raises(ConfigError, match="non-finite"):
+            JsaGrid(grid=default_jsa.grid, amplitude=bad)
+
     def test_grid_too_coarse_rejected(self, default_crystal, default_pump):
         grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 32)
         with pytest.raises(ConfigError, match="samples"):

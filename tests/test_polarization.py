@@ -107,6 +107,13 @@ class TestStateValidation:
         with pytest.raises(ConfigError, match="non-finite"):
             TwoQubitState(matrix=rho)
 
+    def test_fortran_ordered_matrix(self):
+        rho = np.asfortranarray(np.eye(4, dtype=complex) / 4)
+        assert TwoQubitState(matrix=rho).matrix[1, 1] == 0.25
+        rho[2, 2] = np.inf
+        with pytest.raises(ConfigError, match="non-finite"):
+            TwoQubitState(matrix=rho)
+
     def test_negative_eigenvalue_rejected(self):
         rho = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
         with pytest.raises(ConfigError, match="positivity"):

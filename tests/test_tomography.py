@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from spdc_studio import tomography
 from spdc_studio.errors import ConfigError
-from spdc_studio.polarization import (BellKind, TwoQubitState, bell_state,
-                                      concurrence, trace_distance,
-                                      werner_state)
+from spdc_studio.fixtures import load_reference_state
+from spdc_studio.polarization import (PAULI, BellKind, TwoQubitState,
+                                      bell_state, concurrence,
+                                      trace_distance, werner_state)
 from spdc_studio.tomography import (KETS, ProjectorSetting, TomographyRecord,
                                     expected_probability, linear_inversion,
                                     load_records, mle_reconstruct,
@@ -119,6 +121,63 @@ class TestLinearInversion:
             linear_inversion(records)
 
 
+def _arrays(records):
+    return (np.array([r.setting.operator for r in records]),
+            np.array([r.counts for r in records], dtype=float),
+            np.array([r.acquisition_scale for r in records]))
+
+
+def _barrier_newton_deviance(records):
+    """Least Poisson deviance by an independent method: damped Newton on
+    D(r) - mu log det rho(r) over the 15 Pauli coordinates r of
+    rho = (1 + sum r_a s_a)/4, with mu shrunk tenfold per stage down to
+    1e-9. D is convex in r, and at the end of each stage the deviance
+    exceeds its minimum over the states by about 4 mu at most."""
+    ops, n, scale = _arrays(records)
+    paulis = np.array([np.kron(PAULI[a], PAULI[b])
+                       for a in "ixyz" for b in "ixyz"][1:])
+    # m = m0 + A r, the expected counts
+    m0 = scale * np.einsum("kii->k", ops).real / 4.0
+    amat = scale[:, None] * np.einsum("kij,aji->ka", ops, paulis).real / 4.0
+
+    def rho_of(r):
+        return (np.eye(4) + np.tensordot(r, paulis, axes=1)) / 4.0
+
+    def deviance(r):
+        excess = m0 + amat @ r - n
+        # per term, with log1p: the total of n log m would cancel to noise
+        return float(np.sum(excess
+                            - n * np.log1p(excess / np.maximum(n, 1.0))))
+
+    def objective(r, mu):
+        m = m0 + amat @ r
+        eig = np.linalg.eigvalsh(rho_of(r))
+        if eig[0] <= 0 or np.any(m <= 0):
+            return np.inf
+        return deviance(r) - mu * float(np.sum(np.log(eig)))
+
+    r = np.zeros(15)
+    mu = 1.0
+    while mu >= 1e-9:
+        for _ in range(500):
+            m = m0 + amat @ r
+            inv_s = np.linalg.inv(rho_of(r)) @ paulis
+            grad = (amat.T @ (1.0 - n / m)
+                    - mu * np.einsum("aii->a", inv_s).real / 4.0)
+            hess = ((amat.T * (n / m ** 2)) @ amat
+                    + mu * np.einsum("aij,bji->ab", inv_s, inv_s).real / 16.0)
+            step = -np.linalg.solve(hess, grad)
+            decrement = -float(grad @ step)
+            if decrement < 1e-10:
+                break
+            f0, t = objective(r, mu), 1.0
+            while objective(r + t * step, mu) > f0 - 0.25 * t * decrement:
+                t *= 0.5
+            r = r + t * step
+        mu /= 10.0
+    return deviance(r)
+
+
 class TestMleReconstruct:
     def test_noiseless_recovery(self):
         rho = werner_state(0.9)
@@ -132,13 +191,40 @@ class TestMleReconstruct:
         a = mle_reconstruct(records)
         b = mle_reconstruct(records)
         assert np.array_equal(a.state.matrix, b.state.matrix)
-        assert a.neg_log_likelihood == b.neg_log_likelihood
+        assert a.deviance == b.deviance
 
     def test_werner_concurrence_recovered(self):
         records = simulate_counts(werner_state(0.9), standard_16_settings(),
                                   1e5, seed=3)
         result = mle_reconstruct(records)
         assert concurrence(result.state) == pytest.approx(0.85, abs=0.02)
+
+    def test_deviance_gradient_matches_central_differences(self):
+        records = simulate_counts(load_reference_state(),
+                                  standard_16_settings(), 1e3, seed=1)
+        args = _arrays(records)
+        x = np.random.default_rng(5).normal(size=32)
+        _, grad = tomography._deviance(x, *args)
+        h = 1e-6
+        numeric = [(tomography._deviance(x + h * e, *args)[0]
+                    - tomography._deviance(x - h * e, *args)[0]) / (2 * h)
+                   for e in np.eye(32)]
+        assert np.allclose(grad, numeric, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("state, pairs, seed", [
+        ("reference", 1e5, 0), ("reference", 1e5, 1), ("reference", 1e5, 2),
+        ("psi-minus", 1e5, 0), ("reference", 1e3, 1)])
+    def test_reaches_least_deviance(self, state, pairs, seed):
+        truth = (load_reference_state() if state == "reference"
+                 else bell_state(BellKind.PSI_MINUS))
+        records = simulate_counts(truth, standard_16_settings(), pairs, seed)
+        result = mle_reconstruct(records)
+        ops, n, scale = _arrays(records)
+        m = scale * np.einsum("kij,ji->k", ops, result.state.matrix).real
+        assert result.converged
+        assert result.deviance == pytest.approx(
+            np.sum(m - n - xlogy(n, m) + xlogy(n, n)), abs=1e-8)
+        assert result.deviance <= _barrier_newton_deviance(records) + 1e-6
 
     def test_nonconverged_result_flagged(self, monkeypatch):
         real_minimize = tomography.minimize
@@ -185,6 +271,16 @@ class TestRecordsIo:
         path = tmp_path / "empty.csv"
         path.write_text("label,counts,acquisition_scale\n")
         with pytest.raises(ConfigError, match="no tomography records"):
+            load_records(path)
+
+    def test_non_finite_scale_rejected(self, tmp_path):
+        for scale in (np.inf, np.nan, 0.0):
+            with pytest.raises(ConfigError, match="positive and finite"):
+                TomographyRecord(setting=setting_from_label("HH"), counts=3,
+                                 acquisition_scale=scale)
+        path = tmp_path / "inf.csv"
+        path.write_text("label,counts,acquisition_scale\nHH,3,inf\n")
+        with pytest.raises(ConfigError, match="malformed row .*'HH'.*finite"):
             load_records(path)
 
     def test_negative_counts_rejected(self):
