@@ -52,7 +52,7 @@ from .tomography import (load_records, mle_reconstruct, save_records,
                          simulate_counts, standard_16_settings)
 
 SCHEMA_VERSION = 1
-_MC_TRIALS = 200_000
+_N_TRIALS = 200_000
 _DEFAULT_POWERS_MW = "50,155,310,620"
 
 _ARTIFACTS = {
@@ -211,8 +211,16 @@ def cmd_tomography(args: argparse.Namespace) -> int:
 
     truth = None
     if args.records is not None:
+        if n is not None:
+            raise ConfigError(
+                "--n-per-setting sets the pairs of simulated counts and "
+                "cannot be combined with --records, whose acquisition_scale "
+                "column gives the pairs per setting")
         records = load_records(args.records)
         source = f"records:{Path(args.records).name}"
+        # the records' own pairs per setting; null when they differ
+        scales = {rec.acquisition_scale for rec in records}
+        n = scales.pop() if len(scales) == 1 else None
     else:
         if args.state_file is not None:
             truth = TwoQubitState.from_json_dict(
@@ -221,8 +229,9 @@ def cmd_tomography(args: argparse.Namespace) -> int:
         else:
             truth = _simulated_state(args.simulate)
             source = f"simulate:{args.simulate}"
-        pairs = n if n is not None else 1e5
-        records = simulate_counts(truth, standard_16_settings(), pairs,
+        if n is None:
+            n = 1e5
+        records = simulate_counts(truth, standard_16_settings(), n,
                                   args.seed)
 
     result = mle_reconstruct(records)
@@ -238,7 +247,7 @@ def cmd_tomography(args: argparse.Namespace) -> int:
         "command": "tomography",
         "source": source,
         "seed": args.seed,
-        "n_per_setting": n if n is not None else 1e5,
+        "n_per_setting": n,
         "converged": result.converged,
         "iterations": result.iterations,
         "deviance": result.deviance,
@@ -288,9 +297,9 @@ def cmd_visibility(args: argparse.Namespace) -> int:
     for k, mw in enumerate(powers_mw):
         p_w = mw * 1e-3
         r_true = reference.SQUEEZING_SLOPE * math.sqrt(p_w)
-        v_hv = multipair_visibility(r_true, det, _MC_TRIALS, args.seed,
+        v_hv = multipair_visibility(r_true, det, _N_TRIALS, args.seed,
                                     stream=f"visibility.hv.{k}")
-        v_da = multipair_visibility(r_true, det, _MC_TRIALS, args.seed,
+        v_da = multipair_visibility(r_true, det, _N_TRIALS, args.seed,
                                     stream=f"visibility.da.{k}")
         scan_rows.append((mw, "HV", v_hv))
         scan_rows.append((mw, "DA", v_da))
@@ -323,7 +332,7 @@ def cmd_visibility(args: argparse.Namespace) -> int:
     _write_json(out / "squeezing.json", {
         "command": "visibility",
         "seed": args.seed,
-        "mc_trials": _MC_TRIALS,
+        "n_trials": _N_TRIALS,
         "fit_method": fit_method,
         "C_per_sqrt_w": c_fit,
         "points": points,

@@ -276,8 +276,8 @@ class JsaGrid:
 
     @property
     def norm_squared(self) -> float:
-        w = np.outer(self.grid.signal_weights, self.grid.idler_weights)
-        return float(np.sum(np.abs(self.amplitude) ** 2 * w))
+        return float(self.grid.signal_weights @ np.abs(self.amplitude) ** 2
+                     @ self.grid.idler_weights)
 
     def normalized_copy(self) -> "JsaGrid":
         n2 = self.norm_squared

@@ -197,7 +197,7 @@ def fidelity(rho: TwoQubitState, target: TwoQubitState) -> float:
     return float(np.real(np.trace(inner)) ** 2)
 
 
-def correlation_matrix(rho: TwoQubitState) -> np.ndarray:
+def _correlation_matrix(rho: TwoQubitState) -> np.ndarray:
     """T_ij = Tr(rho sigma_i x sigma_j) for i, j in (x, y, z)."""
     t = np.empty((3, 3))
     for i, si in enumerate("xyz"):
@@ -213,7 +213,7 @@ def chsh_max(rho: TwoQubitState) -> float:
     S = 2 sqrt(m1 + m2) with m1 >= m2 the two largest eigenvalues of
     T^T T, where T is the Pauli correlation matrix.
     """
-    t = correlation_matrix(rho)
+    t = _correlation_matrix(rho)
     m = np.sort(np.linalg.eigvalsh(t.T @ t))[::-1]
     return float(2.0 * math.sqrt(max(m[0] + m[1], 0.0)))
 

@@ -8,7 +8,13 @@ feeds the polarization density matrix.
 
 The Schmidt purity comes from the Gram matrix of the quadrature-weighted
 amplitude, not from a singular-value decomposition, so no Schmidt
-coefficients are computed or returned.
+coefficients are computed or returned. The Gram matrix is formed over the
+nonzero rows and columns only, on the smaller side, and in real arithmetic
+when the amplitude is real.
+
+The quadrature weights are separable, w(ws, wi) = w_s(ws) w_i(wi), so every
+weighted sum here scales rows by w_s and columns by w_i (a norm is
+w_s @ |f|^2 @ w_i); no 2-D grid of weights is built.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ __all__ = [
     "split_lobes",
     "lobe_overlap_matrix",
     "single_lobe_purity",
-    "marginal_spectrum",
     "lobe_metrics",
 ]
 
@@ -80,10 +85,6 @@ class SchmidtResult:
     schmidt_number: float
 
 
-def _weights(grid: FrequencyGrid) -> np.ndarray:
-    return np.outer(grid.signal_weights, grid.idler_weights)
-
-
 def jsi_of(jsa: JsaGrid) -> JsiGrid:
     """Elementwise squared magnitude of the amplitude."""
     return JsiGrid(grid=jsa.grid, intensity=np.abs(jsa.amplitude) ** 2)
@@ -95,14 +96,15 @@ def jsa_from_jsi(jsi: JsiGrid) -> JsaGrid:
     Every sample with omega_i > omega_s is negated, which is the relative
     phase the two-lobe design imprints.
     """
-    total = float(np.sum(jsi.intensity * _weights(jsi.grid)))
+    grid = jsi.grid
+    total = float(grid.signal_weights @ jsi.intensity @ grid.idler_weights)
     if total <= 0:
         raise ConfigError("cannot build an amplitude from an all-zero JSI")
     amplitude = np.sqrt(jsi.intensity / total).astype(complex)
-    ws = jsi.grid.signal_axis[:, np.newaxis]
-    wi = jsi.grid.idler_axis[np.newaxis, :]
+    ws = grid.signal_axis[:, np.newaxis]
+    wi = grid.idler_axis[np.newaxis, :]
     amplitude = np.where(wi > ws, -amplitude, amplitude)
-    return JsaGrid(grid=jsi.grid, amplitude=amplitude, normalized=True)
+    return JsaGrid(grid=grid, amplitude=amplitude, normalized=True)
 
 
 def overlap_integral(jsa: JsaGrid) -> float:
@@ -116,7 +118,9 @@ def overlap_integral(jsa: JsaGrid) -> float:
         raise ConfigError("overlap integral needs identical signal/idler axes")
     jsa = jsa if jsa.normalized else jsa.normalized_copy()
     f = jsa.amplitude
-    inner = np.sum(f * np.conj(f.T) * _weights(jsa.grid))
+    weighted = f * jsa.grid.signal_weights[:, np.newaxis]
+    weighted *= jsa.grid.idler_weights
+    inner = np.vdot(np.ascontiguousarray(f.T), weighted)
     return float(np.abs(inner) ** 2)
 
 
@@ -127,11 +131,30 @@ def schmidt(jsa: JsaGrid) -> SchmidtResult:
     eigenvalues of G = A^H A divided by tr G, so the purity sum(lambda_k^2)
     is ||G||_F^2 / (tr G)^2 exactly. The ratio does not depend on the
     normalization of the JSA.
+
+    Rows and columns of the amplitude that are identically zero add nothing
+    to G and are dropped first; a lobe from ``split_lobes`` is zero on about
+    half its rows. Of A^H A and A A^H, which share ||G||_F^2 and tr G, the
+    smaller is formed. An amplitude whose imaginary part is exactly zero
+    (the analytic JSA, ``jsa_from_jsi`` and their lobes) takes real
+    arithmetic, where A^T A runs as a symmetric rank-k update.
     """
     grid = jsa.grid
-    weighted = jsa.amplitude * np.sqrt(grid.signal_weights)[:, np.newaxis]
-    weighted *= np.sqrt(grid.idler_weights)
-    gram = weighted.conj().T @ weighted
+    amp = jsa.amplitude
+    nonzero = amp != 0
+    rows = np.flatnonzero(nonzero.any(axis=1))
+    cols = np.flatnonzero(nonzero.any(axis=0))
+    if rows.size < amp.shape[0] or cols.size < amp.shape[1]:
+        amp = amp[np.ix_(rows, cols)]
+    if not np.any(amp.imag):
+        amp = amp.real
+    weighted = amp * np.sqrt(grid.signal_weights[rows])[:, np.newaxis]
+    weighted *= np.sqrt(grid.idler_weights[cols])
+    adjoint = weighted.conj().T  # a view of weighted itself when it is real
+    if rows.size < cols.size:
+        gram = weighted @ adjoint
+    else:
+        gram = adjoint @ weighted
     norm_squared = float(np.trace(gram).real)
     if norm_squared <= 0:
         raise ConfigError("cannot take the Schmidt purity of an all-zero JSA")
@@ -139,14 +162,14 @@ def schmidt(jsa: JsaGrid) -> SchmidtResult:
     return SchmidtResult(purity=purity, schmidt_number=1.0 / purity)
 
 
-def marginal_spectrum(jsi: JsiGrid) -> tuple[np.ndarray, np.ndarray]:
+def _marginal_spectrum(jsi: JsiGrid) -> tuple[np.ndarray, np.ndarray]:
     """Signal marginal intensity density (signal omega axis, density)."""
     return jsi.grid.signal_axis, jsi.intensity @ jsi.grid.idler_weights
 
 
 def _suggest_cut(jsi: JsiGrid) -> float:
     """Wavelength of the marginal-intensity minimum between the two lobes."""
-    omega, density = marginal_spectrum(jsi)
+    omega, density = _marginal_spectrum(jsi)
     peak = int(np.argmax(density))
     # second peak: best sample at least one lobe-width away on the other side
     mask = np.abs(omega - omega[peak]) > 0.2 * (omega[-1] - omega[0])
@@ -176,13 +199,14 @@ def split_lobes(jsa: JsaGrid, cut_wavelength: float) -> LobePair:
     cut_omega = TWO_PI_C / cut_wavelength
     lam_s = TWO_PI_C / grid.signal_axis
 
-    w = _weights(grid)
-    intensity = np.abs(jsa.amplitude) ** 2 * w
-    total = float(np.sum(intensity))
+    # intensity per signal row, integrated over the idler axis
+    row_intensity = (np.abs(jsa.amplitude) ** 2 @ grid.idler_weights
+                     * grid.signal_weights)
+    total = float(np.sum(row_intensity))
     if total <= 0:
         raise ConfigError("cannot split an all-zero JSA")
     strip = np.abs(lam_s - cut_wavelength) <= _STRIP_HALFWIDTH
-    strip_fraction = float(np.sum(intensity[strip, :])) / total
+    strip_fraction = float(np.sum(row_intensity[strip])) / total
     if strip_fraction > _MAX_CUT_FRACTION:
         suggestion = _suggest_cut(jsi_of(jsa))
         raise ConfigError(
@@ -213,12 +237,14 @@ def lobe_overlap_matrix(lobes: LobePair) -> np.ndarray:
     grid = lobes.f1.grid
     if not grid.axes_identical:
         raise ConfigError("lobe overlaps need identical signal/idler axes")
-    w = _weights(grid)
+    w_s, w_i = grid.signal_weights, grid.idler_weights
     a1 = lobes.f1.amplitude
     a2 = lobes.f2.amplitude
-    f11 = float(np.sum(np.abs(a1) ** 2 * w))
-    f22 = float(np.sum(np.abs(a2) ** 2 * w))
-    f12 = complex(np.sum(a1 * np.conj(a2.T) * w))
+    f11 = float(w_s @ np.abs(a1) ** 2 @ w_i)
+    f22 = float(w_s @ np.abs(a2) ** 2 @ w_i)
+    weighted = a1 * w_s[:, np.newaxis]
+    weighted *= w_i
+    f12 = complex(np.vdot(np.ascontiguousarray(a2.T), weighted))
     if abs(f12) > math.sqrt(f11 * f22) + 1e-9:
         raise ConvergenceError(
             "lobe overlap violates the Cauchy-Schwarz bound; "
@@ -276,7 +302,7 @@ def lobe_metrics(jsi: JsiGrid, cut_wavelength: float) -> dict:
     robust against noise but pulled by asymmetric tails; the refined peak
     is what lobe positions are usually quoted as.
     """
-    omega, density = marginal_spectrum(jsi)
+    omega, density = _marginal_spectrum(jsi)
     lam = TWO_PI_C / omega
     # express the marginal as a density in wavelength so centroids and
     # widths read directly in nm

@@ -236,6 +236,38 @@ class TestTomography:
         assert b["chsh_s"] == pytest.approx(a["chsh_s"], abs=1e-9)
         assert "truth" not in b
 
+    def test_records_report_their_own_scale(self, tmp_path):
+        first = tmp_path / "first"
+        assert main(["tomography", "--n-per-setting", "1000",
+                     "--out", str(first)]) == 0
+        second = tmp_path / "second"
+        assert main(["tomography", "--records", str(first / "records.csv"),
+                     "--out", str(second)]) == 0
+        assert _read_json(second / "report.json")["n_per_setting"] == 1000.0
+
+        # one setting measured twice as long: no common scale to report
+        lines = (first / "records.csv").read_text().splitlines()
+        label, counts, scale = lines[1].split(",")
+        lines[1] = f"{label},{2 * int(counts)},{2 * float(scale):.17g}"
+        mixed = tmp_path / "mixed.csv"
+        mixed.write_text("\n".join(lines) + "\n")
+        third = tmp_path / "third"
+        assert main(["tomography", "--records", str(mixed),
+                     "--out", str(third)]) == 0
+        assert _read_json(third / "report.json")["n_per_setting"] is None
+
+    def test_n_per_setting_with_records_exits_2(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        assert main(["tomography", "--n-per-setting", "1000",
+                     "--out", str(first)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "second"
+        assert main(["tomography", "--records", str(first / "records.csv"),
+                     "--n-per-setting", "1000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--n-per-setting" in err and "--records" in err
+        assert not out.exists()
+
     def test_state_file_input(self, tmp_path):
         state_path = tmp_path / "state.json"
         state_path.write_text(json.dumps(
@@ -279,6 +311,7 @@ class TestVisibility:
                      "--out", str(out)]) == 0
         doc = _read_json(out / "squeezing.json")
         assert doc["fit_method"] == "per_point"
+        assert doc["n_trials"] == 200_000 and "mc_trials" not in doc
         point = doc["points"]["620"]
         assert point["mu"] == pytest.approx(0.1, abs=0.02)
         assert point["squeezing_db"] == pytest.approx(-2.70, abs=0.3)

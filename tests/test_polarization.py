@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from spdc_studio.errors import ConfigError
 from spdc_studio.polarization import (BASIS_LABELS, PAULI, BellKind,
-                                      TwoQubitState, analyzer_projector,
-                                      bell_state, chsh_max,
-                                      concurrence, correlation_matrix,
+                                      TwoQubitState, _correlation_matrix,
+                                      analyzer_projector, bell_state,
+                                      chsh_max, concurrence,
                                       fidelity, metric_report,
                                       predicted_visibility, purity,
                                       rho_from_lobes, trace_distance,
@@ -53,7 +53,7 @@ class TestBellStates:
         assert rho[0, 0] == pytest.approx(0.0)
 
     def test_psi_minus_correlations_are_minus_identity(self):
-        t = correlation_matrix(bell_state(BellKind.PSI_MINUS))
+        t = _correlation_matrix(bell_state(BellKind.PSI_MINUS))
         assert np.allclose(t, -np.eye(3), atol=1e-12)
 
     def test_psi_minus_unit_visibility_every_basis(self):

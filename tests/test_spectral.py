@@ -3,15 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spdc_studio import spectral
 from spdc_studio.errors import ConfigError
-from spdc_studio.optics import (TWO_PI_C, FrequencyGrid, JsaGrid,
-                                design_lobe_wavelengths)
+from spdc_studio.optics import (TWO_PI_C, FrequencyGrid, JsaGrid, PmfMode,
+                                compute_jsa, design_lobe_wavelengths)
 from spdc_studio.polarization import concurrence, predicted_visibility, purity, \
     rho_from_lobes
-from spdc_studio.spectral import (JsiGrid, LobePair, jsa_from_jsi, jsi_of,
-                                  lobe_metrics, lobe_overlap_matrix,
-                                  marginal_spectrum, overlap_integral, schmidt,
-                                  single_lobe_purity, split_lobes)
+from spdc_studio.spectral import (JsiGrid, LobePair, _marginal_spectrum,
+                                  jsa_from_jsi, jsi_of, lobe_metrics,
+                                  lobe_overlap_matrix, overlap_integral,
+                                  schmidt, single_lobe_purity, split_lobes)
 
 
 def _gaussian_blob(grid, center_s_nm, center_i_nm, width_nm):
@@ -38,6 +39,74 @@ def _svd_purity(jsa):
     w = np.outer(jsa.grid.signal_weights, jsa.grid.idler_weights)
     sigma = np.linalg.svd(jsa.amplitude * np.sqrt(w), compute_uv=False)
     return float(np.sum(sigma**4) / np.sum(sigma**2) ** 2)
+
+
+def _gram_purity(jsa):
+    """Reference purity ||G||_F^2 / (tr G)^2 from the full complex Gram
+    G = A^H A of the quadrature-weighted amplitude, as schmidt formed it
+    before it dropped zero rows and took the real path."""
+    w = np.outer(jsa.grid.signal_weights, jsa.grid.idler_weights)
+    a = jsa.amplitude * np.sqrt(w)
+    gram = a.conj().T @ a
+    return float(np.vdot(gram, gram).real) / float(np.trace(gram).real) ** 2
+
+
+def _exchange_sum(a, b, grid):
+    """Reference sum(a * conj(b.T) * outer(ws, wi)), the direct exchange
+    overlap sum behind overlap_integral (a = b) and f12."""
+    w = np.outer(grid.signal_weights, grid.idler_weights)
+    return complex(np.sum(a * np.conj(b.T) * w))
+
+
+def _random_amplitude(rng, shape, complex_valued, zero_lines):
+    """Gaussian amplitude, real or complex, with ``zero_lines`` rows and as
+    many columns set identically to zero."""
+    amp = rng.normal(size=shape)
+    if complex_valued:
+        amp = amp + 1j * rng.normal(size=shape)
+    amp[rng.choice(shape[0], zero_lines, replace=False), :] = 0.0
+    amp[:, rng.choice(shape[1], zero_lines, replace=False)] = 0.0
+    return amp
+
+
+def _exchange_mixed_jsa(seed):
+    """Normalized JSA B + c B^T on identical non-uniform axes, real or
+    complex, with zero rows and columns. The B^T part keeps the exchange
+    sums well away from zero, so they can be compared to a relative 1e-12;
+    any c other than +-1 leaves the amplitude neither symmetric nor
+    antisymmetric, so a dropped transpose shows."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 40))
+    axis = 1e15 + 1e12 * np.cumsum(rng.uniform(0.5, 2.0, n))
+    grid = FrequencyGrid(signal_axis=axis, idler_axis=axis.copy())
+    base = _random_amplitude(rng, (n, n), bool(seed % 2), 0)
+    amp = base + rng.uniform(0.3, 0.7) * base.T
+    amp[rng.choice(n, n // 4, replace=False), :] = 0.0
+    amp[:, rng.choice(n, n // 4, replace=False)] = 0.0
+    return JsaGrid(grid=grid, amplitude=amp).normalized_copy()
+
+
+class _NumpySpy:
+    """Stands in for numpy inside spectral and keeps every first argument
+    of np.vdot: in schmidt that is the Gram matrix, whose dtype and size
+    tell which branch formed it."""
+
+    def __init__(self):
+        self.vdot_args = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def vdot(self, a, b):
+        self.vdot_args.append(a)
+        return np.vdot(a, b)
+
+
+@pytest.fixture()
+def numpy_spy(monkeypatch):
+    spy = _NumpySpy()
+    monkeypatch.setattr(spectral, "np", spy)
+    return spy
 
 
 class TestOverlapIntegral:
@@ -140,6 +209,127 @@ class TestSchmidt:
         jsa = JsaGrid(grid=grid, amplitude=amp)
         assert schmidt(jsa).purity == pytest.approx(_svd_purity(jsa),
                                                     abs=1e-12)
+
+
+class TestKernelsAgainstDirectFormulas:
+    """schmidt, overlap_integral and lobe_overlap_matrix against the direct
+    full-grid formulas they replaced, to a relative 1e-12."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_schmidt_random_non_square(self, seed, complex_valued):
+        # unequal non-uniform axes, either side the longer, with zero rows
+        # and columns: a swapped weight or a wrongly trimmed axis would show
+        rng = np.random.default_rng(seed)
+        m, n = (int(k) for k in rng.integers(6, 40, size=2))
+        grid = FrequencyGrid(signal_axis=np.cumsum(rng.uniform(0.5, 2.0, m)),
+                             idler_axis=np.cumsum(rng.uniform(0.5, 2.0, n)))
+        amp = _random_amplitude(rng, (m, n), complex_valued,
+                                int(rng.integers(0, min(m, n) // 2)))
+        jsa = JsaGrid(grid=grid, amplitude=amp)
+        assert schmidt(jsa).purity == pytest.approx(_gram_purity(jsa),
+                                                    rel=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_overlap_integral_random(self, seed):
+        jsa = _exchange_mixed_jsa(seed)
+        f = jsa.amplitude
+        assert overlap_integral(jsa) == pytest.approx(
+            abs(_exchange_sum(f, f, jsa.grid)) ** 2, rel=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_lobe_overlap_matrix_random(self, seed):
+        jsa = _exchange_mixed_jsa(seed)
+        axis = jsa.grid.signal_axis
+        cut = axis[axis.size // 2]
+        amp1 = np.where((axis > cut)[:, np.newaxis], jsa.amplitude, 0.0)
+        lobes = LobePair(f1=JsaGrid(grid=jsa.grid, amplitude=amp1),
+                         f2=JsaGrid(grid=jsa.grid,
+                                    amplitude=jsa.amplitude - amp1),
+                         cut_frequency=cut)
+        self._assert_lobe_overlaps_match(lobes)
+        for lobe in (lobes.f1, lobes.f2):
+            assert schmidt(lobe).purity == pytest.approx(
+                _gram_purity(lobe), rel=1e-12)
+
+    def test_design_and_measured_jsas_and_their_lobes(
+            self, default_jsa, measured_jsi):
+        for jsa in (default_jsa, jsa_from_jsi(measured_jsi)):
+            f = jsa.amplitude
+            assert overlap_integral(jsa) == pytest.approx(
+                abs(_exchange_sum(f, f, jsa.grid)) ** 2, rel=1e-12)
+            lobes = split_lobes(jsa, 1560e-9)
+            self._assert_lobe_overlaps_match(lobes)
+            for whole_or_lobe in (jsa, lobes.f1, lobes.f2):
+                assert schmidt(whole_or_lobe).purity == pytest.approx(
+                    _gram_purity(whole_or_lobe), rel=1e-12)
+
+    @staticmethod
+    def _assert_lobe_overlaps_match(lobes):
+        a1, a2, grid = lobes.f1.amplitude, lobes.f2.amplitude, lobes.f1.grid
+        w = np.outer(grid.signal_weights, grid.idler_weights)
+        f = lobe_overlap_matrix(lobes)
+        assert f[0, 0].real == pytest.approx(np.sum(np.abs(a1) ** 2 * w),
+                                             rel=1e-12)
+        assert f[1, 1].real == pytest.approx(np.sum(np.abs(a2) ** 2 * w),
+                                             rel=1e-12)
+        assert f[0, 1] == pytest.approx(_exchange_sum(a1, a2, grid),
+                                        rel=1e-12)
+        assert f[1, 0] == np.conj(f[0, 1])
+
+
+class TestSchmidtBranches:
+    """Which Gram matrix schmidt forms: real or complex, over the nonzero
+    rows and columns only, and of the smaller side."""
+
+    def test_real_full_for_the_design_jsa(self, default_jsa, numpy_spy):
+        schmidt(default_jsa)
+        gram, = numpy_spy.vdot_args
+        assert gram.dtype == np.float64
+        assert gram.shape == (512, 512)
+
+    def test_real_trimmed_for_each_lobe(self, default_jsa, measured_jsi,
+                                        numpy_spy):
+        for jsa in (default_jsa, jsa_from_jsi(measured_jsi)):
+            lobes = split_lobes(jsa, 1560e-9)
+            for lobe in (lobes.f1, lobes.f2):
+                nonzero = lobe.amplitude != 0
+                rows = int(np.sum(nonzero.any(axis=1)))
+                cols = int(np.sum(nonzero.any(axis=0)))
+                assert rows < lobe.grid.shape[0]
+                schmidt(lobe)
+                gram = numpy_spy.vdot_args[-1]
+                assert gram.dtype == np.float64
+                assert gram.shape == (min(rows, cols),) * 2
+
+    def test_complex_full_for_the_domain_sampled_jsa(
+            self, default_crystal, default_pump, numpy_spy):
+        grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 96)
+        jsa = compute_jsa(grid, default_crystal, default_pump,
+                          pmf_mode=PmfMode.FROM_DOMAINS)
+        assert np.any(jsa.amplitude.imag)
+        purity = schmidt(jsa).purity
+        gram, = numpy_spy.vdot_args
+        assert gram.dtype == np.complex128
+        assert gram.shape == (96, 96)
+        assert purity == pytest.approx(_gram_purity(jsa), rel=1e-12)
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    @pytest.mark.parametrize("shape", [(12, 30), (30, 12)])
+    def test_trimmed_to_the_smaller_side(self, numpy_spy, complex_valued,
+                                         shape):
+        rng = np.random.default_rng(7)
+        amp = _random_amplitude(rng, shape, complex_valued, 3)
+        grid = FrequencyGrid(signal_axis=np.arange(1.0, shape[0] + 1),
+                             idler_axis=np.arange(1.0, shape[1] + 1))
+        jsa = JsaGrid(grid=grid, amplitude=amp)
+        purity = schmidt(jsa).purity
+        gram, = numpy_spy.vdot_args
+        assert gram.dtype == (np.complex128 if complex_valued else np.float64)
+        assert gram.shape == (min(shape) - 3,) * 2
+        assert purity == pytest.approx(_gram_purity(jsa), rel=1e-12)
 
 
 class TestJsaFromJsi:
@@ -256,7 +446,7 @@ class TestSingleLobePurity:
 class TestMarginals:
     def test_marginal_integrates_to_norm(self, default_jsa):
         jsi = jsi_of(default_jsa)
-        omega, density = marginal_spectrum(jsi)
+        omega, density = _marginal_spectrum(jsi)
         assert np.array_equal(omega, jsi.grid.signal_axis)
         assert np.sum(density * jsi.grid.signal_weights) == pytest.approx(
             1.0, abs=1e-9)
