@@ -161,8 +161,9 @@ def cmd_simulate_jsa(args: argparse.Namespace) -> int:
         **_two_lobe_summary(jsa, jsi_of(jsa), cut),
     }
     out = _out_dir(args.out, cfg.output_dir, "simulate-jsa")
-    # the amplitude is stored exactly; the "grid" block rebuilds its axes
-    np.save(out / "jsa.npy", jsa.amplitude)
+    # the amplitude is stored exactly, as complex128 whatever the in-memory
+    # dtype; the "grid" block rebuilds its axes
+    np.save(out / "jsa.npy", jsa.amplitude.astype(complex))
     _write_json(out / "summary.json", summary)
     print(f"simulate-jsa: overlap {summary['overlap_integral']:.6f}, "
           f"Schmidt purity {summary['schmidt_purity']:.6f} -> {out}")

@@ -170,12 +170,28 @@ def tof_resolution(fiber: FiberSpec, det: DetectorSpec) -> float:
     return det.jitter_fwhm / abs(fiber.delay_per_wavelength)
 
 
+# ndtr(z) is exactly 0.0 for z <= -37.68 and exactly 1.0 for z >= 8.2924
+# (checked on a 1e-6 z grid; ndtr is monotone), so these bounds keep a margin
+_NDTR_ZERO_Z = -38.5
+_NDTR_ONE_Z = 8.3
+
+
 def _tof_response(axis: np.ndarray, widths: np.ndarray, fiber: FiberSpec,
                   det: DetectorSpec) -> tuple[np.ndarray, np.ndarray]:
     """One arm's bin edges and response R[cell, bin]: the chance that a
     photon dithered uniformly across the cell in omega, timed by
     t = D L (2 pi c/omega - lambda_ref) and jittered lands in the bin. Bins
-    are FWHM/3 wide; 5 FWHM plus one bin of padding make rows sum to 1."""
+    are FWHM/3 wide; 5 FWHM plus one bin of padding make rows sum to 1.
+
+    R is the difference along each row of a CDF summed over 8 dither nodes
+    of ndtr((edge - t)/sigma). ndtr is exactly 0.0 below z = -38.5 and
+    exactly 1.0 above z = 8.3, so a row's CDF is exactly 0 up to the last
+    edge 38.5 sigma before the cell's earliest node time and exactly its
+    full sum from the first edge 8.3 sigma after its latest: R is exactly
+    0 outside that band of edges. The CDF is evaluated on the band only
+    (about 63 of 465 edges at the defaults), clipped to the window, with
+    the same arithmetic per entry as on the whole window, so R has the
+    bits of the dense formula."""
     slope, lam_ref = fiber.delay_per_wavelength, fiber.reference_wavelength
     bin_width = det.jitter_fwhm / 3.0
     pad = 5.0 * det.jitter_fwhm + bin_width
@@ -184,13 +200,23 @@ def _tof_response(axis: np.ndarray, widths: np.ndarray, fiber: FiberSpec,
     n_bins = math.ceil((t_ends.max() + pad - t_min) / bin_width)
     edges = t_min + bin_width * np.arange(n_bins + 1)
     sigma = det.jitter_fwhm / _FWHM_SIGMA
-    cdf = np.zeros((axis.size, edges.size))
     # mean over the dither at 8 Gauss-Legendre nodes; 32 nodes change it by
     # about 5e-14 on the default grid
-    for x, w in zip(*np.polynomial.legendre.leggauss(8)):
-        t = slope * (TWO_PI_C / (axis + 0.5 * x * widths) - lam_ref)
-        cdf += 0.5 * w * ndtr((edges - t[:, None]) / sigma)
-    return edges, np.diff(cdf, axis=1)
+    nodes, node_weights = np.polynomial.legendre.leggauss(8)
+    t = slope * (TWO_PI_C / (axis + 0.5 * nodes[:, None] * widths) - lam_ref)
+    lo = np.searchsorted(edges, t.min(axis=0) + _NDTR_ZERO_Z * sigma,
+                         side="right") - 1
+    hi = np.searchsorted(edges, t.max(axis=0) + _NDTR_ONE_Z * sigma)
+    lo, hi = np.maximum(lo, 0), np.minimum(hi, edges.size - 1)
+    band = int(np.max(hi - lo)) + 1
+    cols = np.minimum(lo, edges.size - band)[:, None] + np.arange(band)
+    band_edges = edges[cols]
+    cdf = np.zeros(cols.shape)
+    for t_node, w in zip(t, node_weights):
+        cdf += 0.5 * w * ndtr((band_edges - t_node[:, None]) / sigma)
+    response = np.zeros((axis.size, n_bins))
+    np.put_along_axis(response, cols[:, :-1], np.diff(cdf, axis=1), axis=1)
+    return edges, response
 
 
 def _tof_bin_probabilities(jsa: JsaGrid, fiber: FiberSpec, det: DetectorSpec

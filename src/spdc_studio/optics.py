@@ -256,14 +256,28 @@ class FrequencyGrid:
 
 @dataclass(frozen=True)
 class JsaGrid:
-    """Complex joint spectral amplitude sampled on a FrequencyGrid."""
+    """Joint spectral amplitude sampled on a FrequencyGrid.
+
+    The amplitude is stored as float64 when its imaginary part is exactly
+    zero (real or integer input, or complex input such as a loaded
+    ``jsa.npy`` whose ``.imag`` is all zero) and as complex128 otherwise,
+    so the dtype says whether the amplitude is real. The analytic JSA,
+    ``spectral.jsa_from_jsi`` and their lobes are real; the domain-sampled
+    JSA is complex.
+    """
 
     grid: FrequencyGrid
     amplitude: np.ndarray
     normalized: bool = False
 
     def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitude, dtype=complex)
+        amp = np.asarray(self.amplitude)
+        if not np.iscomplexobj(amp):
+            amp = amp.astype(float, copy=False)
+        elif np.any(amp.imag):
+            amp = amp.astype(complex, copy=False)
+        else:
+            amp = np.ascontiguousarray(amp.real, dtype=float)
         if amp.shape != self.grid.shape:
             raise ConfigError(
                 f"amplitude shape {amp.shape} does not match grid {self.grid.shape}"
@@ -285,10 +299,13 @@ class JsaGrid:
             raise ConfigError(f"cannot normalize a JSA of norm {n2}; it is "
                               f"all-zero or overflows")
         # a checked amplitude over its own finite norm is finite with unit
-        # norm, so the copy skips __post_init__ and the norm is summed once
+        # norm, so the copy skips __post_init__ and the norm is summed once;
+        # numpy divides a complex array by a real scalar as a multiply by
+        # its reciprocal, so a real amplitude scaled this way has the bits
+        # of the real part of the complex quotient
         copy = object.__new__(JsaGrid)
         copy.__dict__.update(grid=self.grid, normalized=True,
-                             amplitude=self.amplitude / math.sqrt(n2))
+                             amplitude=self.amplitude * (1.0 / math.sqrt(n2)))
         return copy
 
 

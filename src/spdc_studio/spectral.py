@@ -12,6 +12,11 @@ coefficients are computed or returned. The Gram matrix is formed over the
 nonzero rows and columns only, on the smaller side, and in real arithmetic
 when the amplitude is real.
 
+``JsaGrid`` stores a real amplitude (the analytic JSA, ``jsa_from_jsi`` and
+their lobes) as float64 and only one with a nonzero imaginary part (the
+domain-sampled JSA) as complex128, so every kernel here takes real or
+complex arithmetic by the stored dtype alone.
+
 The quadrature weights are separable, w(ws, wi) = w_s(ws) w_i(wi), so every
 weighted sum here scales rows by w_s and columns by w_i (a norm is
 w_s @ |f|^2 @ w_i); no 2-D grid of weights is built.
@@ -100,7 +105,7 @@ def jsa_from_jsi(jsi: JsiGrid) -> JsaGrid:
     total = float(grid.signal_weights @ jsi.intensity @ grid.idler_weights)
     if total <= 0:
         raise ConfigError("cannot build an amplitude from an all-zero JSI")
-    amplitude = np.sqrt(jsi.intensity / total).astype(complex)
+    amplitude = np.sqrt(jsi.intensity / total)
     ws = grid.signal_axis[:, np.newaxis]
     wi = grid.idler_axis[np.newaxis, :]
     amplitude = np.where(wi > ws, -amplitude, amplitude)
@@ -135,9 +140,11 @@ def schmidt(jsa: JsaGrid) -> SchmidtResult:
     Rows and columns of the amplitude that are identically zero add nothing
     to G and are dropped first; a lobe from ``split_lobes`` is zero on about
     half its rows. Of A^H A and A A^H, which share ||G||_F^2 and tr G, the
-    smaller is formed. An amplitude whose imaginary part is exactly zero
-    (the analytic JSA, ``jsa_from_jsi`` and their lobes) takes real
-    arithmetic, where A^T A runs as a symmetric rank-k update.
+    smaller is formed. A real amplitude, which ``JsaGrid`` stores as
+    float64 (the analytic JSA, ``jsa_from_jsi`` and their lobes), takes
+    real arithmetic, where A^T A runs as a symmetric rank-k update; only a
+    complex128 amplitude, one with a nonzero imaginary part, takes complex
+    arithmetic.
     """
     grid = jsa.grid
     amp = jsa.amplitude
@@ -146,8 +153,6 @@ def schmidt(jsa: JsaGrid) -> SchmidtResult:
     cols = np.flatnonzero(nonzero.any(axis=0))
     if rows.size < amp.shape[0] or cols.size < amp.shape[1]:
         amp = amp[np.ix_(rows, cols)]
-    if not np.any(amp.imag):
-        amp = amp.real
     weighted = amp * np.sqrt(grid.signal_weights[rows])[:, np.newaxis]
     weighted *= np.sqrt(grid.idler_weights[cols])
     adjoint = weighted.conj().T  # a view of weighted itself when it is real
@@ -245,7 +250,9 @@ def lobe_overlap_matrix(lobes: LobePair) -> np.ndarray:
     weighted = a1 * w_s[:, np.newaxis]
     weighted *= w_i
     f12 = complex(np.vdot(np.ascontiguousarray(a2.T), weighted))
-    if abs(f12) > math.sqrt(f11 * f22) + 1e-9:
+    # the lobes are not normalized (f11 ~ 3e25 on a window in rad/s), so
+    # the rounding slack scales with the bound
+    if abs(f12) > math.sqrt(f11 * f22) * (1 + 1e-9):
         raise ConvergenceError(
             "lobe overlap violates the Cauchy-Schwarz bound; "
             "the lobes do not come from a consistent amplitude"

@@ -42,7 +42,9 @@ class TestSimulateJsa:
         amplitude = np.load(out / "jsa.npy")
         assert amplitude.dtype == np.complex128
         assert amplitude.shape == (cfg.samples, cfg.samples)
-        assert amplitude.tobytes() == expected.amplitude.tobytes()
+        # a real amplitude is held as float64 in memory and saved complex
+        assert amplitude.tobytes() == \
+            expected.amplitude.astype(complex).tobytes()
         summary = _read_json(out / "summary.json")
         assert summary["schema_version"] == 1
         assert summary["overlap_integral"] >= 0.995

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import binom, chisquare
 
 from spdc_studio import measurement
@@ -17,7 +18,8 @@ from spdc_studio.measurement import (_SETTING_MAX, _SETTING_MIN,
                                      rates_summary, tof_reconstruct,
                                      tof_resolution, tof_simulate,
                                      visibility_scan)
-from spdc_studio.optics import _FWHM_SIGMA, TWO_PI_C, JsaGrid
+from spdc_studio.optics import (_FWHM_SIGMA, TWO_PI_C, FrequencyGrid,
+                                JsaGrid)
 from spdc_studio.polarization import (BellKind, analyzer_projector,
                                       bell_state, predicted_visibility,
                                       werner_state)
@@ -115,6 +117,27 @@ def _tof_monte_carlo(jsa: JsaGrid, fiber: FiberSpec, det: DetectorSpec,
     counts, _, _ = np.histogram2d(t_s, t_i, bins=(edges_s, edges_i))
     return ArrivalHistogram(signal_edges=edges_s, idler_edges=edges_i,
                             counts=counts)
+
+
+def _dense_tof_response(axis: np.ndarray, widths: np.ndarray,
+                        fiber: FiberSpec, det: DetectorSpec
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Bin edges and response R of one arm with the CDF evaluated at every
+    edge of the window: the mean over 8 Gauss-Legendre dither nodes of
+    ndtr((edge - t)/sigma), differenced along each row."""
+    slope, lam_ref = fiber.delay_per_wavelength, fiber.reference_wavelength
+    bin_width = det.jitter_fwhm / 3.0
+    pad = 5.0 * det.jitter_fwhm + bin_width
+    t_ends = slope * (TWO_PI_C / axis[[-1, 0]] - lam_ref)
+    t_min = t_ends.min() - pad
+    n_bins = math.ceil((t_ends.max() + pad - t_min) / bin_width)
+    edges = t_min + bin_width * np.arange(n_bins + 1)
+    sigma = det.jitter_fwhm / _FWHM_SIGMA
+    cdf = np.zeros((axis.size, edges.size))
+    for x, w in zip(*np.polynomial.legendre.leggauss(8)):
+        t = slope * (TWO_PI_C / (axis + 0.5 * x * widths) - lam_ref)
+        cdf += 0.5 * w * ndtr((edges - t[:, None]) / sigma)
+    return edges, np.diff(cdf, axis=1)
 
 
 def _pooled_p_value(observed, expected) -> float:
@@ -254,6 +277,48 @@ class TestExactTofModel:
         with pytest.raises(ConfigError, match="jitter"):
             tof_simulate(default_jsa, FiberSpec(),
                          DetectorSpec(jitter_fwhm=0.0), n_pairs=100, seed=0)
+
+
+class TestTofResponseBand:
+    """_tof_response evaluates the CDF on each row's band only; R and the
+    draws must have the bits of the dense formula."""
+
+    @pytest.mark.parametrize("jitter", [20e-12, 150e-12, 400e-12])
+    @pytest.mark.parametrize("uniform", [True, False],
+                             ids=["uniform", "non-uniform"])
+    @pytest.mark.parametrize("samples", [16, 64, 512])
+    def test_response_equals_dense_formula(self, samples, uniform, jitter):
+        grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, samples)
+        axis = grid.signal_axis
+        if not uniform:
+            u = np.sort(np.random.default_rng(samples).random(samples))
+            axis = axis[0] + (axis[-1] - axis[0]) * u
+            grid = FrequencyGrid(signal_axis=axis, idler_axis=axis)
+        fiber, det = FiberSpec(), DetectorSpec(jitter_fwhm=jitter)
+        edges, response = _tof_response(axis, grid.signal_weights, fiber, det)
+        dense_edges, dense = _dense_tof_response(axis, grid.signal_weights,
+                                                 fiber, det)
+        assert np.array_equal(edges, dense_edges)
+        assert np.array_equal(response, dense)
+
+    @pytest.mark.parametrize("jsa_name", ["default_jsa", "three_cell_jsa"])
+    def test_seeded_histogram_equals_dense_draw(self, request, jsa_name):
+        jsa = request.getfixturevalue(jsa_name)
+        fiber, det = FiberSpec(), DetectorSpec()
+        g = jsa.grid
+        _, r_s = _dense_tof_response(g.signal_axis, g.signal_weights,
+                                     fiber, det)
+        _, r_i = _dense_tof_response(g.idler_axis, g.idler_weights, fiber, det)
+        prob = np.abs(jsa.amplitude) ** 2 * np.outer(g.signal_weights,
+                                                     g.idler_weights)
+        prob = r_s.T @ (prob / prob.sum()) @ r_i
+        assert np.array_equal(_tof_bin_probabilities(jsa, fiber, det)[2],
+                              prob)
+        n_pairs = 1_000_000
+        draw = substream(0, "tof.sampling").multinomial(
+            n_pairs, np.append(prob.ravel(), max(1.0 - prob.sum(), 0.0)))
+        hist = tof_simulate(jsa, fiber, det, n_pairs, seed=0)
+        assert np.array_equal(hist.counts, draw[:-1].reshape(prob.shape))
 
 
 class TestArrivalHistogram:

@@ -276,6 +276,55 @@ class TestComputeJsa:
         assert jsa.norm_squared == pytest.approx(1.0, abs=1e-9)
 
 
+class TestJsaGridDtype:
+    """A JsaGrid stores float64 when the imaginary part is exactly zero
+    and complex128 otherwise."""
+
+    GRID = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 16)
+
+    @pytest.mark.parametrize("amplitude", [
+        np.arange(256.0).reshape(16, 16),
+        np.arange(256).reshape(16, 16),
+        np.arange(256.0).reshape(16, 16).astype(complex),
+        np.arange(256.0).reshape(16, 16).astype(np.complex64),
+        np.arange(256.0).reshape(16, 16).astype(complex).T,
+    ], ids=["float", "int", "complex-zero-imag", "complex64-zero-imag",
+            "complex-zero-imag-view"])
+    def test_zero_imaginary_part_is_stored_real(self, amplitude):
+        jsa = JsaGrid(grid=self.GRID, amplitude=amplitude)
+        assert jsa.amplitude.dtype == np.float64
+        assert np.array_equal(jsa.amplitude, np.real(amplitude))
+
+    @pytest.mark.parametrize("where", [(0, 0), (7, 11), (15, 15)])
+    def test_any_nonzero_imaginary_part_is_stored_complex(self, where):
+        amplitude = np.ones((16, 16), dtype=complex)
+        amplitude[where] += 1e-300j
+        jsa = JsaGrid(grid=self.GRID, amplitude=amplitude)
+        assert jsa.amplitude.dtype == np.complex128
+        assert np.array_equal(jsa.amplitude, amplitude)
+
+    def test_non_finite_imaginary_part_rejected(self):
+        amplitude = np.ones((16, 16), dtype=complex)
+        amplitude[3, 5] = complex(1.0, np.nan)
+        with pytest.raises(ConfigError, match="non-finite"):
+            JsaGrid(grid=self.GRID, amplitude=amplitude)
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_normalized_copy_keeps_the_complex_quotient_bits(
+            self, default_jsa, complex_valued):
+        rng = np.random.default_rng(3)
+        amplitude = 3.7e12 * default_jsa.amplitude \
+            + rng.normal(size=default_jsa.grid.shape)
+        if complex_valued:
+            amplitude = amplitude + 1j * rng.normal(size=amplitude.shape)
+        jsa = JsaGrid(grid=default_jsa.grid, amplitude=amplitude)
+        quotient = amplitude.astype(complex) / math.sqrt(jsa.norm_squared)
+        expected = quotient if complex_valued else quotient.real
+        copy = jsa.normalized_copy()
+        assert copy.amplitude.dtype == expected.dtype
+        assert np.array_equal(copy.amplitude, expected)
+
+
 class TestDesignLobes:
     def test_positions(self, default_crystal, default_pump):
         lam1, lam2 = design_lobe_wavelengths(default_crystal, default_pump)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdc_studio import spectral
-from spdc_studio.errors import ConfigError
+from spdc_studio.errors import ConfigError, ConvergenceError
 from spdc_studio.optics import (TWO_PI_C, FrequencyGrid, JsaGrid, PmfMode,
                                 compute_jsa, design_lobe_wavelengths)
 from spdc_studio.polarization import concurrence, predicted_visibility, purity, \
@@ -309,6 +309,7 @@ class TestSchmidtBranches:
         grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 96)
         jsa = compute_jsa(grid, default_crystal, default_pump,
                           pmf_mode=PmfMode.FROM_DOMAINS)
+        assert jsa.amplitude.dtype == np.complex128
         assert np.any(jsa.amplitude.imag)
         purity = schmidt(jsa).purity
         gram, = numpy_spy.vdot_args
@@ -346,6 +347,13 @@ class TestJsaFromJsi:
         back = jsa_from_jsi(jsi_of(jsa))
         scale = np.abs(jsa.amplitude).max()
         assert np.allclose(back.amplitude, jsa.amplitude, atol=1e-9 * scale)
+
+    def test_result_and_its_lobes_are_real(self, default_jsa, measured_jsi):
+        # so are the analytic JSA and its lobes
+        for jsa in (default_jsa, jsa_from_jsi(measured_jsi)):
+            lobes = split_lobes(jsa, 1560e-9)
+            for part in (jsa, lobes.f1, lobes.f2):
+                assert part.amplitude.dtype == np.float64
 
     def test_result_is_normalized(self, measured_jsi):
         jsa = jsa_from_jsi(measured_jsi)
@@ -429,6 +437,37 @@ class TestLobeOverlapMatrix:
             cut_frequency=cut))
         assert f[0, 0].real + f[1, 1].real == pytest.approx(1.0, abs=1e-9)
         assert abs(f[0, 1]) <= np.sqrt(f[0, 0].real * f[1, 1].real) + 1e-9
+
+    @staticmethod
+    def _lobes_at_the_bound(samples):
+        """Lobes of b - b^T with b wholly on f1's rows and on the idler
+        columns above the cut: |f12| = sqrt(f11 f22) exactly, up to
+        rounding, and the JSA is left unnormalized (f11 ~ 1e25)."""
+        grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, samples)
+        in_f1 = grid.signal_axis > TWO_PI_C / 1560e-9
+        b = np.random.default_rng(samples).random((samples, samples))
+        b[~in_f1, :] = 0.0
+        b[:, in_f1] = 0.0
+        return split_lobes(JsaGrid(grid=grid, amplitude=b - b.T), 1560e-9)
+
+    @pytest.mark.parametrize("samples", range(128, 513, 32))
+    def test_unnormalized_lobes_at_the_bound(self, samples):
+        # an absolute slack of 1e-9 is below the rounding of f ~ 1e25
+        f = lobe_overlap_matrix(self._lobes_at_the_bound(samples))
+        bound = np.sqrt(f[0, 0].real * f[1, 1].real)
+        assert f[0, 0].real > 1e20
+        assert abs(f[0, 1]) == pytest.approx(bound, rel=1e-12)
+
+    def test_inflated_overlap_raises(self, monkeypatch):
+        class InflatedVdot(_NumpySpy):
+            def vdot(self, a, b):
+                return (1 + 1e-8) * np.vdot(a, b)
+
+        lobes = self._lobes_at_the_bound(256)
+        lobe_overlap_matrix(lobes)
+        monkeypatch.setattr(spectral, "np", InflatedVdot())
+        with pytest.raises(ConvergenceError, match="Cauchy-Schwarz"):
+            lobe_overlap_matrix(lobes)
 
 
 class TestSingleLobePurity:
