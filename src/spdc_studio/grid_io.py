@@ -76,11 +76,38 @@ def _parse_axis(text: str, path: str, lineno: int) -> np.ndarray:
     return TWO_PI_C / (nm * 1e-9)
 
 
+def _parse_rows(rows: list[str], linenos: list[int], path) -> np.ndarray:
+    """The matrix in ``rows``, parsed by numpy's C reader in one call.
+
+    ``float`` and ``np.loadtxt`` round a decimal string the same way, so
+    the values are those of a per-value ``float``. Only a failed parse
+    rescans the rows one at a time, to name the first bad line.
+    """
+    try:
+        return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        pass
+    for lineno, row in zip(linenos, rows):
+        try:
+            np.loadtxt([row], delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            # drop numpy's "at row 0, column k." position within the one row
+            reason = str(exc).split(" at row ")[0]
+            raise ConfigError(f"{path}:{lineno}: bad value: {reason}") from exc
+    widths = sorted({row.count(",") + 1 for row in rows})
+    raise ConfigError(f"{path}: ragged rows (widths {widths})")
+
+
 def load_matrix_csv(path: str | Path) -> tuple[FrequencyGrid, np.ndarray]:
-    """Read a matrix written by :func:`save_matrix_csv`."""
+    """Read a matrix written by :func:`save_matrix_csv`.
+
+    One pass over the lines picks out the two axis headers and the data
+    lines; the data lines are then parsed together by ``np.loadtxt``. A
+    bad value is reported as ``path:lineno``.
+    """
     text = read_input(path, "file")
     signal = idler = None
-    rows = []
+    rows, linenos = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -89,22 +116,15 @@ def load_matrix_csv(path: str | Path) -> tuple[FrequencyGrid, np.ndarray]:
             signal = _parse_axis(line[len(_SIGNAL_KEY):], str(path), lineno)
         elif line.startswith(_IDLER_KEY):
             idler = _parse_axis(line[len(_IDLER_KEY):], str(path), lineno)
-        elif line.startswith("#"):
-            continue
-        else:
-            try:
-                rows.append([float(v) for v in line.split(",")])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value: {exc}") from exc
+        elif not line.startswith("#"):
+            rows.append(line)
+            linenos.append(lineno)
     if signal is None or idler is None:
         raise ConfigError(f"{path}: missing '{_SIGNAL_KEY}' or "
                           f"'{_IDLER_KEY}' header line")
     if not rows:
         raise ConfigError(f"{path}: no matrix rows found")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ConfigError(f"{path}: ragged rows (widths {sorted(widths)})")
-    values = np.array(rows)
+    values = _parse_rows(rows, linenos, path)
     try:
         grid = FrequencyGrid(signal_axis=signal, idler_axis=idler)
     except ConfigError as exc:
@@ -121,8 +141,10 @@ def save_jsi_csv(path: str | Path, jsi: JsiGrid,
 
 
 def load_jsi_csv(path: str | Path) -> JsiGrid:
+    """Read a JSI; a negative or non-finite intensity is reported with
+    the path."""
     grid, values = load_matrix_csv(path)
-    if np.any(values < 0):
-        raise ConfigError(f"{path}: joint spectral intensity must be "
-                          f"non-negative")
-    return JsiGrid(grid=grid, intensity=values)
+    try:
+        return JsiGrid(grid=grid, intensity=values)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

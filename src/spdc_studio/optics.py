@@ -75,6 +75,9 @@ MIN_SAMPLES_PER_FWHM = 8
 # interpolation errs by at most (9/16)/4! * (2 pi/200)^4 = 2.3e-8 in Phi.
 DOMAIN_SAMPLES_PER_FRINGE = 200
 
+# Grid points per row block of compute_jsa: 256 KiB per float64 temporary.
+_BLOCK_POINTS = 32768
+
 _FWHM_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 
@@ -218,6 +221,8 @@ class FrequencyGrid:
             axis = np.asarray(getattr(self, name), dtype=float)
             if axis.ndim != 1 or axis.size < 2:
                 raise ConfigError(f"{name} must be a 1-D array with >= 2 samples")
+            if not np.all(np.isfinite(axis)):
+                raise ConfigError(f"{name} must be finite")
             if np.any(np.diff(axis) <= 0):
                 raise ConfigError(f"{name} must be strictly increasing")
             if axis[0] <= 0:
@@ -407,28 +412,35 @@ def pmf_from_domains(pattern: PolingPattern, dk_without_qpm):
     return complex(total[0]) if scalar else total
 
 
+def _row_blocks(shape: tuple[int, int]) -> list[slice]:
+    """Row slices of about ``_BLOCK_POINTS`` grid points each."""
+    rows = max(1, _BLOCK_POINTS // shape[1])
+    return [slice(r, r + rows) for r in range(0, shape[0], rows)]
+
+
 def _sampled_domain_pmf(pattern: PolingPattern, bare: np.ndarray) -> np.ndarray:
     """``pmf_from_domains`` on a 2-D mismatch grid, through a 1-D sample.
 
-    Phi is evaluated once on a uniform sample spanning [min, max] of
-    ``bare`` at DOMAIN_SAMPLES_PER_FRINGE points per 2 pi/L, then mapped
-    onto the grid with 4-point Lagrange (cubic) weights, one row at a time
-    so no grid-sized temporaries are made.
+    Phi is evaluated once on a uniform sample spanning [min, max] of the
+    whole of ``bare`` at DOMAIN_SAMPLES_PER_FRINGE points per 2 pi/L, then
+    mapped onto the grid with 4-point Lagrange (cubic) weights over the row
+    blocks of ``compute_jsa``, so the interpolation temporaries stay block
+    sized.
     """
     h = 2.0 * math.pi / (pattern.length * DOMAIN_SAMPLES_PER_FRINGE)
     lo = float(bare.min()) - h
     n = math.ceil((float(bare.max()) - lo) / h) + 3
     sample = pmf_from_domains(pattern, lo + h * np.arange(n))
     phi = np.empty(bare.shape, dtype=complex)
-    for out, dk in zip(phi, bare):
-        t = (dk - lo) / h
+    for rows in _row_blocks(bare.shape):
+        t = (bare[rows] - lo) / h
         # 1 <= floor(t) <= n - 3 by construction; the clip absorbs rounding
         j = np.clip(np.floor(t).astype(np.intp), 1, n - 3)
         f = t - j
         fp, fm, fmm = f + 1.0, f - 1.0, f - 2.0
-        out[:] = 0.5 * (fm * fmm * (fp * sample[j] - f / 3.0 * sample[j - 1])
-                        + fp * f * (fm / 3.0 * sample[j + 2]
-                                    - fmm * sample[j + 1]))
+        phi[rows] = 0.5 * (fm * fmm * (fp * sample[j] - f / 3.0 * sample[j - 1])
+                           + fp * f * (fm / 3.0 * sample[j + 2]
+                                       - fmm * sample[j + 1]))
     return phi
 
 
@@ -457,10 +469,15 @@ def compute_jsa(grid: FrequencyGrid, crystal: CrystalSpec, pump: PumpSpec,
     rejected if the narrowest expected spectral feature (pump bandwidth or
     PMF lobe projected onto an axis) would see fewer than
     ``MIN_SAMPLES_PER_FWHM`` samples.
-    """
-    ws = grid.signal_axis[:, np.newaxis]
-    wi = grid.idler_axis[np.newaxis, :]
 
+    The elementwise chain (delta_k, the pump factor and the PMF) runs in
+    blocks of whole rows of about ``_BLOCK_POINTS`` points, written into
+    one preallocated amplitude, so its temporaries stay in cache. The
+    reductions stay whole-grid: delta_k at the degenerate point, the
+    mismatch range of the domain sample, and the norm. Ufuncs do not
+    depend on position, so the result has the bits of the whole-grid
+    formula.
+    """
     if pmf_mode is PmfMode.ANALYTIC:
         sigma_eff = crystal.pmf_sigma * DESIGN_WIDTH_SCALE
         pmf_fwhm = _FWHM_SIGMA * sigma_eff
@@ -485,15 +502,27 @@ def compute_jsa(grid: FrequencyGrid, crystal: CrystalSpec, pump: PumpSpec,
                 f"(use at least {need} samples over this window)"
             )
 
+    wi = grid.idler_axis[np.newaxis, :]
+    blocks = [(rows, grid.signal_axis[rows, np.newaxis])
+              for rows in _row_blocks(grid.shape)]
     if pmf_mode is PmfMode.ANALYTIC:
         w0 = pump.center_omega / 2.0
-        dk = delta_k(ws, wi, crystal) - float(delta_k(w0, w0, crystal))
-        phi = pmf_analytic(dk, sigma_eff, crystal.pmf_a)
+        dk0 = float(delta_k(w0, w0, crystal))
+        amplitude = np.empty(grid.shape)
+        for rows, ws in blocks:
+            dk = delta_k(ws, wi, crystal) - dk0
+            np.multiply(pump_envelope(ws + wi, pump),
+                        pmf_analytic(dk, sigma_eff, crystal.pmf_a),
+                        out=amplitude[rows])
     else:
-        bare = delta_k(ws, wi, crystal) - 2.0 * math.pi / crystal.poling_period
-        phi = _sampled_domain_pmf(pattern, bare)
-
-    amplitude = pump_envelope(ws + wi, pump) * phi
+        bare = np.empty(grid.shape)
+        for rows, ws in blocks:
+            np.subtract(delta_k(ws, wi, crystal),
+                        2.0 * math.pi / crystal.poling_period, out=bare[rows])
+        amplitude = _sampled_domain_pmf(pattern, bare)
+        for rows, ws in blocks:
+            np.multiply(pump_envelope(ws + wi, pump), amplitude[rows],
+                        out=amplitude[rows])
     return JsaGrid(grid=grid, amplitude=amplitude).normalized_copy()
 
 

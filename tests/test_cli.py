@@ -191,6 +191,24 @@ class TestAnalyzeJsi:
         assert main(["analyze-jsi", jsi_path, "--cut-nm", "1548"]) == 2
         assert "try a cut near" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lines, named", [
+        (["# signal_nm: 1510,1500", "# idler_nm: 1510,1500", "1,2", "3,x"],
+         "bad.csv:4: bad value"),
+        (["# signal_nm: 1510,nan", "# idler_nm: 1510,1500", "1,2", "3,4"],
+         "bad.csv: signal_axis must be finite"),
+        (["# signal_nm: 1510,1500", "# idler_nm: 1510,1500", "1,2", "3,nan"],
+         "bad.csv: JSI contains non-finite entries"),
+    ], ids=["bad-value", "nan-axis", "nan-intensity"])
+    def test_bad_csv_names_the_file(self, tmp_path, capsys, lines, named):
+        (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "an"
+        assert main(["analyze-jsi", "bad.csv", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert named in err
+        assert not out.exists()
+        assert not (tmp_path / "runs").exists()
+
 
 class TestTomography:
     def test_psi_minus_simulation(self, tmp_path):

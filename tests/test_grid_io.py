@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdc_studio.errors import ConfigError
 from spdc_studio.grid_io import (load_jsi_csv, load_matrix_csv, save_jsi_csv,
@@ -100,6 +102,82 @@ class TestMatrixErrors:
         with pytest.raises(ConfigError, match="m.csv:6: bad value"):
             load_matrix_csv(path)
 
+    @pytest.mark.parametrize("token", ["spam", "", "1_0", "0x10", "1 2"])
+    @pytest.mark.parametrize("row", [0, -1], ids=["first", "last"])
+    def test_bad_value_on_first_and_last_line(self, tmp_path, small_grid,
+                                              small_values, token, row):
+        # float() took "1_0"; numpy's reader, like the format, does not
+        path = tmp_path / "m.csv"
+        save_matrix_csv(path, small_grid, small_values)
+        lines = path.read_text().splitlines()
+        index = 2 if row == 0 else len(lines) - 1
+        fields = lines[index].split(",")
+        fields[3] = token
+        lines[index] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError,
+                           match=f"m.csv:{index + 1}: bad value") as info:
+            load_matrix_csv(path)
+        assert "at row" not in str(info.value)
+
+    def test_bad_value_before_ragged_row_wins(self, tmp_path, small_grid,
+                                              small_values):
+        path = tmp_path / "m.csv"
+        save_matrix_csv(path, small_grid, small_values)
+        lines = path.read_text().splitlines()
+        lines[3] = lines[3] + ",0.0"
+        lines[9] = lines[9].replace(",", ",spam,", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match="m.csv:10: bad value"):
+            load_matrix_csv(path)
+
+    def test_blank_and_indented_comment_lines(self, tmp_path, small_grid,
+                                              small_values):
+        path = tmp_path / "m.csv"
+        save_matrix_csv(path, small_grid, small_values)
+        plain_grid, _ = load_matrix_csv(path)
+        lines = path.read_text().splitlines()
+        lines = (["", "   # indented note", "\t"] + lines[:1] + ["  "]
+                 + ["  " + lines[1]] + lines[2:5] + ["", "\t# x,y"]
+                 + lines[5:])
+        path.write_text("\n".join(lines) + "\n\n")
+        grid, values = load_matrix_csv(path)
+        assert values.tobytes() == small_values.tobytes()
+        assert np.array_equal(grid.idler_axis, plain_grid.idler_axis)
+        # line numbers count the blank and comment lines
+        lines[-1] = "spam," + lines[-1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=f"m.csv:{len(lines)}: bad"):
+            load_matrix_csv(path)
+
+    def test_crlf_line_endings(self, tmp_path, small_grid, small_values):
+        path = tmp_path / "m.csv"
+        save_matrix_csv(path, small_grid, small_values)
+        lines = path.read_text().splitlines()
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        _, values = load_matrix_csv(path)
+        assert values.tobytes() == small_values.tobytes()
+        lines[4] = lines[4] + ",spam"
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+        with pytest.raises(ConfigError, match="m.csv:5: bad value"):
+            load_matrix_csv(path)
+
+    @pytest.mark.parametrize("header", [0, 1], ids=["signal", "idler"])
+    @pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
+    def test_nan_axis_value_names_the_file(self, tmp_path, small_grid,
+                                           small_values, header, where):
+        path = tmp_path / "m.csv"
+        save_matrix_csv(path, small_grid, small_values)
+        lines = path.read_text().splitlines()
+        key, values = lines[header].split(": ", 1)
+        fields = values.split(",")
+        fields[where] = "nan"
+        lines[header] = f"{key}: {','.join(fields)}"
+        path.write_text("\n".join(lines) + "\n")
+        axis = ("signal_axis", "idler_axis")[header]
+        with pytest.raises(ConfigError, match=f"m.csv: {axis} must be finite"):
+            load_matrix_csv(path)
+
     def test_ragged_rows_rejected(self, tmp_path, small_grid, small_values):
         path = tmp_path / "m.csv"
         save_matrix_csv(path, small_grid, small_values)
@@ -134,6 +212,63 @@ class TestMatrixErrors:
             load_matrix_csv(path)
 
 
+def _float_rows(lines):
+    """Reference parser: one Python float() per value, line by line."""
+    return np.array([[float(v) for v in line.split(",")] for line in lines])
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                2.2250738585072014e-308, 1e308, -1e308,
+                1.7976931348623157e308, 0.1, 1 / 3]
+
+
+def _bits_to_float(bits):
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+_FLOAT64 = st.one_of(
+    st.integers(0, 2**64 - 1).map(_bits_to_float),
+    # subnormals, by their bit patterns
+    st.integers(1, 2**52 - 1).map(_bits_to_float),
+    st.sampled_from(_EDGE_FLOATS))
+
+
+class TestParserOracle:
+    """np.loadtxt reads the written format with the bits of float()."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.tuples(st.integers(2, 6), st.integers(2, 6)),
+           data=st.data())
+    def test_matches_float_on_random_bit_patterns(self, tmp_path_factory,
+                                                  shape, data):
+        rows, cols = shape
+        flat = data.draw(st.lists(_FLOAT64, min_size=rows * cols,
+                                  max_size=rows * cols))
+        values = np.array(flat).reshape(rows, cols)
+        grid = FrequencyGrid(signal_axis=np.arange(1.0, rows + 1) * 1e15,
+                             idler_axis=np.arange(1.0, cols + 1) * 1e15)
+        path = tmp_path_factory.mktemp("oracle") / "m.csv"
+        save_matrix_csv(path, grid, values)
+        _, got = load_matrix_csv(path)
+        oracle = _float_rows(path.read_text().splitlines()[2:])
+        assert got.dtype == np.float64
+        assert got.tobytes() == oracle.tobytes()
+        finite = np.isfinite(values)  # every NaN is written as "nan"
+        assert np.array_equal(got[finite], values[finite])
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(_FLOAT64, min_size=4, max_size=4))
+    def test_matches_float_on_shortest_repr(self, tmp_path_factory, flat):
+        # the shortest round-trip digits, as another writer would emit them
+        lines = [",".join(repr(v) for v in flat[:2]),
+                 ",".join(repr(v) for v in flat[2:])]
+        path = tmp_path_factory.mktemp("repr") / "m.csv"
+        path.write_text("# signal_nm: 1620,1500\n# idler_nm: 1620,1500\n"
+                        + "\n".join(lines) + "\n")
+        _, got = load_matrix_csv(path)
+        assert got.tobytes() == _float_rows(lines).tobytes()
+
+
 class TestJsiCsv:
     def test_round_trip(self, tmp_path, small_grid, small_values):
         jsi = JsiGrid(grid=small_grid, intensity=np.abs(small_values))
@@ -146,5 +281,17 @@ class TestJsiCsv:
         path = tmp_path / "jsi.csv"
         save_matrix_csv(path, small_grid,
                         np.full(small_grid.shape, -1.0))
-        with pytest.raises(ConfigError, match="non-negative"):
+        with pytest.raises(ConfigError,
+                           match="jsi.csv: JSI must be non-negative"):
+            load_jsi_csv(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_intensity_names_the_file(self, tmp_path, small_grid,
+                                                 bad):
+        values = np.ones(small_grid.shape)
+        values[4, 7] = bad
+        path = tmp_path / "jsi.csv"
+        save_matrix_csv(path, small_grid, values)
+        with pytest.raises(ConfigError,
+                           match="jsi.csv: JSI contains non-finite entries"):
             load_jsi_csv(path)

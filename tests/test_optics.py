@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from spdc_studio import sellmeier
 from spdc_studio.errors import ConfigError
-from spdc_studio.optics import (C_LIGHT, TWO_PI_C, CrystalSpec,
-                                FrequencyGrid, JsaGrid, PmfMode, PolingPattern,
+from spdc_studio.optics import (_BLOCK_POINTS, C_LIGHT,
+                                DESIGN_WIDTH_SCALE,
+                                DOMAIN_SAMPLES_PER_FRINGE, TWO_PI_C,
+                                CrystalSpec, FrequencyGrid, JsaGrid, PmfMode, PolingPattern,
                                 PulseShape, PumpSpec, compute_jsa,
                                 coupling_coefficient, delta_k,
                                 design_lobe_wavelengths, peak_power,
@@ -217,6 +219,88 @@ class TestDomainPmfOracle:
         assert _max_rel_dev(got.amplitude, oracle.amplitude) <= 1e-8
 
 
+def _whole_grid_domain_pmf(pattern, bare):
+    """Reference domain PMF: the 1-D sample interpolated one row at a time."""
+    h = 2.0 * math.pi / (pattern.length * DOMAIN_SAMPLES_PER_FRINGE)
+    lo = float(bare.min()) - h
+    n = math.ceil((float(bare.max()) - lo) / h) + 3
+    sample = pmf_from_domains(pattern, lo + h * np.arange(n))
+    phi = np.empty(bare.shape, dtype=complex)
+    for out, dk in zip(phi, bare):
+        t = (dk - lo) / h
+        j = np.clip(np.floor(t).astype(np.intp), 1, n - 3)
+        f = t - j
+        fp, fm, fmm = f + 1.0, f - 1.0, f - 2.0
+        out[:] = 0.5 * (fm * fmm * (fp * sample[j] - f / 3.0 * sample[j - 1])
+                        + fp * f * (fm / 3.0 * sample[j + 2]
+                                    - fmm * sample[j + 1]))
+    return phi
+
+
+def _whole_grid_jsa(grid, crystal, pump, pmf_mode):
+    """Reference JSA: the elementwise chain on the whole grid at once."""
+    ws = grid.signal_axis[:, np.newaxis]
+    wi = grid.idler_axis[np.newaxis, :]
+    if pmf_mode is PmfMode.ANALYTIC:
+        w0 = pump.center_omega / 2.0
+        dk = delta_k(ws, wi, crystal) - float(delta_k(w0, w0, crystal))
+        phi = pmf_analytic(dk, crystal.pmf_sigma * DESIGN_WIDTH_SCALE,
+                           crystal.pmf_a)
+    else:
+        bare = delta_k(ws, wi, crystal) - 2.0 * math.pi / crystal.poling_period
+        phi = _whole_grid_domain_pmf(
+            uniform_grating(crystal.length, crystal.poling_period), bare)
+    amplitude = pump_envelope(ws + wi, pump) * phi
+    return JsaGrid(grid=grid, amplitude=amplitude).normalized_copy()
+
+
+def _warped(lo, hi, n, bend):
+    """Strictly increasing, non-uniform axis on [lo, hi] for |bend| < 1."""
+    x = np.linspace(0.0, 1.0, n)
+    return lo + (hi - lo) * (x + bend * x * (1.0 - x))
+
+
+_AXIS_512 = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 512).signal_axis
+_HEIGHT_512 = _BLOCK_POINTS // 512  # rows per block on a 512-column grid
+
+
+def _middle_rows(n):
+    start = (_AXIS_512.size - n) // 2
+    return _AXIS_512[start:start + n]
+
+
+_BLOCK_GRIDS = {
+    **{f"{n}x512": (_middle_rows(n), _AXIS_512)
+       for n in (2, _HEIGHT_512 - 1, _HEIGHT_512, _HEIGHT_512 + 1,
+                 2 * _HEIGHT_512 + 2, 512)},
+    # more columns than _BLOCK_POINTS: blocks of a single row
+    "3x(1+block)": (_middle_rows(3),
+                    np.linspace(_AXIS_512[0], _AXIS_512[-1],
+                                _BLOCK_POINTS + 1)),
+    "96x300": (np.linspace(_AXIS_512[0], _AXIS_512[-1], 96),
+               np.linspace(_AXIS_512[0], _AXIS_512[-1], 300)),
+    "300x96": (np.linspace(_AXIS_512[0], _AXIS_512[-1], 300),
+               np.linspace(_AXIS_512[0], _AXIS_512[-1], 96)),
+    "non-uniform": (_warped(_AXIS_512[0], _AXIS_512[-1], 230, 0.3),
+                    _warped(_AXIS_512[0], _AXIS_512[-1], 200, -0.4)),
+}
+
+
+class TestRowBlockOracle:
+    """compute_jsa in row blocks has the bits of the whole-grid formula."""
+
+    @pytest.mark.parametrize("mode", list(PmfMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("shape", list(_BLOCK_GRIDS))
+    def test_bit_identical_to_whole_grid(self, default_crystal, default_pump,
+                                         mode, shape):
+        signal, idler = _BLOCK_GRIDS[shape]
+        grid = FrequencyGrid(signal_axis=signal, idler_axis=idler)
+        got = compute_jsa(grid, default_crystal, default_pump, pmf_mode=mode)
+        oracle = _whole_grid_jsa(grid, default_crystal, default_pump, mode)
+        assert got.amplitude.dtype == oracle.amplitude.dtype
+        assert got.amplitude.tobytes() == oracle.amplitude.tobytes()
+
+
 class TestComputeJsa:
     def test_normalized(self, default_jsa):
         assert default_jsa.norm_squared == pytest.approx(1.0, abs=1e-9)
@@ -411,3 +495,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             FrequencyGrid(signal_axis=np.array([2.0, 1.0]),
                           idler_axis=np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("axis", [[np.nan, 2.0, 3.0], [1.0, np.nan, 3.0],
+                                      [1.0, 2.0, np.nan], [1.0, 2.0, np.inf]])
+    def test_grid_axes_must_be_finite(self, axis):
+        # NaN compares false in the monotonicity test, and a last +inf ascends
+        with pytest.raises(ConfigError, match="idler_axis must be finite"):
+            FrequencyGrid(signal_axis=np.array([1.0, 2.0]),
+                          idler_axis=np.array(axis))
