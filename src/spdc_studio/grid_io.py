@@ -65,11 +65,25 @@ def save_matrix_csv(path: str | Path, grid: FrequencyGrid,
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _loadtxt(lines: list[str]) -> np.ndarray:
+    """``lines`` as a 2-D float64 matrix, by numpy's C reader."""
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+
+
+def _reason(exc: ValueError) -> str:
+    # drop numpy's "at row 0, column k." position within the one line
+    return str(exc).split(" at row ")[0]
+
+
 def _parse_axis(text: str, path: str, lineno: int) -> np.ndarray:
+    """The header values in ``text``, parsed like the data lines."""
     try:
-        nm = np.array([float(v) for v in text.split(",")])
+        if not text.strip():  # loadtxt would skip it with a warning
+            raise ValueError("no values")
+        nm = _loadtxt([text])[0]
     except ValueError as exc:
-        raise ConfigError(f"{path}:{lineno}: bad axis value: {exc}") from exc
+        raise ConfigError(f"{path}:{lineno}: bad axis value: "
+                          f"{_reason(exc)}") from exc
     if nm.size < 2 or np.any(nm <= 0):
         raise ConfigError(f"{path}:{lineno}: axis needs >= 2 positive "
                           f"wavelengths")
@@ -84,16 +98,15 @@ def _parse_rows(rows: list[str], linenos: list[int], path) -> np.ndarray:
     rescans the rows one at a time, to name the first bad line.
     """
     try:
-        return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        return _loadtxt(rows)
     except ValueError:
         pass
     for lineno, row in zip(linenos, rows):
         try:
-            np.loadtxt([row], delimiter=",", comments=None, ndmin=2)
+            _loadtxt([row])
         except ValueError as exc:
-            # drop numpy's "at row 0, column k." position within the one row
-            reason = str(exc).split(" at row ")[0]
-            raise ConfigError(f"{path}:{lineno}: bad value: {reason}") from exc
+            raise ConfigError(f"{path}:{lineno}: bad value: "
+                              f"{_reason(exc)}") from exc
     widths = sorted({row.count(",") + 1 for row in rows})
     raise ConfigError(f"{path}: ragged rows (widths {widths})")
 
@@ -102,8 +115,9 @@ def load_matrix_csv(path: str | Path) -> tuple[FrequencyGrid, np.ndarray]:
     """Read a matrix written by :func:`save_matrix_csv`.
 
     One pass over the lines picks out the two axis headers and the data
-    lines; the data lines are then parsed together by ``np.loadtxt``. A
-    bad value is reported as ``path:lineno``.
+    lines; the data lines are then parsed together by ``np.loadtxt``, and
+    each header by the same call, so headers and data accept the same
+    numbers. A bad value is reported as ``path:lineno``.
     """
     text = read_input(path, "file")
     signal = idler = None

@@ -198,7 +198,9 @@ class TestAnalyzeJsi:
          "bad.csv: signal_axis must be finite"),
         (["# signal_nm: 1510,1500", "# idler_nm: 1510,1500", "1,2", "3,nan"],
          "bad.csv: JSI contains non-finite entries"),
-    ], ids=["bad-value", "nan-axis", "nan-intensity"])
+        (["# signal_nm: 1_510,1500", "# idler_nm: 1510,1500", "1,2", "3,4"],
+         "bad.csv:1: bad axis value"),
+    ], ids=["bad-value", "nan-axis", "nan-intensity", "underscore-axis"])
     def test_bad_csv_names_the_file(self, tmp_path, capsys, lines, named):
         (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
         out = tmp_path / "an"

@@ -203,6 +203,22 @@ class TestMatrixErrors:
         with pytest.raises(ConfigError, match="m.csv:1: bad axis"):
             load_matrix_csv(path)
 
+    @pytest.mark.parametrize("values", [
+        "1_510,1500", "1510,1500,", "1510,,1500", "0x10,1500", "1510 1500",
+        ""])
+    @pytest.mark.parametrize("header", [0, 1], ids=["signal", "idler"])
+    def test_axis_rejects_what_data_rejects(self, tmp_path, values, header):
+        # float() took "1_510"; numpy's reader, as for the data lines, does not
+        lines = ["# signal_nm: 1510,1500", "# idler_nm: 1510,1500",
+                 "1,2", "3,4"]
+        lines[header] = lines[header].split(": ")[0] + ": " + values
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError,
+                           match=f"m.csv:{header + 1}: bad axis") as info:
+            load_matrix_csv(path)
+        assert "at row" not in str(info.value)
+
     def test_non_monotonic_axis_rejected(self, tmp_path):
         # equal wavelengths collapse to equal frequencies
         path = tmp_path / "m.csv"
