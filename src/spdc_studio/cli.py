@@ -36,8 +36,8 @@ from . import __version__, fixtures, grid_io, reference
 from .config import load_run_config, make_grid
 from .errors import ConfigError, ConvergenceError, read_json
 from .measurement import (DetectorSpec, FiberSpec, RateRecord,
-                          multipair_visibility, rates_summary, squeezing_point,
-                          squeezing_slope, tof_resolution)
+                          estimate_squeezing, multipair_visibility,
+                          rates_summary, tof_resolution)
 from .optics import (CrystalSpec, JsaGrid, PumpSpec, compute_jsa,
                      coupling_coefficient, design_lobe_wavelengths,
                      peak_power, temporal_walkoff, transform_limited_fwhm)
@@ -286,6 +286,12 @@ def _parse_powers(text: str) -> list[float]:
     if not all(math.isfinite(p) and p > 0 for p in powers):
         raise ConfigError(f"pump powers must be positive and finite (mW), "
                           f"got {text!r}")
+    # each power keys its point in squeezing.json and its scans.csv rows
+    keys = [f"{p:g}" for p in powers]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise ConfigError(f"pump power {key} mW appears more than once "
+                              f"in --powers {text!r}")
     return powers
 
 
@@ -293,43 +299,36 @@ def cmd_visibility(args: argparse.Namespace) -> int:
     powers_mw = _parse_powers(args.powers)
     det = DetectorSpec()
 
-    scan_rows = []
     observed = []
     for k, mw in enumerate(powers_mw):
-        p_w = mw * 1e-3
-        r_true = reference.SQUEEZING_SLOPE * math.sqrt(p_w)
+        r_true = reference.SQUEEZING_SLOPE * math.sqrt(mw * 1e-3)
         v_hv = multipair_visibility(r_true, det, _N_TRIALS, args.seed,
                                     stream=f"visibility.hv.{k}")
         v_da = multipair_visibility(r_true, det, _N_TRIALS, args.seed,
                                     stream=f"visibility.da.{k}")
-        scan_rows.append((mw, "HV", v_hv))
-        scan_rows.append((mw, "DA", v_da))
-        observed.append((p_w, v_hv, v_da))
+        observed.append((mw, v_hv, v_da))
 
-    # the least-squares C of estimate_squeezing, which needs three powers;
-    # fewer powers give a per-point slope, labelled as such
-    inverted = [squeezing_point(p_w, v_hv, det) for p_w, v_hv, _ in observed]
-    c_fit = squeezing_slope(inverted)
-    fit_method = "least_squares" if len(inverted) >= 3 else "per_point"
+    est = estimate_squeezing([(mw * 1e-3, v_hv) for mw, v_hv, _ in observed],
+                             det)
+    # fewer than three powers give a per-point slope, labelled as such
+    fit_method = "least_squares" if len(observed) >= 3 else "per_point"
 
     points = {}
-    for (p_w, v_hv, v_da), inv in zip(observed, inverted):
-        key = f"{p_w * 1e3:g}"
-        points[key] = {
-            "pump_power_mw": p_w * 1e3,
+    lines = ["power_mw,basis,visibility"]
+    for (mw, v_hv, v_da), inv in zip(observed, est["points"]):
+        points[f"{mw:g}"] = {
+            "pump_power_mw": inv["pump_power_w"] * 1e3,
             "visibility_hv": v_hv,
             "visibility_da": v_da,
             "r": inv["r"],
             "mu": inv["mu"],
             "squeezing_db": inv["squeezing_db"],
         }
-
-    lines = ["power_mw,basis,visibility"]
-    for mw, basis, v in scan_rows:
-        lines.append(f"{mw:g},{basis},{v:.17g}")
+        lines += [f"{mw:g},HV,{v_hv:.17g}", f"{mw:g},DA,{v_da:.17g}"]
     out = _out_dir(args.out, None, "visibility")
     (out / "scans.csv").write_text("\n".join(lines) + "\n")
 
+    c_fit = est["C_per_sqrt_w"]
     _write_json(out / "squeezing.json", {
         "command": "visibility",
         "seed": args.seed,

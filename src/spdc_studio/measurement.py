@@ -41,8 +41,6 @@ __all__ = [
     "fit_visibility",
     "multipair_visibility",
     "invert_visibility",
-    "squeezing_point",
-    "squeezing_slope",
     "estimate_squeezing",
     "rates_summary",
 ]
@@ -181,7 +179,8 @@ def _tof_response(axis: np.ndarray, widths: np.ndarray, fiber: FiberSpec,
     """One arm's bin edges and response R[cell, bin]: the chance that a
     photon dithered uniformly across the cell in omega, timed by
     t = D L (2 pi c/omega - lambda_ref) and jittered lands in the bin. Bins
-    are FWHM/3 wide; 5 FWHM plus one bin of padding make rows sum to 1.
+    are one jitter FWHM wide, the spectrometer's resolution; 5 FWHM plus
+    one bin of padding make rows sum to 1.
 
     R is the difference along each row of a CDF summed over 8 dither nodes
     of ndtr((edge - t)/sigma). ndtr is exactly 0.0 below z = -38.5 and
@@ -189,11 +188,11 @@ def _tof_response(axis: np.ndarray, widths: np.ndarray, fiber: FiberSpec,
     edge 38.5 sigma before the cell's earliest node time and exactly its
     full sum from the first edge 8.3 sigma after its latest: R is exactly
     0 outside that band of edges. The CDF is evaluated on the band only
-    (about 63 of 465 edges at the defaults), clipped to the window, with
+    (23 of 158 edges at the defaults), clipped to the window, with
     the same arithmetic per entry as on the whole window, so R has the
     bits of the dense formula."""
     slope, lam_ref = fiber.delay_per_wavelength, fiber.reference_wavelength
-    bin_width = det.jitter_fwhm / 3.0
+    bin_width = det.jitter_fwhm
     pad = 5.0 * det.jitter_fwhm + bin_width
     t_ends = slope * (TWO_PI_C / axis[[-1, 0]] - lam_ref)
     t_min = t_ends.min() - pad
@@ -252,40 +251,22 @@ def tof_simulate(jsa: JsaGrid, fiber: FiberSpec, det: DetectorSpec,
                             counts=draw[:-1].reshape(prob.shape))
 
 
-def _rebin_edges(edges: np.ndarray, counts: np.ndarray, factor: int,
-                 axis: int) -> tuple[np.ndarray, np.ndarray]:
-    n = (counts.shape[axis] // factor) * factor
-    counts = np.take(counts, np.arange(n), axis=axis)
-    shape = list(counts.shape)
-    shape[axis:axis + 1] = [n // factor, factor]
-    counts = counts.reshape(shape).sum(axis=axis + 1)
-    return edges[:n + 1:factor], counts
-
-
 def tof_reconstruct(hist: ArrivalHistogram, fiber: FiberSpec,
                     det: DetectorSpec) -> JsiGrid:
     """Invert the time-to-wavelength map back to a joint spectral intensity.
 
     Bin centers map to wavelength via the fiber's delay slope; counts are
     converted to a density in angular frequency (the axes come out
-    non-uniform in omega). The achievable wavelength resolution is
-    tof_resolution(fiber, det); the histogram is aggregated to one output
-    bin per jitter FWHM, which carries the full resolution while
-    keeping the per-bin counts high enough that downstream square-root
-    amplitude estimates are not biased by shot noise.
+    non-uniform in omega). Each histogram bin becomes one output bin;
+    ``tof_simulate`` bins at one jitter FWHM, the resolution
+    tof_resolution(fiber, det), which keeps the per-bin counts high enough
+    that downstream square-root amplitude estimates are not biased by shot
+    noise. ``det`` is unused; it stays because callers such as
+    ``perfbench/workloads.py`` pass it.
     """
     if hist.counts.sum() <= 0:
         raise ConfigError("cannot reconstruct from an empty histogram")
     slope = fiber.delay_per_wavelength
-    counts = hist.counts
-    edges_s, edges_i = hist.signal_edges, hist.idler_edges
-    bin_width = float(edges_s[1] - edges_s[0])
-    rebin = max(1, round(det.jitter_fwhm / bin_width))
-    if rebin > 1:
-        edges_s, counts = _rebin_edges(edges_s, counts, rebin, axis=0)
-        edges_i, counts = _rebin_edges(edges_i, counts, rebin, axis=1)
-    hist = ArrivalHistogram(signal_edges=edges_s, idler_edges=edges_i,
-                            counts=counts)
 
     def omega_axis(edges: np.ndarray) -> np.ndarray:
         centers = 0.5 * (edges[1:] + edges[:-1])
@@ -464,8 +445,8 @@ def invert_visibility(target_v: float, det: DetectorSpec) -> float:
     ))
 
 
-def squeezing_point(power: float, visibility: float,
-                    det: DetectorSpec) -> dict:
+def _squeezing_point(power: float, visibility: float,
+                     det: DetectorSpec) -> dict:
     """One power point inverted to squeezing: r, the mean pair number
     mu = sinh^2(r), and the squeezing level 10 log10(e^(-2r)) in dB."""
     if power < 0:
@@ -488,29 +469,26 @@ def squeezing_point(power: float, visibility: float,
     }
 
 
-def squeezing_slope(points: list[dict]) -> float:
-    """Least-squares slope C of r = C sqrt(P) over ``squeezing_point``
-    records: C = sum(sqrt(P) r) / sum(P)."""
+def estimate_squeezing(visibilities: list[tuple[float, float]],
+                       det: DetectorSpec) -> dict:
+    """Squeezing analysis of one or more (pump_power_W, visibility) points.
+
+    Each visibility inverts to a squeezing parameter r through the exact
+    multi-pair model, with its mean pair number and squeezing level in dB;
+    the points are then fit to r = C sqrt(P) by least squares,
+    C = sum(sqrt(P) r) / sum(P). A single point gives C = r / sqrt(P).
+    """
+    if not visibilities:
+        raise ConfigError("need at least one power point to estimate "
+                          "squeezing")
+    points = [_squeezing_point(power, vis, det) for power, vis in visibilities]
     sqrt_p = np.array([math.sqrt(p["pump_power_w"]) for p in points])
     rs = np.array([p["r"] for p in points])
     denom = float(np.sum(sqrt_p**2))
     if denom <= 0:
         raise ConfigError("pump powers are all zero; cannot fit C")
-    return float(np.sum(sqrt_p * rs) / denom)
-
-
-def estimate_squeezing(visibilities: list[tuple[float, float]],
-                       det: DetectorSpec) -> dict:
-    """Squeezing analysis of (pump_power_W, visibility) points.
-
-    Each visibility inverts to a squeezing parameter through the exact
-    multi-pair model (``squeezing_point``); the ensemble is then fit to
-    r = C sqrt(P) (``squeezing_slope``).
-    """
-    if len(visibilities) < 3:
-        raise ConfigError("need at least 3 power points to fit r = C sqrt(P)")
-    points = [squeezing_point(power, vis, det) for power, vis in visibilities]
-    return {"C_per_sqrt_w": squeezing_slope(points), "points": points}
+    return {"C_per_sqrt_w": float(np.sum(sqrt_p * rs) / denom),
+            "points": points}
 
 
 def rates_summary(rec: RateRecord) -> dict:

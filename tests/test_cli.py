@@ -354,6 +354,20 @@ class TestVisibility:
         assert main(["visibility", "--powers", "a,b"]) == 2
         assert main(["visibility", "--powers", ""]) == 2
 
+    @pytest.mark.parametrize("powers, key", [
+        ("620,620", "620"),
+        ("620,620.0000001,50", "620"),
+        ("50,155,0.05e3", "50"),
+    ])
+    def test_repeated_powers_exit_2(self, tmp_path, capsys, powers, key):
+        # each power keys one squeezing.json point and its scans.csv rows
+        out = tmp_path / "vis"
+        assert main(["visibility", "--powers", powers,
+                     "--out", str(out)]) == 2
+        assert f"pump power {key} mW appears more than once" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("powers", ["nan", "inf", "50,inf,620"])
     def test_non_finite_powers_exit_2(self, tmp_path, capsys, powers):
         out = tmp_path / "vis"

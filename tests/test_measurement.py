@@ -70,12 +70,12 @@ def _tof_monte_carlo(jsa: JsaGrid, fiber: FiberSpec, det: DetectorSpec,
 
     Pairs are drawn from |f|^2, dithered uniformly within their grid cell,
     mapped to arrival time through t = D L (lambda - lambda_ref) per arm,
-    and smeared by per-arm Gaussian jitter. Bins are a third of the jitter
-    FWHM wide (1 ps without jitter). Deterministic for a fixed seed.
+    and smeared by per-arm Gaussian jitter. Bins are one jitter FWHM wide
+    (1 ps without jitter). Deterministic for a fixed seed.
     """
     if n_pairs <= 0:
         raise ConfigError("n_pairs must be positive")
-    bin_width = det.jitter_fwhm / 3.0 if det.jitter_fwhm > 0 else 1e-12
+    bin_width = det.jitter_fwhm if det.jitter_fwhm > 0 else 1e-12
 
     grid = jsa.grid
     w_s, w_i = grid.signal_weights, grid.idler_weights
@@ -126,7 +126,7 @@ def _dense_tof_response(axis: np.ndarray, widths: np.ndarray,
     edge of the window: the mean over 8 Gauss-Legendre dither nodes of
     ndtr((edge - t)/sigma), differenced along each row."""
     slope, lam_ref = fiber.delay_per_wavelength, fiber.reference_wavelength
-    bin_width = det.jitter_fwhm / 3.0
+    bin_width = det.jitter_fwhm
     pad = 5.0 * det.jitter_fwhm + bin_width
     t_ends = slope * (TWO_PI_C / axis[[-1, 0]] - lam_ref)
     t_min = t_ends.min() - pad
@@ -261,6 +261,29 @@ class TestExactTofModel:
         assert np.array_equal(hist.signal_edges, edges_s)
         assert np.array_equal(hist.idler_edges, edges_i)
         assert _tof_fit_p_value(hist, self.N_PAIRS, prob) > 1e-3
+
+    def test_gate_rejects_wrong_models(self, three_cell_jsa):
+        # the oracle's histogram against a response without the dither and
+        # against swapped arms: the fit gate must have power at this width
+        fiber, det = FiberSpec(), DetectorSpec()
+        g = three_cell_jsa.grid
+        hist = _tof_monte_carlo(three_cell_jsa, fiber, det, self.N_PAIRS, 0)
+        prob = np.abs(three_cell_jsa.amplitude) ** 2 * np.outer(
+            g.signal_weights, g.idler_weights)
+        prob /= prob.sum()
+
+        def bin_probabilities(widths_scale, cells):
+            _, r_s = _tof_response(g.signal_axis,
+                                   g.signal_weights * widths_scale, fiber, det)
+            _, r_i = _tof_response(g.idler_axis,
+                                   g.idler_weights * widths_scale, fiber, det)
+            return r_s.T @ cells @ r_i
+
+        assert _tof_fit_p_value(hist, self.N_PAIRS,
+                                bin_probabilities(1, prob)) > 1e-3
+        for wrong in (bin_probabilities(0, prob),
+                      bin_probabilities(1, prob.T)):
+            assert _tof_fit_p_value(hist, self.N_PAIRS, wrong) <= 1e-3
 
     @pytest.mark.parametrize("jitter", [50e-12, 150e-12, 400e-12])
     def test_response_rows_sum_to_one(self, default_jsa, jitter):
@@ -559,10 +582,17 @@ class TestEstimateSqueezing:
         assert top["mu"] == pytest.approx(math.sinh(c_true * math.sqrt(0.620)) ** 2,
                                           rel=0.1)
 
-    def test_needs_three_points(self):
+    def test_single_point_gives_per_point_slope(self):
         det = DetectorSpec()
-        with pytest.raises(ConfigError, match="at least 3"):
-            estimate_squeezing([(0.1, 0.99), (0.2, 0.98)], det)
+        v = _model_visibility(0.3, det.efficiency)
+        result = estimate_squeezing([(0.62, v)], det)
+        assert result["C_per_sqrt_w"] == pytest.approx(
+            result["points"][0]["r"] / math.sqrt(0.62), rel=1e-15)
+        assert result["points"][0]["r"] == pytest.approx(0.3, abs=1e-9)
+
+    def test_needs_a_point(self):
+        with pytest.raises(ConfigError, match="at least one"):
+            estimate_squeezing([], DetectorSpec())
 
     def test_rejects_bad_points(self):
         det = DetectorSpec()

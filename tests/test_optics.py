@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdc_studio import sellmeier
@@ -465,11 +465,16 @@ class TestPowerBookkeeping:
 
     @given(st.floats(min_value=1e-4, max_value=10.0),
            st.floats(min_value=1e-4, max_value=10.0))
+    @example(1.0000000000000002e-4, 1e-4)
     @settings(max_examples=30, deadline=None)
     def test_kappa_monotone(self, p1, p2):
+        # the square root can map powers an ulp apart to one kappa, so the
+        # order is weak for every pair and strict once rounding cannot tie
         ref = (0.050, 0.5)
         k1, k2 = coupling_coefficient(p1, ref), coupling_coefficient(p2, ref)
-        assert (p1 <= p2) == (k1 <= k2)
+        assert k1 <= k2 if p1 <= p2 else k1 >= k2
+        if abs(p1 - p2) > 1e-12 * max(p1, p2):
+            assert np.sign(k2 - k1) == np.sign(p2 - p1)
 
 
 class TestValidation:
