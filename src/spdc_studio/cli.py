@@ -310,14 +310,14 @@ def cmd_visibility(args: argparse.Namespace) -> int:
 
     est = estimate_squeezing([(mw * 1e-3, v_hv) for mw, v_hv, _ in observed],
                              det)
-    # fewer than three powers give a per-point slope, labelled as such
-    fit_method = "least_squares" if len(observed) >= 3 else "per_point"
+    # one power gives its own slope, more are fit by least squares
+    fit_method = "least_squares" if len(observed) > 1 else "per_point"
 
     points = {}
     lines = ["power_mw,basis,visibility"]
     for (mw, v_hv, v_da), inv in zip(observed, est["points"]):
         points[f"{mw:g}"] = {
-            "pump_power_mw": inv["pump_power_w"] * 1e3,
+            "pump_power_mw": mw,
             "visibility_hv": v_hv,
             "visibility_da": v_da,
             "r": inv["r"],

@@ -4,8 +4,9 @@ Forward simulation draws Poisson coincidence counts for the canonical
 sixteen projective settings (James et al., PRA 64, 052312 (2001)).
 Reconstruction minimizes the Poisson deviance over a full complex factor
 T of rho = T T~ / tr(T T~), which keeps every iterate a valid density
-matrix, with L-BFGS-B on the closed-form gradient, starting from linear
-(Stokes) inversion.
+matrix, with BFGS on the closed-form gradient, starting from linear
+(Stokes) inversion. BFGS is numpy code in scipy, so the fit uses only
+numpy's BLAS pool (see ``mle_reconstruct``).
 
 Single-qubit analysis kets, written in the (H, V) basis:
 
@@ -223,13 +224,20 @@ def _deviance(x: np.ndarray, ops: np.ndarray, counts: np.ndarray,
 def mle_reconstruct(records: list[TomographyRecord]) -> MleResult:
     """Maximum-likelihood state estimate under the Poisson counting model.
 
-    L-BFGS-B minimizes the deviance of ``_deviance`` with its closed-form
+    BFGS minimizes the deviance of ``_deviance`` with its closed-form
     gradient over a full complex factor T; rho = T T~ / tr(T T~) is
     positive and unit trace by construction. The start T0 = V sqrt(L)
     diagonalizes the projected linear inversion mixed with 0.1 % of the
     maximally mixed state: the gradient of a zero column of T is zero, so
     a rank-deficient start would keep its rank. Non-convergence is
-    reported through the ``converged`` flag rather than an exception.
+    reported through the ``converged`` flag rather than an exception; a
+    stop on precision loss counts as non-convergence.
+
+    scipy's BFGS and its line search are numpy code, so the fit touches
+    only numpy's BLAS pool, with tiny calls. L-BFGS-B would run its
+    compiled core on scipy's separate OpenBLAS pool; where both pools
+    span the same cores, handoffs between them stall for a scheduler
+    tick, slowing the fit and the numpy products around it.
     """
     init = linear_inversion(records)  # also validates the design
     ops = np.array([rec.setting.operator for rec in records])
@@ -240,8 +248,8 @@ def mle_reconstruct(records: list[TomographyRecord]) -> MleResult:
                                       + 0.001 * np.eye(4) / 4.0)
     t0 = eigvecs * np.sqrt(eigvals)
     result = minimize(_deviance, t0.ravel().view(float),
-                      args=(ops, counts, scales), jac=True, method="L-BFGS-B",
-                      options={"maxiter": 2000, "ftol": 1e-10, "gtol": 1e-9})
+                      args=(ops, counts, scales), jac=True, method="BFGS",
+                      options={"maxiter": 2000, "gtol": 1e-4})
 
     t = result.x.view(complex).reshape(4, 4)
     rho = t @ t.conj().T

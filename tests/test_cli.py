@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdc_studio import fixtures
+from spdc_studio import fixtures, tomography
 from spdc_studio.cli import _jsonable, _two_lobe_summary, main
 from spdc_studio.config import load_run_config, make_grid
 from spdc_studio.grid_io import save_jsi_csv
@@ -213,6 +213,19 @@ class TestAnalyzeJsi:
 
 
 class TestTomography:
+    def test_nonconverged_fit_exits_3(self, tmp_path, capsys, monkeypatch):
+        real_minimize = tomography.minimize
+
+        def one_iteration(*args, options, **kwargs):
+            return real_minimize(*args, options={**options, "maxiter": 1},
+                                 **kwargs)
+
+        monkeypatch.setattr(tomography, "minimize", one_iteration)
+        out = tmp_path / "tomo"
+        assert main(["tomography", "--out", str(out)]) == 3
+        assert "did not converge" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_psi_minus_simulation(self, tmp_path):
         out = tmp_path / "tomo"
         assert main(["tomography", "--simulate", "psi-minus",
@@ -341,6 +354,25 @@ class TestVisibility:
         lines = (out / "scans.csv").read_text().splitlines()
         assert lines[0] == "power_mw,basis,visibility"
         assert len(lines) == 3  # one HV row and one DA row
+
+    def test_two_powers_least_squares(self, tmp_path):
+        out = tmp_path / "vis"
+        assert main(["visibility", "--powers", "50,620",
+                     "--out", str(out)]) == 0
+        doc = _read_json(out / "squeezing.json")
+        assert doc["fit_method"] == "least_squares"
+        # C fits both points, not the slope of either one
+        slopes = [p["r"] / (p["pump_power_mw"] * 1e-3) ** 0.5
+                  for p in doc["points"].values()]
+        assert all(doc["C_per_sqrt_w"] != pytest.approx(c) for c in slopes)
+
+    def test_point_records_given_power(self, tmp_path):
+        out = tmp_path / "vis"
+        assert main(["visibility", "--powers", "0.9,50,620",
+                     "--out", str(out)]) == 0
+        points = _read_json(out / "squeezing.json")["points"]
+        assert {k: p["pump_power_mw"] for k, p in points.items()} == \
+            {"0.9": 0.9, "50": 50.0, "620": 620.0}
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

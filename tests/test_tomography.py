@@ -226,6 +226,35 @@ class TestMleReconstruct:
             np.sum(m - n - xlogy(n, m) + xlogy(n, n)), abs=1e-8)
         assert result.deviance <= _barrier_newton_deviance(records) + 1e-6
 
+    @pytest.mark.parametrize("state, pairs, seed", [
+        *[("reference", 1e5, s) for s in range(10)],
+        ("psi-minus", 1e5, 0), ("werner", 1e4, 0)])
+    def test_no_worse_than_lbfgsb_oracle(self, monkeypatch, state, pairs,
+                                         seed):
+        # the oracle: L-BFGS-B at tight tolerances, started from the point
+        # mle_reconstruct hands its optimizer
+        truth = {"reference": load_reference_state,
+                 "psi-minus": lambda: bell_state(BellKind.PSI_MINUS),
+                 "werner": lambda: werner_state(0.9)}[state]()
+        records = simulate_counts(truth, standard_16_settings(), pairs, seed)
+        real_minimize = tomography.minimize
+        calls = []
+
+        def spy(fun, x0, args, **kwargs):
+            calls.append((fun, x0.copy(), args))
+            return real_minimize(fun, x0, args=args, **kwargs)
+
+        monkeypatch.setattr(tomography, "minimize", spy)
+        result = mle_reconstruct(records)
+        (fun, x0, args), = calls
+        assert fun is tomography._deviance
+        oracle = real_minimize(fun, x0, args=args, jac=True,
+                               method="L-BFGS-B",
+                               options={"maxiter": 2000, "ftol": 1e-10,
+                                        "gtol": 1e-9})
+        assert result.converged
+        assert result.deviance <= oracle.fun + 1e-9
+
     def test_nonconverged_result_flagged(self, monkeypatch):
         real_minimize = tomography.minimize
 
