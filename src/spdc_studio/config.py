@@ -29,6 +29,9 @@ __all__ = [
 DEFAULT_SAMPLES = 512
 DEFAULT_WINDOW_NM = (1500.0, 1620.0)
 MIN_SAMPLES = 64
+# 4096^2 float64 is 128 MiB per grid; a larger request would fail to
+# allocate long after validation
+MAX_SAMPLES = 4096
 
 _PUMP_FIELDS = {f.name for f in dataclasses.fields(PumpSpec)}
 _CRYSTAL_FIELDS = {f.name for f in dataclasses.fields(CrystalSpec)}
@@ -54,9 +57,9 @@ class RunConfig:
             whole = int(self.samples) == self.samples
         except (TypeError, ValueError, OverflowError):
             whole = False
-        if not whole or self.samples < MIN_SAMPLES:
-            raise ConfigError(f"samples must be an integer >= {MIN_SAMPLES}, "
-                              f"got {self.samples}")
+        if not whole or not MIN_SAMPLES <= self.samples <= MAX_SAMPLES:
+            raise ConfigError(f"samples must be an integer from {MIN_SAMPLES} "
+                              f"to {MAX_SAMPLES}, got {self.samples}")
         object.__setattr__(self, "samples", int(self.samples))
         lo, hi = self.window
         if not 0 < lo < hi:

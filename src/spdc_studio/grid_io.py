@@ -58,7 +58,11 @@ def save_matrix_csv(path: str | Path, grid: FrequencyGrid,
     lines = []
     if comment:
         for extra in comment.splitlines():
-            lines.append(f"# {extra}")
+            line = f"# {extra}"
+            if line.startswith((_SIGNAL_KEY, _IDLER_KEY)):
+                raise ConfigError(f"comment line {extra!r} would read as an "
+                                  f"axis header")
+            lines.append(line)
     lines.append(f"{_SIGNAL_KEY} {_format_axis(grid.signal_axis)}")
     lines.append(f"{_IDLER_KEY} {_format_axis(grid.idler_axis)}")
     lines.extend(_format_row(row) for row in values)

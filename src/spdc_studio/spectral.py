@@ -129,6 +129,19 @@ def overlap_integral(jsa: JsaGrid) -> float:
     return float(np.abs(inner) ** 2)
 
 
+def _as_slice(index: np.ndarray) -> slice | np.ndarray:
+    """An ascending index array as a slice when it is one unbroken run
+    (a basic index, so no gather copy), else the array itself."""
+    if index.size and index[-1] - index[0] + 1 == index.size:
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
+
+
+def _nonzero_rows(amp: np.ndarray) -> slice | np.ndarray:
+    """The rows of ``amp`` that are not identically zero, see ``_as_slice``."""
+    return _as_slice(np.flatnonzero((amp != 0).any(axis=1)))
+
+
 def schmidt(jsa: JsaGrid) -> SchmidtResult:
     """Schmidt purity from the Gram matrix of the weighted amplitude.
 
@@ -139,24 +152,28 @@ def schmidt(jsa: JsaGrid) -> SchmidtResult:
 
     Rows and columns of the amplitude that are identically zero add nothing
     to G and are dropped first; a lobe from ``split_lobes`` is zero on about
-    half its rows. Of A^H A and A A^H, which share ||G||_F^2 and tr G, the
-    smaller is formed. A real amplitude, which ``JsaGrid`` stores as
-    float64 (the analytic JSA, ``jsa_from_jsi`` and their lobes), takes
-    real arithmetic, where A^T A runs as a symmetric rank-k update; only a
-    complex128 amplitude, one with a nonzero imaginary part, takes complex
-    arithmetic.
+    half its rows. When no column is dropped and the rows left form one run,
+    they are read by slice, without a gather copy. Of A^H A and A A^H,
+    which share ||G||_F^2 and tr G, the smaller is formed. A real
+    amplitude, which ``JsaGrid`` stores as float64 (the analytic JSA,
+    ``jsa_from_jsi`` and their lobes), takes real arithmetic, where A^T A
+    runs as a symmetric rank-k update; only a complex128 amplitude, one
+    with a nonzero imaginary part, takes complex arithmetic.
     """
     grid = jsa.grid
     amp = jsa.amplitude
     nonzero = amp != 0
     rows = np.flatnonzero(nonzero.any(axis=1))
     cols = np.flatnonzero(nonzero.any(axis=0))
-    if rows.size < amp.shape[0] or cols.size < amp.shape[1]:
+    if cols.size < amp.shape[1]:
         amp = amp[np.ix_(rows, cols)]
+    else:
+        rows = _as_slice(rows)
+        amp = amp[rows]
     weighted = amp * np.sqrt(grid.signal_weights[rows])[:, np.newaxis]
     weighted *= np.sqrt(grid.idler_weights[cols])
     adjoint = weighted.conj().T  # a view of weighted itself when it is real
-    if rows.size < cols.size:
+    if weighted.shape[0] < weighted.shape[1]:
         gram = weighted @ adjoint
     else:
         gram = adjoint @ weighted
@@ -238,6 +255,13 @@ def lobe_overlap_matrix(lobes: LobePair) -> np.ndarray:
     overlaps f1 with the exchange-transposed f2, which is how the two lobes
     meet after the frequency relabeling of the splitting element. For a
     normalized parent JSA, f11 + f22 = 1.
+
+    Each lobe's nonzero rows are found from its amplitude, so any
+    ``LobePair`` works; a lobe from ``split_lobes`` is zero on one side of
+    the cut. f11 and f22 sum over their lobe's rows only, and f12 over the
+    one block where both factors can be nonzero, signal in f1's rows and
+    idler in f2's: a quarter of the grid for a split at the middle. Rows
+    that form one run are read by slice, others by index array.
     """
     grid = lobes.f1.grid
     if not grid.axes_identical:
@@ -245,11 +269,14 @@ def lobe_overlap_matrix(lobes: LobePair) -> np.ndarray:
     w_s, w_i = grid.signal_weights, grid.idler_weights
     a1 = lobes.f1.amplitude
     a2 = lobes.f2.amplitude
-    f11 = float(w_s @ np.abs(a1) ** 2 @ w_i)
-    f22 = float(w_s @ np.abs(a2) ** 2 @ w_i)
-    weighted = a1 * w_s[:, np.newaxis]
-    weighted *= w_i
-    f12 = complex(np.vdot(np.ascontiguousarray(a2.T), weighted))
+    r1, r2 = _nonzero_rows(a1), _nonzero_rows(a2)
+    f11 = float(w_s[r1] @ np.abs(a1[r1]) ** 2 @ w_i)
+    f22 = float(w_s[r2] @ np.abs(a2[r2]) ** 2 @ w_i)
+    # f1 is zero off rows r1 and f2 off rows r2, so the exchange sum
+    # sum f1(ws, wi) conj(f2(wi, ws)) lives on the block ws in r1, wi in r2
+    weighted = a1[r1][:, r2] * w_s[r1, np.newaxis]
+    weighted *= w_i[r2]
+    f12 = complex(np.vdot(np.ascontiguousarray(a2[r2][:, r1].T), weighted))
     # the lobes are not normalized (f11 ~ 3e25 on a window in rad/s), so
     # the rounding slack scales with the bound
     if abs(f12) > math.sqrt(f11 * f22) * (1 + 1e-9):

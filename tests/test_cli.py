@@ -435,6 +435,9 @@ def test_negative_seed_with_records_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     # passes config validation, then compute_jsa finds the grid too coarse
     ["simulate-jsa", "--config", "coarse.json"],
+    # a 100000^2 grid would fail to allocate instead
+    pytest.param(["simulate-jsa", "--samples", "100000"],
+                 id="simulate-jsa-oversized"),
     ["analyze-jsi", "gone.csv"],
     ["tomography", "--simulate", "ghz"],
     ["visibility", "--powers", "0"],

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from spdc_studio.config import (DEFAULT_SAMPLES, DEFAULT_WINDOW_NM,
-                                RunConfig, load_run_config, make_grid)
+                                MAX_SAMPLES, RunConfig, load_run_config,
+                                make_grid)
 from spdc_studio.errors import ConfigError
 from spdc_studio.optics import PulseShape
 
@@ -96,6 +97,12 @@ class TestValidation:
     def test_too_few_samples(self):
         with pytest.raises(ConfigError, match="64"):
             RunConfig(samples=32)
+
+    def test_too_many_samples(self):
+        # a 100000^2 grid would only fail later, allocating 74.5 GiB
+        assert RunConfig(samples=MAX_SAMPLES).samples == MAX_SAMPLES
+        with pytest.raises(ConfigError, match=f"to {MAX_SAMPLES}, got"):
+            RunConfig(samples=MAX_SAMPLES + 1)
 
     def test_non_integer_seed(self):
         with pytest.raises(ConfigError, match="seed"):

@@ -82,6 +82,18 @@ class TestMatrixRoundTrip:
 
 
 class TestMatrixErrors:
+    @pytest.mark.parametrize("comment", [
+        "signal_nm: measured with the signal arm",
+        "first line\nidler_nm: 1510,1500",
+    ])
+    def test_comment_read_as_axis_rejected(self, tmp_path, small_grid,
+                                           small_values, comment):
+        # written as "# signal_nm: ...", the loader would take it for an axis
+        path = tmp_path / "m.csv"
+        with pytest.raises(ConfigError, match="would read as an axis header"):
+            save_matrix_csv(path, small_grid, small_values, comment=comment)
+        assert not path.exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="no such file"):
             load_matrix_csv(tmp_path / "gone.csv")

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdc_studio import sellmeier
+from spdc_studio.config import MAX_SAMPLES, RunConfig, make_grid
 from spdc_studio.errors import ConfigError
 from spdc_studio.optics import (_BLOCK_POINTS, C_LIGHT,
                                 DESIGN_WIDTH_SCALE,
@@ -17,6 +18,7 @@ from spdc_studio.optics import (_BLOCK_POINTS, C_LIGHT,
                                 pmf_analytic, pmf_from_domains, pump_envelope,
                                 temporal_walkoff, transform_limited_fwhm,
                                 uniform_grating, wavevector)
+from spdc_studio.spectral import overlap_integral, schmidt
 
 
 class TestSellmeier:
@@ -237,21 +239,46 @@ def _whole_grid_domain_pmf(pattern, bare):
     return phi
 
 
-def _whole_grid_jsa(grid, crystal, pump, pmf_mode):
-    """Reference JSA: the elementwise chain on the whole grid at once."""
+def _pump_lattice_index(grid):
+    """The pump frequencies s = (ws[0] + wi, ws[1:] + wi[-1]) and each
+    cell's index i + j into them, or None when some cell's sum ws[i] + wi[j]
+    lies more than 2 ulp from s[i + j]."""
+    ws, wi = grid.signal_axis, grid.idler_axis
+    s = np.concatenate((ws[0] + wi, ws[1:] + wi[-1]))
+    index = np.add.outer(np.arange(ws.size), np.arange(wi.size))
+    off = np.abs(ws[:, np.newaxis] + wi - s[index])
+    return None if np.any(off > 2.0 * np.spacing(s[index])) else (s, index)
+
+
+def _whole_grid_jsa(grid, crystal, pump, pmf_mode, per_cell=False):
+    """Reference JSA: the elementwise chain on the whole grid at once.
+
+    k_p and the pump envelope are taken, as compute_jsa takes them, from
+    one evaluation per pump frequency when the grid's sums sit on their
+    lattice, and per cell through delta_k otherwise or with ``per_cell``.
+    """
     ws = grid.signal_axis[:, np.newaxis]
     wi = grid.idler_axis[np.newaxis, :]
+    lattice = None if per_cell else _pump_lattice_index(grid)
+    if lattice is None:
+        dk = delta_k(ws, wi, crystal)
+        envelope = pump_envelope(ws + wi, pump)
+    else:
+        s, index = lattice
+        # delta_k's order of operations
+        dk = (wavevector(s, "y")[index] - wavevector(ws, "y")
+              - wavevector(wi, "z") + 2.0 * math.pi / crystal.poling_period)
+        envelope = pump_envelope(s, pump)[index]
     if pmf_mode is PmfMode.ANALYTIC:
         w0 = pump.center_omega / 2.0
-        dk = delta_k(ws, wi, crystal) - float(delta_k(w0, w0, crystal))
-        phi = pmf_analytic(dk, crystal.pmf_sigma * DESIGN_WIDTH_SCALE,
+        phi = pmf_analytic(dk - float(delta_k(w0, w0, crystal)),
+                           crystal.pmf_sigma * DESIGN_WIDTH_SCALE,
                            crystal.pmf_a)
     else:
-        bare = delta_k(ws, wi, crystal) - 2.0 * math.pi / crystal.poling_period
+        bare = dk - 2.0 * math.pi / crystal.poling_period
         phi = _whole_grid_domain_pmf(
             uniform_grating(crystal.length, crystal.poling_period), bare)
-    amplitude = pump_envelope(ws + wi, pump) * phi
-    return JsaGrid(grid=grid, amplitude=amplitude).normalized_copy()
+    return JsaGrid(grid=grid, amplitude=envelope * phi).normalized_copy()
 
 
 def _warped(lo, hi, n, bend):
@@ -286,6 +313,11 @@ _BLOCK_GRIDS = {
 }
 
 
+# grids whose cell sums sit on the pump-frequency lattice: equal uniform
+# steps; the others differ in step or are not uniform
+_LATTICE_GRIDS = {name for name in _BLOCK_GRIDS if name.endswith("x512")}
+
+
 class TestRowBlockOracle:
     """compute_jsa in row blocks has the bits of the whole-grid formula."""
 
@@ -295,10 +327,39 @@ class TestRowBlockOracle:
                                          mode, shape):
         signal, idler = _BLOCK_GRIDS[shape]
         grid = FrequencyGrid(signal_axis=signal, idler_axis=idler)
+        assert (_pump_lattice_index(grid) is not None) == (
+            shape in _LATTICE_GRIDS)
         got = compute_jsa(grid, default_crystal, default_pump, pmf_mode=mode)
         oracle = _whole_grid_jsa(grid, default_crystal, default_pump, mode)
         assert got.amplitude.dtype == oracle.amplitude.dtype
         assert got.amplitude.tobytes() == oracle.amplitude.tobytes()
+
+
+class TestPumpLattice:
+    """The pump factors read from the pump-frequency lattice against the
+    per-cell formula they replace: k_p moves by at most its slope times
+    2 ulp of the pump frequency."""
+
+    @pytest.mark.parametrize("mode, samples, bound", [
+        (PmfMode.ANALYTIC, 64, 1e-11),
+        (PmfMode.ANALYTIC, 512, 1e-11),
+        (PmfMode.ANALYTIC, 1024, 1e-11),
+        (PmfMode.FROM_DOMAINS, 512, 1e-10),
+    ], ids=lambda v: getattr(v, "value", str(v)))
+    def test_within_bound_of_per_cell(self, default_crystal, default_pump,
+                                      mode, samples, bound):
+        # the CLI's grid, so the CLI takes the lattice path
+        grid = make_grid(RunConfig(samples=samples))
+        assert _pump_lattice_index(grid) is not None
+        got = compute_jsa(grid, default_crystal, default_pump, pmf_mode=mode)
+        per_cell = _whole_grid_jsa(grid, default_crystal, default_pump, mode,
+                                   per_cell=True)
+        peak = np.abs(per_cell.amplitude).max()
+        assert np.abs(got.amplitude - per_cell.amplitude).max() <= bound * peak
+        assert not np.array_equal(got.amplitude, per_cell.amplitude)
+        for metric in (lambda jsa: schmidt(jsa).purity, overlap_integral):
+            expected = metric(per_cell)
+            assert abs(metric(got) - expected) <= 1e-13 * expected
 
 
 class TestComputeJsa:
@@ -336,6 +397,13 @@ class TestComputeJsa:
         grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 32)
         with pytest.raises(ConfigError, match="samples"):
             compute_jsa(grid, default_crystal, default_pump)
+
+    def test_coarse_grid_advice_names_the_limit(self, default_crystal):
+        grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 512)
+        narrow = PumpSpec(bandwidth_fwhm=1e-15)
+        with pytest.raises(ConfigError, match=r"needs \d+ samples, more than "
+                                              f"the limit of {MAX_SAMPLES}"):
+            compute_jsa(grid, default_crystal, narrow)
 
     def test_minimum_passing_grid(self, default_crystal, default_pump):
         grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 64)

@@ -244,15 +244,18 @@ class TestKernelsAgainstDirectFormulas:
         jsa = _exchange_mixed_jsa(seed)
         axis = jsa.grid.signal_axis
         cut = axis[axis.size // 2]
-        amp1 = np.where((axis > cut)[:, np.newaxis], jsa.amplitude, 0.0)
-        lobes = LobePair(f1=JsaGrid(grid=jsa.grid, amplitude=amp1),
-                         f2=JsaGrid(grid=jsa.grid,
-                                    amplitude=jsa.amplitude - amp1),
-                         cut_frequency=cut)
-        self._assert_lobe_overlaps_match(lobes)
-        for lobe in (lobes.f1, lobes.f2):
-            assert schmidt(lobe).purity == pytest.approx(
-                _gram_purity(lobe), rel=1e-12)
+        # split at a cut, and with rows alternating between the lobes,
+        # which lobe_overlap_matrix reads by index array
+        for in_f1 in (axis > cut, np.arange(axis.size) % 2 == 0):
+            amp1 = np.where(in_f1[:, np.newaxis], jsa.amplitude, 0.0)
+            lobes = LobePair(f1=JsaGrid(grid=jsa.grid, amplitude=amp1),
+                             f2=JsaGrid(grid=jsa.grid,
+                                        amplitude=jsa.amplitude - amp1),
+                             cut_frequency=cut)
+            self._assert_lobe_overlaps_match(lobes)
+            for lobe in (lobes.f1, lobes.f2):
+                assert schmidt(lobe).purity == pytest.approx(
+                    _gram_purity(lobe), rel=1e-12)
 
     def test_design_and_measured_jsas_and_their_lobes(
             self, default_jsa, measured_jsi):
