@@ -112,21 +112,36 @@ def jsa_from_jsi(jsi: JsiGrid) -> JsaGrid:
     return JsaGrid(grid=grid, amplitude=amplitude, normalized=True)
 
 
+_TILE = 64  # grid points per side of an overlap_integral tile
+
+
 def overlap_integral(jsa: JsaGrid) -> float:
     """Exchange-symmetry overlap of the JSA with its transpose, in [0, 1].
 
     eta = |sum f(ws, wi) conj(f(wi, ws)) dws dwi|^2 for unit-normalized f.
     Equals 1 exactly when f is symmetric or antisymmetric under exchange,
     and upper-bounds the polarization entanglement the source can reach.
+
+    The sum runs over square tiles of ``_TILE`` points. Swapping ws and wi
+    turns the sum over tile (b, a) into the complex conjugate of the sum
+    over tile (a, b), so the inner product is real: the diagonal tiles plus
+    2 Re of each tile with a < b. Each tile is weighted on its own, so no
+    full-grid weighted or transposed copy is made.
     """
     if not jsa.grid.axes_identical:
         raise ConfigError("overlap integral needs identical signal/idler axes")
     jsa = jsa if jsa.normalized else jsa.normalized_copy()
     f = jsa.amplitude
-    weighted = f * jsa.grid.signal_weights[:, np.newaxis]
-    weighted *= jsa.grid.idler_weights
-    inner = np.vdot(np.ascontiguousarray(f.T), weighted)
-    return float(np.abs(inner) ** 2)
+    w_s, w_i = jsa.grid.signal_weights, jsa.grid.idler_weights
+    tiles = [slice(t, t + _TILE) for t in range(0, f.shape[0], _TILE)]
+    inner = 0.0
+    for a, rows in enumerate(tiles):
+        for b, cols in enumerate(tiles[a:], start=a):
+            weighted = f[rows, cols] * w_s[rows, np.newaxis]
+            weighted *= w_i[cols]
+            term = np.vdot(f[cols, rows].T, weighted).real
+            inner += term if a == b else 2.0 * term
+    return float(inner ** 2)
 
 
 def _as_slice(index: np.ndarray) -> slice | np.ndarray:

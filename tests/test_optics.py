@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from spdc_studio import sellmeier
 from spdc_studio.config import MAX_SAMPLES, RunConfig, make_grid
 from spdc_studio.errors import ConfigError
-from spdc_studio.optics import (_BLOCK_POINTS, C_LIGHT,
-                                DESIGN_WIDTH_SCALE,
+from spdc_studio.optics import (_BLOCK_POINTS, _LATTICE_WIDTH, C_LIGHT,
+                                DESIGN_WIDTH_SCALE, _lattice_domain_pmf,
                                 DOMAIN_SAMPLES_PER_FRINGE, TWO_PI_C,
                                 CrystalSpec, FrequencyGrid, JsaGrid, PmfMode, PolingPattern,
                                 PulseShape, PumpSpec, compute_jsa,
@@ -221,12 +221,61 @@ class TestDomainPmfOracle:
         assert _max_rel_dev(got.amplitude, oracle.amplitude) <= 1e-8
 
 
+def _lattice_patterns(crystal):
+    """``_patterns`` plus a single domain and 1,000 boundaries drawn from a
+    Lambda/16 domain grid, the size of a synthesized pattern."""
+    rng = np.random.default_rng(7)
+    step = crystal.poling_period / 16
+    slots = np.arange(1, math.ceil(crystal.length / step)) * step
+    return {
+        **_patterns(crystal),
+        "single-domain": PolingPattern(length=crystal.length),
+        "1000-boundaries": PolingPattern(
+            length=crystal.length,
+            boundaries=tuple(np.sort(rng.choice(slots, 1000, replace=False)))),
+    }
+
+
+# the sample step of compute_jsa(FROM_DOMAINS) for the default crystal
+_LATTICE_H = 2.0 * math.pi / (CrystalSpec().length
+                              * DOMAIN_SAMPLES_PER_FRINGE)
+
+
+class TestDomainPmfLattice:
+    """The two-table sample of compute_jsa(FROM_DOMAINS) against
+    ``pmf_from_domains`` at the same points."""
+
+    @pytest.mark.parametrize("lo, n", [
+        (-1.5e5, 3503),  # far from zero, as the default grid's sample
+        (-300 * _LATTICE_H, 3001),  # straddling zero, with x_300 = 0 exactly
+        (-2e5, math.ceil(4e5 / _LATTICE_H) + 1),  # all of +-2e5
+    ], ids=["far", "straddling", "2e5"])
+    @pytest.mark.parametrize("name", ["uniform", "irregular", "single-domain",
+                                      "1000-boundaries"])
+    def test_within_bound_of_pmf_from_domains(self, default_crystal, name,
+                                              lo, n):
+        pattern = _lattice_patterns(default_crystal)[name]
+        assert n % _LATTICE_WIDTH  # the last table row is partial
+        got = _lattice_domain_pmf(pattern, lo, _LATTICE_H, n)
+        x = lo + _LATTICE_H * np.arange(n)
+        expected = pmf_from_domains(pattern, x)
+        assert np.abs(got - expected).max() <= 1e-12
+        # near zero the samples are pmf_from_domains' own
+        near_zero = np.abs(x) * pattern.length < 1.0
+        assert near_zero.any() == (lo < 0 < x[-1])
+        assert got[near_zero].tobytes() == expected[near_zero].tobytes()
+
+
 def _whole_grid_domain_pmf(pattern, bare):
-    """Reference domain PMF: the 1-D sample interpolated one row at a time."""
+    """Reference domain PMF: the 1-D sample interpolated one row at a time.
+
+    The sample is ``_lattice_domain_pmf``'s, which TestDomainPmfLattice
+    bounds against ``pmf_from_domains``; this oracle checks the row blocks.
+    """
     h = 2.0 * math.pi / (pattern.length * DOMAIN_SAMPLES_PER_FRINGE)
     lo = float(bare.min()) - h
     n = math.ceil((float(bare.max()) - lo) / h) + 3
-    sample = pmf_from_domains(pattern, lo + h * np.arange(n))
+    sample = _lattice_domain_pmf(pattern, lo, h, n)
     phi = np.empty(bare.shape, dtype=complex)
     for out, dk in zip(phi, bare):
         t = (dk - lo) / h

@@ -238,6 +238,21 @@ class TestKernelsAgainstDirectFormulas:
         assert overlap_integral(jsa) == pytest.approx(
             abs(_exchange_sum(f, f, jsa.grid)) ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    @pytest.mark.parametrize("samples", [65, 300, 512])
+    def test_overlap_integral_over_tile_pairs(self, samples, complex_valued):
+        # 65 and 300 end in partial tiles, 512 (the CLI's default) in whole
+        # ones; B + c B^T keeps the exchange sum well away from zero
+        rng = np.random.default_rng(samples)
+        grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, samples)
+        base = _random_amplitude(rng, grid.shape, complex_valued, 0)
+        jsa = JsaGrid(grid=grid,
+                      amplitude=base + 0.5 * base.T).normalized_copy()
+        f = jsa.amplitude
+        weighted = f * np.outer(grid.signal_weights, grid.idler_weights)
+        direct = abs(np.vdot(f.T, weighted))
+        assert abs(np.sqrt(overlap_integral(jsa)) - direct) <= 1e-14
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_lobe_overlap_matrix_random(self, seed):
