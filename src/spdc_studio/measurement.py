@@ -8,8 +8,8 @@ coincidence-rate bookkeeping. Both simulators draw from exact models
 rather than following single pairs: a time-of-flight histogram is one
 multinomial draw from the closed-form bin probabilities of the dithered,
 dispersed and jittered pairs, and multi-pair coincidences are binomial
-draws from one exact thermal-statistics form, whose root also translates
-visibility into squeezing.
+draws from one exact thermal-statistics form, which inverts in closed
+form to translate visibility into squeezing.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
 from .errors import ConfigError, ConvergenceError
@@ -419,30 +418,32 @@ def _model_visibility(r: float, eff: float) -> float:
     return (c_max - c_min) / (c_max + c_min)
 
 
-_R_MAX = 1.5
-
-
 def invert_visibility(target_v: float, det: DetectorSpec) -> float:
     """Squeezing parameter r whose multi-pair visibility equals ``target_v``.
 
-    Root of the exact thermal-statistics visibility, which decreases
-    monotonically from 1 at r = 0; a visibility at or below its value at
-    r = ``_R_MAX`` raises.
+    The exact thermal-statistics visibility is V = (1 + mu eta/2) /
+    (1 + (2 + eta/2) mu + 2 eta k mu^2) with k = 1 - eta/2 and mu =
+    sinh^2(r), so mu is the one positive root of the quadratic
+    2 V eta k mu^2 + (V (2 + eta/2) - eta/2) mu - (1 - V) = 0 and
+    r = asinh(sqrt(mu)). The root is taken in whichever of its two forms
+    does not cancel for the sign of the linear coefficient. Every V in
+    (0, 1) inverts; at eta = 0 no pair ever coincides, so V < 1 raises.
     """
     if not 0.0 < target_v <= 1.0:
         raise ConfigError("visibility must lie in (0, 1]")
     if target_v >= 1.0:
         return 0.0
-    v_floor = _model_visibility(_R_MAX, det.efficiency)
-    if target_v <= v_floor:
-        raise ConvergenceError(
-            f"visibility {target_v:.4f} is below the model floor "
-            f"{v_floor:.4f} at r = {_R_MAX}"
-        )
-    return float(brentq(
-        lambda r: _model_visibility(r, det.efficiency) - target_v,
-        0.0, _R_MAX,
-    ))
+    eff = det.efficiency
+    if eff <= 0:
+        raise ConfigError(
+            f"visibility {target_v} is unreachable at detector efficiency 0, "
+            f"where no coincidences occur")
+    a = 2.0 * target_v * eff * (1.0 - 0.5 * eff)
+    b = target_v * (2.0 + 0.5 * eff) - 0.5 * eff
+    c = 1.0 - target_v  # the constant term is -c
+    root = math.sqrt(b * b + 4.0 * a * c)
+    mu = 2.0 * c / (b + root) if b > 0 else (root - b) / (2.0 * a)
+    return math.asinh(math.sqrt(mu))
 
 
 def _squeezing_point(power: float, visibility: float,
@@ -454,12 +455,7 @@ def _squeezing_point(power: float, visibility: float,
     if not 0.0 < visibility <= 1.0:
         raise ConfigError(
             f"visibility {visibility} at {power} W outside (0, 1]")
-    try:
-        r = invert_visibility(visibility, det)
-    except ConvergenceError as exc:
-        raise ConvergenceError(
-            f"inversion failed at pump power {power} W: {exc}"
-        ) from exc
+    r = invert_visibility(visibility, det)
     return {
         "pump_power_w": power,
         "visibility": visibility,

@@ -270,9 +270,8 @@ class JsaGrid:
     The amplitude is stored as float64 when its imaginary part is exactly
     zero (real or integer input, or complex input such as a loaded
     ``jsa.npy`` whose ``.imag`` is all zero) and as complex128 otherwise,
-    so the dtype says whether the amplitude is real. The analytic JSA,
-    ``spectral.jsa_from_jsi`` and their lobes are real; the domain-sampled
-    JSA is complex.
+    so the dtype says whether the amplitude is real. The analytic JSA and
+    ``spectral.jsa_from_jsi`` are real; the domain-sampled JSA is complex.
     """
 
     grid: FrequencyGrid

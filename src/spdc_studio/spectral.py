@@ -8,12 +8,15 @@ feeds the polarization density matrix.
 
 The Schmidt purity comes from the Gram matrix of the quadrature-weighted
 amplitude, not from a singular-value decomposition, so no Schmidt
-coefficients are computed or returned. The Gram matrix is formed over the
-nonzero rows and columns only, on the smaller side, and in real arithmetic
-when the amplitude is real.
+coefficients are computed or returned. The Gram matrix is formed on the
+smaller side, and in real arithmetic when the amplitude is real.
 
-``JsaGrid`` stores a real amplitude (the analytic JSA, ``jsa_from_jsi`` and
-their lobes) as float64 and only one with a nonzero imaginary part (the
+A lobe pair is its parent JSA split at one signal row, as the dichroic
+splitter routes each photon by wavelength: the lobes are row views of the
+parent amplitude, never copies of it.
+
+``JsaGrid`` stores a real amplitude (the analytic JSA and ``jsa_from_jsi``)
+as float64 and only one with a nonzero imaginary part (the
 domain-sampled JSA) as complex128, so every kernel here takes real or
 complex arithmetic by the stored dtype alone.
 
@@ -72,14 +75,29 @@ class JsiGrid:
 class LobePair:
     """The JSA split at a cut frequency into its two lobes.
 
-    f1 holds the lower-right lobe (omega_s above the cut, signal wavelength
-    below it), f2 the complement; their amplitudes sum to the parent JSA
-    exactly.
+    ``split`` is the first signal row above ``cut_frequency``. f1, the
+    lower-right lobe (omega_s above the cut, signal wavelength below it),
+    is the parent's rows from ``split`` on and f2 the rows before it, so
+    the two lobes reassemble the parent exactly. Only the parent ``jsa``
+    is held; ``f1`` and ``f2`` are read-only views of its rows.
     """
 
-    f1: JsaGrid
-    f2: JsaGrid
+    jsa: JsaGrid
+    split: int
     cut_frequency: float
+
+    @property
+    def f1(self) -> np.ndarray:
+        return _read_only(self.jsa.amplitude[self.split:])
+
+    @property
+    def f2(self) -> np.ndarray:
+        return _read_only(self.jsa.amplitude[:self.split])
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
 
 
 @dataclass(frozen=True)
@@ -144,17 +162,23 @@ def overlap_integral(jsa: JsaGrid) -> float:
     return float(inner ** 2)
 
 
-def _as_slice(index: np.ndarray) -> slice | np.ndarray:
-    """An ascending index array as a slice when it is one unbroken run
-    (a basic index, so no gather copy), else the array itself."""
-    if index.size and index[-1] - index[0] + 1 == index.size:
-        return slice(int(index[0]), int(index[-1]) + 1)
-    return index
-
-
-def _nonzero_rows(amp: np.ndarray) -> slice | np.ndarray:
-    """The rows of ``amp`` that are not identically zero, see ``_as_slice``."""
-    return _as_slice(np.flatnonzero((amp != 0).any(axis=1)))
+def _gram_purity(amp: np.ndarray, w_s: np.ndarray, w_i: np.ndarray,
+                 zero_error: str) -> float:
+    """||G||_F^2 / (tr G)^2 for G the Gram matrix of ``amp`` weighted by
+    sqrt(w_s) on its rows and sqrt(w_i) on its columns (see ``schmidt``);
+    a G of zero trace, from a zero amplitude or no rows, raises
+    ``zero_error``."""
+    weighted = amp * np.sqrt(w_s)[:, np.newaxis]
+    weighted *= np.sqrt(w_i)
+    adjoint = weighted.conj().T  # a view of weighted itself when it is real
+    if weighted.shape[0] < weighted.shape[1]:
+        gram = weighted @ adjoint
+    else:
+        gram = adjoint @ weighted
+    norm_squared = float(np.trace(gram).real)
+    if norm_squared <= 0:
+        raise ConfigError(zero_error)
+    return float(np.vdot(gram, gram).real) / norm_squared**2
 
 
 def schmidt(jsa: JsaGrid) -> SchmidtResult:
@@ -163,39 +187,17 @@ def schmidt(jsa: JsaGrid) -> SchmidtResult:
     With A the quadrature-weighted amplitude, the Schmidt weights are the
     eigenvalues of G = A^H A divided by tr G, so the purity sum(lambda_k^2)
     is ||G||_F^2 / (tr G)^2 exactly. The ratio does not depend on the
-    normalization of the JSA.
-
-    Rows and columns of the amplitude that are identically zero add nothing
-    to G and are dropped first; a lobe from ``split_lobes`` is zero on about
-    half its rows. When no column is dropped and the rows left form one run,
-    they are read by slice, without a gather copy. Of A^H A and A A^H,
-    which share ||G||_F^2 and tr G, the smaller is formed. A real
-    amplitude, which ``JsaGrid`` stores as float64 (the analytic JSA,
-    ``jsa_from_jsi`` and their lobes), takes real arithmetic, where A^T A
-    runs as a symmetric rank-k update; only a complex128 amplitude, one
-    with a nonzero imaginary part, takes complex arithmetic.
+    normalization of the JSA. Of A^H A and A A^H, which share ||G||_F^2
+    and tr G, the smaller is formed. A real amplitude, which ``JsaGrid``
+    stores as float64 (the analytic JSA and ``jsa_from_jsi``), takes real
+    arithmetic, where A^T A runs as a symmetric rank-k update; only a
+    complex128 amplitude, one with a nonzero imaginary part, takes complex
+    arithmetic.
     """
     grid = jsa.grid
-    amp = jsa.amplitude
-    nonzero = amp != 0
-    rows = np.flatnonzero(nonzero.any(axis=1))
-    cols = np.flatnonzero(nonzero.any(axis=0))
-    if cols.size < amp.shape[1]:
-        amp = amp[np.ix_(rows, cols)]
-    else:
-        rows = _as_slice(rows)
-        amp = amp[rows]
-    weighted = amp * np.sqrt(grid.signal_weights[rows])[:, np.newaxis]
-    weighted *= np.sqrt(grid.idler_weights[cols])
-    adjoint = weighted.conj().T  # a view of weighted itself when it is real
-    if weighted.shape[0] < weighted.shape[1]:
-        gram = weighted @ adjoint
-    else:
-        gram = adjoint @ weighted
-    norm_squared = float(np.trace(gram).real)
-    if norm_squared <= 0:
-        raise ConfigError("cannot take the Schmidt purity of an all-zero JSA")
-    purity = float(np.vdot(gram, gram).real) / norm_squared**2
+    purity = _gram_purity(
+        jsa.amplitude, grid.signal_weights, grid.idler_weights,
+        "cannot take the Schmidt purity of an all-zero JSA")
     return SchmidtResult(purity=purity, schmidt_number=1.0 / purity)
 
 
@@ -223,7 +225,8 @@ _STRIP_HALFWIDTH = 1e-9  # m
 
 
 def split_lobes(jsa: JsaGrid, cut_wavelength: float) -> LobePair:
-    """Split the JSA at a signal-axis cut wavelength.
+    """Split the JSA at a signal-axis cut wavelength, with no copy: the
+    returned pair holds ``jsa`` and the index of its first f1 row.
 
     The cut must fall between the lobes: if more than ``_MAX_CUT_FRACTION``
     of the total intensity lies within ``_STRIP_HALFWIDTH`` of the cut on
@@ -253,14 +256,9 @@ def split_lobes(jsa: JsaGrid, cut_wavelength: float) -> LobePair:
             f"{suggestion * 1e9:.1f} nm"
         )
 
-    in_f1 = grid.signal_axis > cut_omega
-    amp1 = np.where(in_f1[:, np.newaxis], jsa.amplitude, 0.0)
-    amp2 = jsa.amplitude - amp1
-    return LobePair(
-        f1=JsaGrid(grid=grid, amplitude=amp1),
-        f2=JsaGrid(grid=grid, amplitude=amp2),
-        cut_frequency=cut_omega,
-    )
+    # the signal axis ascends strictly, so f1 = rows with omega_s > cut
+    split = int(np.searchsorted(grid.signal_axis, cut_omega, side="right"))
+    return LobePair(jsa=jsa, split=split, cut_frequency=cut_omega)
 
 
 def lobe_overlap_matrix(lobes: LobePair) -> np.ndarray:
@@ -271,27 +269,22 @@ def lobe_overlap_matrix(lobes: LobePair) -> np.ndarray:
     meet after the frequency relabeling of the splitting element. For a
     normalized parent JSA, f11 + f22 = 1.
 
-    Each lobe's nonzero rows are found from its amplitude, so any
-    ``LobePair`` works; a lobe from ``split_lobes`` is zero on one side of
-    the cut. f11 and f22 sum over their lobe's rows only, and f12 over the
-    one block where both factors can be nonzero, signal in f1's rows and
-    idler in f2's: a quarter of the grid for a split at the middle. Rows
-    that form one run are read by slice, others by index array.
+    f11 sums over the parent's rows from the split on and f22 over the rows
+    before it. f1 is zero off its rows and f2 off its own, so the exchange
+    sum f12 = sum f1(ws, wi) conj(f2(wi, ws)) lives on the one block with
+    signal in f1's rows and idler in f2's: a quarter of the grid for a
+    split at the middle.
     """
-    grid = lobes.f1.grid
+    grid = lobes.jsa.grid
     if not grid.axes_identical:
         raise ConfigError("lobe overlaps need identical signal/idler axes")
     w_s, w_i = grid.signal_weights, grid.idler_weights
-    a1 = lobes.f1.amplitude
-    a2 = lobes.f2.amplitude
-    r1, r2 = _nonzero_rows(a1), _nonzero_rows(a2)
-    f11 = float(w_s[r1] @ np.abs(a1[r1]) ** 2 @ w_i)
-    f22 = float(w_s[r2] @ np.abs(a2[r2]) ** 2 @ w_i)
-    # f1 is zero off rows r1 and f2 off rows r2, so the exchange sum
-    # sum f1(ws, wi) conj(f2(wi, ws)) lives on the block ws in r1, wi in r2
-    weighted = a1[r1][:, r2] * w_s[r1, np.newaxis]
-    weighted *= w_i[r2]
-    f12 = complex(np.vdot(np.ascontiguousarray(a2[r2][:, r1].T), weighted))
+    a, k = lobes.jsa.amplitude, lobes.split
+    f11 = float(w_s[k:] @ np.abs(a[k:]) ** 2 @ w_i)
+    f22 = float(w_s[:k] @ np.abs(a[:k]) ** 2 @ w_i)
+    weighted = a[k:, :k] * w_s[k:, np.newaxis]
+    weighted *= w_i[:k]
+    f12 = complex(np.vdot(np.ascontiguousarray(a[:k, k:].T), weighted))
     # the lobes are not normalized (f11 ~ 3e25 on a window in rad/s), so
     # the rounding slack scales with the bound
     if abs(f12) > math.sqrt(f11 * f22) * (1 + 1e-9):
@@ -306,10 +299,10 @@ def single_lobe_purity(lobes: LobePair, which: str = "f1") -> float:
     """Schmidt purity of one lobe on its own (independent of its norm)."""
     if which not in ("f1", "f2"):
         raise ConfigError(f"unknown lobe {which!r}, expected 'f1' or 'f2'")
-    lobe = lobes.f1 if which == "f1" else lobes.f2
-    if not np.any(lobe.amplitude):
-        raise ConfigError(f"lobe {which} is identically zero")
-    return schmidt(lobe).purity
+    grid = lobes.jsa.grid
+    rows = slice(lobes.split, None) if which == "f1" else slice(lobes.split)
+    return _gram_purity(lobes.jsa.amplitude[rows], grid.signal_weights[rows],
+                        grid.idler_weights, f"lobe {which} is identically zero")
 
 
 def _fwhm_of(x: np.ndarray, y: np.ndarray) -> float:

@@ -556,14 +556,16 @@ class TestExactMultipairModel:
     @pytest.mark.parametrize("eff", [0.3, 1.0])
     def test_exact_round_trip(self, eff):
         det = DetectorSpec(efficiency=eff)
-        for r in (1e-3, 0.05, 0.2, 0.4, 0.8, 1.4):
+        for r in (1e-3, 0.05, 0.2, 0.4, 0.8, 1.4, 2.5):
             r_est = invert_visibility(_model_visibility(r, eff), det)
             assert r_est == pytest.approx(r, abs=1e-9)
 
-    def test_below_model_floor_raises(self):
-        floor = _model_visibility(1.5, 1.0)
-        with pytest.raises(ConvergenceError, match="model floor"):
-            invert_visibility(0.9 * floor, DetectorSpec())
+    def test_zero_efficiency_rejected(self):
+        # no pair ever coincides, so only V = 1 is reachable
+        det = DetectorSpec(efficiency=0.0)
+        assert invert_visibility(1.0, det) == 0.0
+        with pytest.raises(ConfigError, match="efficiency 0"):
+            invert_visibility(0.9, det)
 
 
 class TestEstimateSqueezing:

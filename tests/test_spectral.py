@@ -44,7 +44,7 @@ def _svd_purity(jsa):
 def _gram_purity(jsa):
     """Reference purity ||G||_F^2 / (tr G)^2 from the full complex Gram
     G = A^H A of the quadrature-weighted amplitude, as schmidt formed it
-    before it dropped zero rows and took the real path."""
+    before it took the smaller side and the real path."""
     w = np.outer(jsa.grid.signal_weights, jsa.grid.idler_weights)
     a = jsa.amplitude * np.sqrt(w)
     gram = a.conj().T @ a
@@ -56,6 +56,23 @@ def _exchange_sum(a, b, grid):
     overlap sum behind overlap_integral (a = b) and f12."""
     w = np.outer(grid.signal_weights, grid.idler_weights)
     return complex(np.sum(a * np.conj(b.T) * w))
+
+
+def _padded_lobe(lobes, which):
+    """One lobe as a full-grid JsaGrid, zero on the other lobe's rows: the
+    form the direct-formula and SVD oracles read."""
+    amp = lobes.jsa.amplitude
+    in_f1 = np.arange(amp.shape[0]) >= lobes.split
+    keep = in_f1 if which == "f1" else ~in_f1
+    return JsaGrid(grid=lobes.jsa.grid,
+                   amplitude=np.where(keep[:, np.newaxis], amp, 0.0))
+
+
+def _lobes_at(jsa, cut):
+    """The lobe pair split_lobes makes at the signal frequency ``cut``,
+    built directly, without its strip check."""
+    split = int(np.sum(jsa.grid.signal_axis <= cut))
+    return LobePair(jsa=jsa, split=split, cut_frequency=cut)
 
 
 def _random_amplitude(rng, shape, complex_valued, zero_lines):
@@ -190,9 +207,11 @@ class TestSchmidt:
             self, default_jsa, default_crystal, default_pump):
         lam1, lam2 = design_lobe_wavelengths(default_crystal, default_pump)
         lobes = split_lobes(default_jsa, 0.5 * (lam1 + lam2))
-        for jsa in (default_jsa, lobes.f1, lobes.f2):
-            assert schmidt(jsa).purity == pytest.approx(_svd_purity(jsa),
-                                                        abs=1e-12)
+        assert schmidt(default_jsa).purity == pytest.approx(
+            _svd_purity(default_jsa), abs=1e-12)
+        for which in ("f1", "f2"):
+            assert single_lobe_purity(lobes, which) == pytest.approx(
+                _svd_purity(_padded_lobe(lobes, which)), abs=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -219,7 +238,7 @@ class TestKernelsAgainstDirectFormulas:
     @given(st.integers(0, 2**32 - 1), st.booleans())
     def test_schmidt_random_non_square(self, seed, complex_valued):
         # unequal non-uniform axes, either side the longer, with zero rows
-        # and columns: a swapped weight or a wrongly trimmed axis would show
+        # and columns: a swapped weight or a wrongly chosen side would show
         rng = np.random.default_rng(seed)
         m, n = (int(k) for k in rng.integers(6, 40, size=2))
         grid = FrequencyGrid(signal_axis=np.cumsum(rng.uniform(0.5, 2.0, m)),
@@ -258,19 +277,11 @@ class TestKernelsAgainstDirectFormulas:
     def test_lobe_overlap_matrix_random(self, seed):
         jsa = _exchange_mixed_jsa(seed)
         axis = jsa.grid.signal_axis
-        cut = axis[axis.size // 2]
-        # split at a cut, and with rows alternating between the lobes,
-        # which lobe_overlap_matrix reads by index array
-        for in_f1 in (axis > cut, np.arange(axis.size) % 2 == 0):
-            amp1 = np.where(in_f1[:, np.newaxis], jsa.amplitude, 0.0)
-            lobes = LobePair(f1=JsaGrid(grid=jsa.grid, amplitude=amp1),
-                             f2=JsaGrid(grid=jsa.grid,
-                                        amplitude=jsa.amplitude - amp1),
-                             cut_frequency=cut)
-            self._assert_lobe_overlaps_match(lobes)
-            for lobe in (lobes.f1, lobes.f2):
-                assert schmidt(lobe).purity == pytest.approx(
-                    _gram_purity(lobe), rel=1e-12)
+        lobes = _lobes_at(jsa, axis[axis.size // 2])
+        self._assert_lobe_overlaps_match(lobes)
+        for which in ("f1", "f2"):
+            assert single_lobe_purity(lobes, which) == pytest.approx(
+                _gram_purity(_padded_lobe(lobes, which)), rel=1e-12)
 
     def test_design_and_measured_jsas_and_their_lobes(
             self, default_jsa, measured_jsi):
@@ -278,15 +289,19 @@ class TestKernelsAgainstDirectFormulas:
             f = jsa.amplitude
             assert overlap_integral(jsa) == pytest.approx(
                 abs(_exchange_sum(f, f, jsa.grid)) ** 2, rel=1e-12)
+            assert schmidt(jsa).purity == pytest.approx(_gram_purity(jsa),
+                                                        rel=1e-12)
             lobes = split_lobes(jsa, 1560e-9)
             self._assert_lobe_overlaps_match(lobes)
-            for whole_or_lobe in (jsa, lobes.f1, lobes.f2):
-                assert schmidt(whole_or_lobe).purity == pytest.approx(
-                    _gram_purity(whole_or_lobe), rel=1e-12)
+            for which in ("f1", "f2"):
+                assert single_lobe_purity(lobes, which) == pytest.approx(
+                    _gram_purity(_padded_lobe(lobes, which)), rel=1e-12)
 
     @staticmethod
     def _assert_lobe_overlaps_match(lobes):
-        a1, a2, grid = lobes.f1.amplitude, lobes.f2.amplitude, lobes.f1.grid
+        a1 = _padded_lobe(lobes, "f1").amplitude
+        a2 = _padded_lobe(lobes, "f2").amplitude
+        grid = lobes.jsa.grid
         w = np.outer(grid.signal_weights, grid.idler_weights)
         f = lobe_overlap_matrix(lobes)
         assert f[0, 0].real == pytest.approx(np.sum(np.abs(a1) ** 2 * w),
@@ -299,8 +314,8 @@ class TestKernelsAgainstDirectFormulas:
 
 
 class TestSchmidtBranches:
-    """Which Gram matrix schmidt forms: real or complex, over the nonzero
-    rows and columns only, and of the smaller side."""
+    """Which Gram matrix schmidt and single_lobe_purity form: real or
+    complex, and of the smaller side."""
 
     def test_real_full_for_the_design_jsa(self, default_jsa, numpy_spy):
         schmidt(default_jsa)
@@ -308,19 +323,18 @@ class TestSchmidtBranches:
         assert gram.dtype == np.float64
         assert gram.shape == (512, 512)
 
-    def test_real_trimmed_for_each_lobe(self, default_jsa, measured_jsi,
-                                        numpy_spy):
+    def test_real_over_each_lobes_rows(self, default_jsa, measured_jsi,
+                                       numpy_spy):
+        # a lobe has fewer rows than columns, so its Gram is rows x rows
         for jsa in (default_jsa, jsa_from_jsi(measured_jsi)):
             lobes = split_lobes(jsa, 1560e-9)
-            for lobe in (lobes.f1, lobes.f2):
-                nonzero = lobe.amplitude != 0
-                rows = int(np.sum(nonzero.any(axis=1)))
-                cols = int(np.sum(nonzero.any(axis=0)))
-                assert rows < lobe.grid.shape[0]
-                schmidt(lobe)
+            for which in ("f1", "f2"):
+                rows = getattr(lobes, which).shape[0]
+                assert 0 < rows < jsa.grid.shape[1]
+                single_lobe_purity(lobes, which)
                 gram = numpy_spy.vdot_args[-1]
                 assert gram.dtype == np.float64
-                assert gram.shape == (min(rows, cols),) * 2
+                assert gram.shape == (rows, rows)
 
     def test_complex_full_for_the_domain_sampled_jsa(
             self, default_crystal, default_pump, numpy_spy):
@@ -339,6 +353,7 @@ class TestSchmidtBranches:
     @pytest.mark.parametrize("shape", [(12, 30), (30, 12)])
     def test_trimmed_to_the_smaller_side(self, numpy_spy, complex_valued,
                                          shape):
+        # zero rows and columns are kept: they add nothing to the Gram
         rng = np.random.default_rng(7)
         amp = _random_amplitude(rng, shape, complex_valued, 3)
         grid = FrequencyGrid(signal_axis=np.arange(1.0, shape[0] + 1),
@@ -347,7 +362,7 @@ class TestSchmidtBranches:
         purity = schmidt(jsa).purity
         gram, = numpy_spy.vdot_args
         assert gram.dtype == (np.complex128 if complex_valued else np.float64)
-        assert gram.shape == (min(shape) - 3,) * 2
+        assert gram.shape == (min(shape),) * 2
         assert purity == pytest.approx(_gram_purity(jsa), rel=1e-12)
 
 
@@ -370,8 +385,8 @@ class TestJsaFromJsi:
         # so are the analytic JSA and its lobes
         for jsa in (default_jsa, jsa_from_jsi(measured_jsi)):
             lobes = split_lobes(jsa, 1560e-9)
-            for part in (jsa, lobes.f1, lobes.f2):
-                assert part.amplitude.dtype == np.float64
+            for part in (jsa.amplitude, lobes.f1, lobes.f2):
+                assert part.dtype == np.float64
 
     def test_result_is_normalized(self, measured_jsi):
         jsa = jsa_from_jsi(measured_jsi)
@@ -394,13 +409,51 @@ class TestJsaFromJsi:
 class TestSplitLobes:
     def test_exact_reassembly(self, default_jsa):
         lobes = split_lobes(default_jsa, 1560e-9)
-        total = lobes.f1.amplitude + lobes.f2.amplitude
+        assert lobes.jsa is default_jsa
+        total = np.concatenate([lobes.f2, lobes.f1])
         assert np.array_equal(total, default_jsa.amplitude)
 
     def test_lobes_are_disjoint(self, default_jsa):
+        # f1 holds exactly the rows above the cut, f2 the rest
         lobes = split_lobes(default_jsa, 1560e-9)
-        assert not np.any((lobes.f1.amplitude != 0)
-                          & (lobes.f2.amplitude != 0))
+        axis = default_jsa.grid.signal_axis
+        assert lobes.cut_frequency == TWO_PI_C / 1560e-9
+        assert np.all(axis[lobes.split:] > lobes.cut_frequency)
+        assert np.all(axis[:lobes.split] <= lobes.cut_frequency)
+        assert 0 < lobes.split < axis.size
+
+    def test_cut_on_a_grid_frequency_goes_to_f2(self, default_jsa):
+        axis = default_jsa.grid.signal_axis
+        near = int(np.argmin(np.abs(axis - TWO_PI_C / 1560e-9)))
+        # a row whose frequency survives the wavelength round trip exactly
+        row = next(k for k in range(near, near + 10)
+                   if TWO_PI_C / (TWO_PI_C / axis[k]) == axis[k])
+        lobes = split_lobes(default_jsa, TWO_PI_C / axis[row])
+        assert lobes.cut_frequency == axis[row]
+        assert lobes.split == row + 1
+
+    @pytest.mark.parametrize("cut_nm, empty", [(1490.0, "f1"),
+                                               (1630.0, "f2")])
+    def test_cut_beyond_the_window_leaves_a_lobe_empty(
+            self, default_jsa, cut_nm, empty):
+        lobes = split_lobes(default_jsa, cut_nm * 1e-9)
+        assert getattr(lobes, empty).shape == (0, default_jsa.grid.shape[1])
+        f = lobe_overlap_matrix(lobes)
+        assert f[0, 0].real + f[1, 1].real == pytest.approx(1.0, abs=1e-12)
+        assert f[0, 1] == 0
+        full = "f2" if empty == "f1" else "f1"
+        assert single_lobe_purity(lobes, full) == pytest.approx(
+            schmidt(default_jsa).purity, rel=1e-12)
+        with pytest.raises(ConfigError, match="identically zero"):
+            single_lobe_purity(lobes, empty)
+
+    def test_lobes_are_read_only_views_of_the_parent(self, default_jsa):
+        lobes = split_lobes(default_jsa, 1560e-9)
+        for lobe in (lobes.f1, lobes.f2):
+            assert np.shares_memory(lobe, default_jsa.amplitude)
+            assert not lobe.flags.writeable
+            with pytest.raises(ValueError):
+                lobe[0, 0] = 1.0
 
     def test_cut_inside_lobe_suggests_valley(self, default_jsa):
         with pytest.raises(ConfigError, match="try a cut near"):
@@ -445,14 +498,8 @@ class TestLobeOverlapMatrix:
     def test_diagonal_sums_to_one(self, seed):
         # random JSAs put intensity on the cut, which split_lobes rejects,
         # so the lobes are split here directly
-        jsa = _random_jsa(seed)
-        cut = TWO_PI_C / 1560e-9
-        amp1 = np.where((jsa.grid.signal_axis > cut)[:, np.newaxis],
-                        jsa.amplitude, 0.0)
-        f = lobe_overlap_matrix(LobePair(
-            f1=JsaGrid(grid=jsa.grid, amplitude=amp1),
-            f2=JsaGrid(grid=jsa.grid, amplitude=jsa.amplitude - amp1),
-            cut_frequency=cut))
+        f = lobe_overlap_matrix(_lobes_at(_random_jsa(seed),
+                                          TWO_PI_C / 1560e-9))
         assert f[0, 0].real + f[1, 1].real == pytest.approx(1.0, abs=1e-9)
         assert abs(f[0, 1]) <= np.sqrt(f[0, 0].real * f[1, 1].real) + 1e-9
 
