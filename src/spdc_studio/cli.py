@@ -63,34 +63,20 @@ _ARTIFACTS = {
 }
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 def _write_json(path: Path, payload: dict) -> None:
     payload = dict(payload)
     payload.setdefault("schema_version", SCHEMA_VERSION)
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True)
-                    + "\n")
+    # json encodes np.float64 as a float; arrays and numpy ints and bools
+    # go through tolist
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
+                               default=lambda obj: obj.tolist()) + "\n")
 
 
-def _out_dir(explicit: str | None, config_dir: str | None,
-             command: str) -> Path:
-    """Create and return the output directory. Commands call it only once
-    their input checks have passed, so a run that exits 2 leaves none."""
-    out = Path(explicit or config_dir or Path("runs") / command)
+def _out_dir(path: str | None, command: str) -> Path:
+    """Create and return the output directory, ``runs/<command>`` unless
+    ``path`` names one. Commands call it only once their input checks have
+    passed, so a run that exits 2 leaves none."""
+    out = Path(path or Path("runs") / command)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -160,7 +146,7 @@ def cmd_simulate_jsa(args: argparse.Namespace) -> int:
         },
         **_two_lobe_summary(jsa, jsi_of(jsa), cut),
     }
-    out = _out_dir(args.out, cfg.output_dir, "simulate-jsa")
+    out = _out_dir(cfg.output_dir, "simulate-jsa")
     # the amplitude is stored exactly, as complex128 whatever the in-memory
     # dtype; the "grid" block rebuilds its axes
     np.save(out / "jsa.npy", jsa.amplitude.astype(complex))
@@ -181,7 +167,7 @@ def cmd_analyze_jsi(args: argparse.Namespace) -> int:
         "cut_nm": args.cut_nm,
         **_two_lobe_summary(jsa_from_jsi(jsi), jsi, args.cut_nm * 1e-9),
     }
-    out = _out_dir(args.out, None, "analyze-jsi")
+    out = _out_dir(args.out, "analyze-jsi")
     _write_json(out / "summary.json", summary)
     print(f"analyze-jsi: concurrence {summary['concurrence']:.6f}, "
           f"purity {summary['purity']:.6f} -> {out}")
@@ -240,7 +226,7 @@ def cmd_tomography(args: argparse.Namespace) -> int:
         raise ConvergenceError("MLE reconstruction did not converge")
     metrics = metric_report(result.state)
 
-    out = _out_dir(args.out, None, "tomography")
+    out = _out_dir(args.out, "tomography")
     if truth is not None:
         save_records(records, out / "records.csv")
     _write_json(out / "rho.json", result.state.to_json_dict())
@@ -325,7 +311,7 @@ def cmd_visibility(args: argparse.Namespace) -> int:
             "squeezing_db": inv["squeezing_db"],
         }
         lines += [f"{mw:g},HV,{v_hv:.17g}", f"{mw:g},DA,{v_da:.17g}"]
-    out = _out_dir(args.out, None, "visibility")
+    out = _out_dir(args.out, "visibility")
     (out / "scans.csv").write_text("\n".join(lines) + "\n")
 
     c_fit = est["C_per_sqrt_w"]
@@ -519,7 +505,7 @@ def cmd_report(args: argparse.Namespace) -> int:
               f"Totals: {counts['pass']} pass, {counts['fail']} fail, "
               f"{counts['not run']} not run.", ""]
 
-    out = _out_dir(args.out, None, "report")
+    out = _out_dir(args.out, "report")
     (out / "report.md").write_text("\n".join(lines))
     print(f"report: {counts['pass']} pass, {counts['fail']} fail, "
           f"{counts['not run']} not run -> {out / 'report.md'}")

@@ -276,7 +276,6 @@ class JsaGrid:
 
     grid: FrequencyGrid
     amplitude: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self) -> None:
         amp = np.asarray(self.amplitude)
@@ -293,8 +292,6 @@ class JsaGrid:
         if not np.all(np.isfinite(amp)):
             raise ConfigError("JSA amplitude contains non-finite entries")
         object.__setattr__(self, "amplitude", amp)
-        if self.normalized and abs(self.norm_squared - 1.0) > 1e-9:
-            raise ConfigError("JSA flagged normalized but norm differs from 1")
 
     @property
     def norm_squared(self) -> float:
@@ -312,7 +309,7 @@ class JsaGrid:
         # its reciprocal, so a real amplitude scaled this way has the bits
         # of the real part of the complex quotient
         copy = object.__new__(JsaGrid)
-        copy.__dict__.update(grid=self.grid, normalized=True,
+        copy.__dict__.update(grid=self.grid,
                              amplitude=self.amplitude * (1.0 / math.sqrt(n2)))
         return copy
 
@@ -421,14 +418,14 @@ def _row_blocks(shape: tuple[int, int]) -> list[slice]:
     return [slice(r, r + rows) for r in range(0, shape[0], rows)]
 
 
-def _pump_lattice(ws: np.ndarray, wi: np.ndarray) -> np.ndarray | None:
+def _pump_lattice(ws: np.ndarray, wi: np.ndarray) -> np.ndarray:
     """The n_s + n_i - 1 pump frequencies of a grid whose cell sums they are.
 
     s = (ws[0] + wi, ws[1:] + wi[-1]) holds every sum ws[i] + wi[j] of a
     grid whose two axes share one uniform step, at s[i + j]. Returns s when
     every cell's float sum lies within 2 ulp of its lattice value, checked
-    over the row blocks of ``compute_jsa``; None for any other grid, such as
-    non-uniform axes or unequal steps.
+    over the row blocks of ``compute_jsa``; any other grid, such as
+    non-uniform axes or unequal steps, raises ConfigError.
     """
     s = np.concatenate((ws[0] + wi, ws[1:] + wi[-1]))
     # read-only Hankel views: [i, j] is s[i + j]
@@ -438,27 +435,10 @@ def _pump_lattice(ws: np.ndarray, wi: np.ndarray) -> np.ndarray | None:
         off = np.add(ws[rows, np.newaxis], wi)
         off -= lattice[rows]
         if np.any(np.abs(off, out=off) > slack[rows]):
-            return None
+            raise ConfigError(
+                "compute_jsa needs signal and idler axes of one uniform "
+                "step, as FrequencyGrid.wavelength_window makes")
     return s
-
-
-def _pump_factors(grid: FrequencyGrid, pump: PumpSpec
-                  ) -> tuple[Callable[[slice], np.ndarray],
-                             Callable[[slice], np.ndarray]]:
-    """k_p and the pump envelope of the cells in a slice of grid rows.
-
-    Both depend on the pump frequency ws + wi alone. When the grid's sums
-    sit on their lattice (``_pump_lattice``) each is evaluated once per
-    pump frequency and read through a Hankel view; otherwise per cell.
-    """
-    ws, wi = grid.signal_axis, grid.idler_axis
-    s = _pump_lattice(ws, wi)
-    if s is None:
-        return (lambda rows: wavevector(ws[rows, np.newaxis] + wi, "y"),
-                lambda rows: pump_envelope(ws[rows, np.newaxis] + wi, pump))
-    k_p = sliding_window_view(wavevector(s, "y"), wi.size)
-    envelope = sliding_window_view(pump_envelope(s, pump), wi.size)
-    return (lambda rows: k_p[rows]), (lambda rows: envelope[rows])
 
 
 def _lattice_domain_pmf(pattern: PolingPattern, lo: float, h: float,
@@ -552,13 +532,15 @@ def compute_jsa(grid: FrequencyGrid, crystal: CrystalSpec, pump: PumpSpec,
     bandwidth or PMF lobe projected onto an axis) would see fewer than
     ``MIN_SAMPLES_PER_FWHM`` samples.
 
-    k_p and the pump envelope depend on the pump frequency ws + wi alone.
-    When every cell's sum lies within 2 ulp of the lattice of the grid's
-    n_s + n_i - 1 pump frequencies, as on ``make_grid``'s equal uniform
-    axes, each is evaluated once per lattice point and read through a
-    Hankel view; the JSA then moves from the per-cell formula by about
-    3e-12 of its peak (1e-11 for FROM_DOMAINS). Any other grid, such as
-    non-uniform axes or axes of unequal steps, evaluates both per cell.
+    k_p and the pump envelope depend on the pump frequency ws + wi alone,
+    so each is evaluated once per point of the lattice of the grid's
+    n_s + n_i - 1 pump frequencies (``_pump_lattice``) and read through a
+    Hankel view; the JSA moves from the per-cell formula by about 3e-12 of
+    its peak (1e-11 for FROM_DOMAINS). This needs every cell's sum within
+    2 ulp of its lattice point, as on the equal uniform axes that
+    ``FrequencyGrid.wavelength_window`` (and so ``make_grid``) makes; any
+    other grid, such as non-uniform axes or axes of unequal steps, raises
+    ConfigError after the coarse-grid check.
 
     The elementwise chain (delta_k in its order of operations, the pump
     factor and the PMF) runs in blocks of whole rows of about
@@ -597,9 +579,12 @@ def compute_jsa(grid: FrequencyGrid, crystal: CrystalSpec, pump: PumpSpec,
                 f"({advice})"
             )
 
-    k_p, envelope = _pump_factors(grid, pump)
-    k_s = wavevector(grid.signal_axis, "y")[:, np.newaxis]
-    k_i = wavevector(grid.idler_axis, "z")
+    ws, wi = grid.signal_axis, grid.idler_axis
+    s = _pump_lattice(ws, wi)
+    k_p = sliding_window_view(wavevector(s, "y"), wi.size)
+    envelope = sliding_window_view(pump_envelope(s, pump), wi.size)
+    k_s = wavevector(ws, "y")[:, np.newaxis]
+    k_i = wavevector(wi, "z")
     qpm = 2.0 * math.pi / crystal.poling_period
     blocks = _row_blocks(grid.shape)
     if pmf_mode is PmfMode.ANALYTIC:
@@ -608,17 +593,17 @@ def compute_jsa(grid: FrequencyGrid, crystal: CrystalSpec, pump: PumpSpec,
         amplitude = np.empty(grid.shape)
         for rows in blocks:
             # delta_k's order of operations
-            dk = k_p(rows) - k_s[rows] - k_i + qpm - dk0
-            np.multiply(envelope(rows),
+            dk = k_p[rows] - k_s[rows] - k_i + qpm - dk0
+            np.multiply(envelope[rows],
                         pmf_analytic(dk, sigma_eff, crystal.pmf_a),
                         out=amplitude[rows])
     else:
         bare = np.empty(grid.shape)
         for rows in blocks:
-            np.subtract(k_p(rows) - k_s[rows] - k_i + qpm, qpm, out=bare[rows])
+            np.subtract(k_p[rows] - k_s[rows] - k_i + qpm, qpm, out=bare[rows])
         amplitude = _sampled_domain_pmf(pattern, bare)
         for rows in blocks:
-            np.multiply(envelope(rows), amplitude[rows], out=amplitude[rows])
+            np.multiply(envelope[rows], amplitude[rows], out=amplitude[rows])
     return JsaGrid(grid=grid, amplitude=amplitude).normalized_copy()
 
 

@@ -127,7 +127,7 @@ def jsa_from_jsi(jsi: JsiGrid) -> JsaGrid:
     ws = grid.signal_axis[:, np.newaxis]
     wi = grid.idler_axis[np.newaxis, :]
     amplitude = np.where(wi > ws, -amplitude, amplitude)
-    return JsaGrid(grid=grid, amplitude=amplitude, normalized=True)
+    return JsaGrid(grid=grid, amplitude=amplitude)
 
 
 _TILE = 64  # grid points per side of an overlap_integral tile
@@ -136,9 +136,11 @@ _TILE = 64  # grid points per side of an overlap_integral tile
 def overlap_integral(jsa: JsaGrid) -> float:
     """Exchange-symmetry overlap of the JSA with its transpose, in [0, 1].
 
-    eta = |sum f(ws, wi) conj(f(wi, ws)) dws dwi|^2 for unit-normalized f.
-    Equals 1 exactly when f is symmetric or antisymmetric under exchange,
-    and upper-bounds the polarization entanglement the source can reach.
+    eta = (sum f(ws, wi) conj(f(wi, ws)) dws dwi / ||f||^2)^2, which does
+    not depend on the scale of f, as ``schmidt`` does not. Equals 1 exactly
+    when f is symmetric or antisymmetric under exchange, and upper-bounds
+    the polarization entanglement the source can reach. A JSA of zero or
+    non-finite norm raises ConfigError.
 
     The sum runs over square tiles of ``_TILE`` points. Swapping ws and wi
     turns the sum over tile (b, a) into the complex conjugate of the sum
@@ -148,7 +150,10 @@ def overlap_integral(jsa: JsaGrid) -> float:
     """
     if not jsa.grid.axes_identical:
         raise ConfigError("overlap integral needs identical signal/idler axes")
-    jsa = jsa if jsa.normalized else jsa.normalized_copy()
+    norm_squared = jsa.norm_squared
+    if not 0 < norm_squared < math.inf:
+        raise ConfigError(f"cannot take the overlap integral of a JSA of "
+                          f"norm {norm_squared}; it is all-zero or overflows")
     f = jsa.amplitude
     w_s, w_i = jsa.grid.signal_weights, jsa.grid.idler_weights
     tiles = [slice(t, t + _TILE) for t in range(0, f.shape[0], _TILE)]
@@ -159,7 +164,7 @@ def overlap_integral(jsa: JsaGrid) -> float:
             weighted *= w_i[cols]
             term = np.vdot(f[cols, rows].T, weighted).real
             inner += term if a == b else 2.0 * term
-    return float(inner ** 2)
+    return float((inner / norm_squared) ** 2)
 
 
 def _gram_purity(amp: np.ndarray, w_s: np.ndarray, w_i: np.ndarray,

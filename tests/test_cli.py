@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spdc_studio import fixtures, tomography
-from spdc_studio.cli import _jsonable, _two_lobe_summary, main
+from spdc_studio.cli import _two_lobe_summary, main
 from spdc_studio.config import load_run_config, make_grid
 from spdc_studio.grid_io import save_jsi_csv
 from spdc_studio.optics import TWO_PI_C, FrequencyGrid, JsaGrid, compute_jsa
@@ -85,11 +85,11 @@ class TestSimulateJsa:
         assert np.array_equal(rebuilt.signal_axis, expected.signal_axis)
         assert np.array_equal(rebuilt.idler_axis, expected.idler_axis)
 
-        jsa = JsaGrid(grid=rebuilt, amplitude=np.load(out / "jsa.npy"),
-                      normalized=True)
+        jsa = JsaGrid(grid=rebuilt, amplitude=np.load(out / "jsa.npy"))
         again = _two_lobe_summary(jsa, jsi_of(jsa), summary["cut_nm"] * 1e-9)
         assert set(again) == TWO_LOBE_KEYS
-        assert json.loads(json.dumps(_jsonable(again))) == \
+        assert json.loads(json.dumps(
+            again, default=lambda obj: obj.tolist())) == \
             {k: summary[k] for k in TWO_LOBE_KEYS}
 
     def test_config_file_respected(self, tmp_path):
@@ -100,6 +100,19 @@ class TestSimulateJsa:
                      "--out", str(out)]) == 0
         summary = _read_json(out / "summary.json")
         assert summary["grid"]["samples"] == 96
+
+    def test_config_output_dir_and_out_precedence(self, tmp_path):
+        # --out beats the config's "output_dir", which beats runs/
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"grid": {"samples": 96},
+                                   "output_dir": "cfgout"}))
+        assert main(["simulate-jsa", "--config", str(cfg),
+                     "--out", "flag"]) == 0
+        assert (tmp_path / "flag" / "summary.json").is_file()
+        assert not (tmp_path / "cfgout").exists()
+        assert main(["simulate-jsa", "--config", str(cfg)]) == 0
+        assert (tmp_path / "cfgout" / "summary.json").is_file()
+        assert not (tmp_path / "runs").exists()
 
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "run.json"

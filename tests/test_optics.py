@@ -10,6 +10,7 @@ from spdc_studio.config import MAX_SAMPLES, RunConfig, make_grid
 from spdc_studio.errors import ConfigError
 from spdc_studio.optics import (_BLOCK_POINTS, _LATTICE_WIDTH, C_LIGHT,
                                 DESIGN_WIDTH_SCALE, _lattice_domain_pmf,
+                                _pump_lattice,
                                 DOMAIN_SAMPLES_PER_FRINGE, TWO_PI_C,
                                 CrystalSpec, FrequencyGrid, JsaGrid, PmfMode, PolingPattern,
                                 PulseShape, PumpSpec, compute_jsa,
@@ -303,17 +304,16 @@ def _whole_grid_jsa(grid, crystal, pump, pmf_mode, per_cell=False):
     """Reference JSA: the elementwise chain on the whole grid at once.
 
     k_p and the pump envelope are taken, as compute_jsa takes them, from
-    one evaluation per pump frequency when the grid's sums sit on their
-    lattice, and per cell through delta_k otherwise or with ``per_cell``.
+    one evaluation per pump frequency, or with ``per_cell`` per cell
+    through delta_k, the formula the lattice replaces.
     """
     ws = grid.signal_axis[:, np.newaxis]
     wi = grid.idler_axis[np.newaxis, :]
-    lattice = None if per_cell else _pump_lattice_index(grid)
-    if lattice is None:
+    if per_cell:
         dk = delta_k(ws, wi, crystal)
         envelope = pump_envelope(ws + wi, pump)
     else:
-        s, index = lattice
+        s, index = _pump_lattice_index(grid)
         # delta_k's order of operations
         dk = (wavevector(s, "y")[index] - wavevector(ws, "y")
               - wavevector(wi, "z") + 2.0 * math.pi / crystal.poling_period)
@@ -338,21 +338,28 @@ def _warped(lo, hi, n, bend):
 
 _AXIS_512 = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 512).signal_axis
 _HEIGHT_512 = _BLOCK_POINTS // 512  # rows per block on a 512-column grid
+# more columns than _BLOCK_POINTS, so compute_jsa's blocks are single rows
+_AXIS_WIDE = np.linspace(_AXIS_512[0], _AXIS_512[-1], _BLOCK_POINTS + 1)
 
 
-def _middle_rows(n):
-    start = (_AXIS_512.size - n) // 2
-    return _AXIS_512[start:start + n]
+def _middle(axis, n):
+    start = (axis.size - n) // 2
+    return axis[start:start + n]
 
 
+# every grid's cell sums sit on the pump-frequency lattice: its rows are
+# a run of samples of its column axis
 _BLOCK_GRIDS = {
-    **{f"{n}x512": (_middle_rows(n), _AXIS_512)
+    **{f"{n}x512": (_middle(_AXIS_512, n), _AXIS_512)
        for n in (2, _HEIGHT_512 - 1, _HEIGHT_512, _HEIGHT_512 + 1,
                  2 * _HEIGHT_512 + 2, 512)},
-    # more columns than _BLOCK_POINTS: blocks of a single row
-    "3x(1+block)": (_middle_rows(3),
-                    np.linspace(_AXIS_512[0], _AXIS_512[-1],
-                                _BLOCK_POINTS + 1)),
+    "3x(1+block)": (_middle(_AXIS_WIDE, 3), _AXIS_WIDE),
+    # equal steps over different ranges
+    "rows100-299x512": (_AXIS_512[100:300], _AXIS_512),
+}
+
+# unequal steps or non-uniform axes, fine enough to pass the coarse check
+_OFF_LATTICE_GRIDS = {
     "96x300": (np.linspace(_AXIS_512[0], _AXIS_512[-1], 96),
                np.linspace(_AXIS_512[0], _AXIS_512[-1], 300)),
     "300x96": (np.linspace(_AXIS_512[0], _AXIS_512[-1], 300),
@@ -360,11 +367,6 @@ _BLOCK_GRIDS = {
     "non-uniform": (_warped(_AXIS_512[0], _AXIS_512[-1], 230, 0.3),
                     _warped(_AXIS_512[0], _AXIS_512[-1], 200, -0.4)),
 }
-
-
-# grids whose cell sums sit on the pump-frequency lattice: equal uniform
-# steps; the others differ in step or are not uniform
-_LATTICE_GRIDS = {name for name in _BLOCK_GRIDS if name.endswith("x512")}
 
 
 class TestRowBlockOracle:
@@ -376,8 +378,7 @@ class TestRowBlockOracle:
                                          mode, shape):
         signal, idler = _BLOCK_GRIDS[shape]
         grid = FrequencyGrid(signal_axis=signal, idler_axis=idler)
-        assert (_pump_lattice_index(grid) is not None) == (
-            shape in _LATTICE_GRIDS)
+        assert _pump_lattice_index(grid) is not None
         got = compute_jsa(grid, default_crystal, default_pump, pmf_mode=mode)
         oracle = _whole_grid_jsa(grid, default_crystal, default_pump, mode)
         assert got.amplitude.dtype == oracle.amplitude.dtype
@@ -385,9 +386,8 @@ class TestRowBlockOracle:
 
 
 class TestPumpLattice:
-    """The pump factors read from the pump-frequency lattice against the
-    per-cell formula they replace: k_p moves by at most its slope times
-    2 ulp of the pump frequency."""
+    """The pump factors read from the pump-frequency lattice, the one way
+    compute_jsa gets them."""
 
     @pytest.mark.parametrize("mode, samples, bound", [
         (PmfMode.ANALYTIC, 64, 1e-11),
@@ -397,9 +397,9 @@ class TestPumpLattice:
     ], ids=lambda v: getattr(v, "value", str(v)))
     def test_within_bound_of_per_cell(self, default_crystal, default_pump,
                                       mode, samples, bound):
-        # the CLI's grid, so the CLI takes the lattice path
+        # against the per-cell formula it replaces: k_p moves by at most
+        # its slope times 2 ulp of the pump frequency
         grid = make_grid(RunConfig(samples=samples))
-        assert _pump_lattice_index(grid) is not None
         got = compute_jsa(grid, default_crystal, default_pump, pmf_mode=mode)
         per_cell = _whole_grid_jsa(grid, default_crystal, default_pump, mode,
                                    per_cell=True)
@@ -410,18 +410,53 @@ class TestPumpLattice:
             expected = metric(per_cell)
             assert abs(metric(got) - expected) <= 1e-13 * expected
 
+    def test_wavelength_window_grids_on_lattice(self):
+        # the grids make_grid builds: every size up to 699 on the default
+        # window, then odd and even sizes up to the limit on windows
+        # RunConfig accepts
+        for samples in range(64, 700):
+            axis = FrequencyGrid.wavelength_window(1500e-9, 1620e-9,
+                                                   samples).signal_axis
+            assert _pump_lattice(axis, axis).size == 2 * samples - 1
+        rng = np.random.default_rng(0)
+        sizes = [700, 1001, 2047, 4096, *rng.integers(700, 4097, 8)]
+        windows = [(1490.0, 1640.0), (1400.0, 1750.0), (1540.0, 1580.0),
+                   (1450.0, 1700.0)]
+        for k, samples in enumerate(sizes):
+            lo, hi = windows[k % len(windows)]
+            cfg = RunConfig(samples=int(samples), window=(lo * 1e-9, hi * 1e-9))
+            grid = make_grid(cfg)
+            s = _pump_lattice(grid.signal_axis, grid.idler_axis)
+            assert s.size == 2 * cfg.samples - 1
+
+    @pytest.mark.parametrize("mode", list(PmfMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("shape", list(_OFF_LATTICE_GRIDS))
+    def test_off_lattice_grid_rejected(self, default_crystal, default_pump,
+                                       mode, shape):
+        signal, idler = _OFF_LATTICE_GRIDS[shape]
+        grid = FrequencyGrid(signal_axis=signal, idler_axis=idler)
+        assert _pump_lattice_index(grid) is None
+        with pytest.raises(ConfigError, match="one uniform step, as "
+                           "FrequencyGrid.wavelength_window makes"):
+            compute_jsa(grid, default_crystal, default_pump, pmf_mode=mode)
+
+    def test_coarse_check_comes_first(self, default_crystal, default_pump):
+        grid = FrequencyGrid(signal_axis=_warped(_AXIS_512[0], _AXIS_512[-1],
+                                                 20, 0.3),
+                             idler_axis=_AXIS_512)
+        with pytest.raises(ConfigError, match="grid too coarse"):
+            compute_jsa(grid, default_crystal, default_pump)
+
 
 class TestComputeJsa:
     def test_normalized(self, default_jsa):
         assert default_jsa.norm_squared == pytest.approx(1.0, abs=1e-9)
 
     def test_normalized_flag_checked(self, default_jsa):
-        # normalized_copy skips the check; a caller's flag does not
+        # JsaGrid carries no normalized flag; normalized_copy is the one
+        # normalizing path
         doubled = 2.0 * default_jsa.amplitude
-        with pytest.raises(ConfigError, match="norm differs from 1"):
-            JsaGrid(grid=default_jsa.grid, amplitude=doubled, normalized=True)
         copy = JsaGrid(grid=default_jsa.grid, amplitude=doubled).normalized_copy()
-        assert copy.normalized
         assert copy.norm_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_normalizing_zero_or_overflow_rejected(self, default_jsa):

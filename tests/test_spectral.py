@@ -145,6 +145,20 @@ class TestOverlapIntegral:
         jsa = JsaGrid(grid=grid, amplitude=amp).normalized_copy()
         assert overlap_integral(jsa) == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-12, 3.0, 1e12])
+    def test_scale_free(self, default_jsa, scale):
+        # a real and a complex JSA, each rescaled without renormalizing
+        for jsa in (default_jsa, _exchange_mixed_jsa(1)):
+            scaled = JsaGrid(grid=jsa.grid, amplitude=scale * jsa.amplitude)
+            expected = overlap_integral(jsa)
+            assert abs(overlap_integral(scaled) - expected) <= 1e-15 * expected
+
+    def test_all_zero_rejected(self, default_jsa):
+        jsa = JsaGrid(grid=default_jsa.grid,
+                      amplitude=np.zeros(default_jsa.grid.shape))
+        with pytest.raises(ConfigError, match="all-zero"):
+            overlap_integral(jsa)
+
     def test_rejects_mismatched_axes(self):
         grid = FrequencyGrid(
             signal_axis=np.linspace(1.19e15, 1.25e15, 16),
@@ -186,7 +200,7 @@ class TestSchmidt:
         lam1, lam2 = 0.7, 0.3
         amp = (np.sqrt(lam1) * np.outer(u1, u1)
                + np.sqrt(lam2) * np.outer(u2, u2))
-        res = schmidt(JsaGrid(grid=grid, amplitude=amp, normalized=True))
+        res = schmidt(JsaGrid(grid=grid, amplitude=amp))
         assert res.purity == pytest.approx(lam1**2 + lam2**2, abs=1e-12)
 
     def test_all_zero_rejected(self):
