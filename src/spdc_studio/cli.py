@@ -272,7 +272,7 @@ def _parse_powers(text: str) -> list[float]:
     if not all(math.isfinite(p) and p > 0 for p in powers):
         raise ConfigError(f"pump powers must be positive and finite (mW), "
                           f"got {text!r}")
-    # each power keys its point in squeezing.json and its scans.csv rows
+    # each power keys its point in squeezing.json
     keys = [f"{p:g}" for p in powers]
     for key in keys:
         if keys.count(key) > 1:
@@ -300,7 +300,6 @@ def cmd_visibility(args: argparse.Namespace) -> int:
     fit_method = "least_squares" if len(observed) > 1 else "per_point"
 
     points = {}
-    lines = ["power_mw,basis,visibility"]
     for (mw, v_hv, v_da), inv in zip(observed, est["points"]):
         points[f"{mw:g}"] = {
             "pump_power_mw": mw,
@@ -310,9 +309,7 @@ def cmd_visibility(args: argparse.Namespace) -> int:
             "mu": inv["mu"],
             "squeezing_db": inv["squeezing_db"],
         }
-        lines += [f"{mw:g},HV,{v_hv:.17g}", f"{mw:g},DA,{v_da:.17g}"]
     out = _out_dir(args.out, "visibility")
-    (out / "scans.csv").write_text("\n".join(lines) + "\n")
 
     c_fit = est["C_per_sqrt_w"]
     _write_json(out / "squeezing.json", {
@@ -415,6 +412,23 @@ def _report_templates():
     return rows
 
 
+def _artifact_value(doc: dict, extract, path: Path, label: str
+                    ) -> float | None:
+    """``extract(doc)`` as a float, None when a key on its way is missing;
+    a value that is not a JSON number raises ConfigError naming ``path``."""
+    try:
+        value = extract(doc)
+    except KeyError:
+        return None
+    except (TypeError, IndexError) as exc:
+        # a container on its way (the artifact too) is of the wrong kind
+        raise ConfigError(f"{path}: cannot read {label}: {exc}") from exc
+    if type(value) not in (int, float):  # a bool is an int subclass
+        raise ConfigError(f"{path}: {label} must be a JSON number, "
+                          f"got {json.dumps(value)}")
+    return float(value)
+
+
 def _computed_rows() -> list[tuple[str, float, str, bool]]:
     pump = PumpSpec()
     crystal = CrystalSpec()
@@ -479,10 +493,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         doc = artifacts[command]
         value_text, status = "-", "not run"
         if doc is not None:
-            try:
-                value = float(extract(doc))
-            except (KeyError, TypeError):
-                value = None
+            value = _artifact_value(doc, extract,
+                                    runs_dir / command / _ARTIFACTS[command],
+                                    label)
             if value is not None:
                 value_text = _fmt(value)
                 status = "pass" if check(value) else "fail"

@@ -23,7 +23,7 @@ from scipy.special import ndtr
 from .errors import ConfigError, ConvergenceError
 from .optics import (_FWHM_SIGMA, TWO_PI_C, FrequencyGrid, JsaGrid,
                      _check_numbers)
-from .polarization import TwoQubitState, analyzer_projector
+from .polarization import TwoQubitState, _expectations, analyzer_projector
 from .rng import substream
 from .spectral import JsiGrid
 
@@ -298,12 +298,9 @@ def visibility_scan(rho: TwoQubitState, fixed_angle: float,
     if pairs_per_point <= 0:
         raise ConfigError("pairs_per_point must be positive")
     angles = np.linspace(0.0, math.pi, n_points, endpoint=False)
-    p1 = analyzer_projector(fixed_angle)
-    means = np.empty(n_points)
-    for j, theta in enumerate(angles):
-        op = np.kron(p1, analyzer_projector(theta))
-        means[j] = pairs_per_point * max(
-            float(np.real(np.trace(rho.matrix @ op))), 0.0)
+    ops = np.kron(analyzer_projector(fixed_angle),
+                  np.array([analyzer_projector(theta) for theta in angles]))
+    means = pairs_per_point * np.maximum(_expectations(rho.matrix, ops), 0.0)
     rng = substream(seed, f"visibility.scan.{fixed_angle:.9f}")
     counts = rng.poisson(means)
     return VisibilityScan(fixed_angle=fixed_angle, sweep_angles=angles,

@@ -628,8 +628,9 @@ def design_lobe_wavelengths(crystal: CrystalSpec, pump: PumpSpec,
     lo, hi = window
     a = crystal.pmf_a
     lam_deg = TWO_PI_C / w0
-    lam_plus = brentq(lambda l: nu(l) - a, lo, lam_deg)
-    lam_minus = brentq(lambda l: nu(l) + a, lam_deg, hi)
+    # xtol is absolute, in metres: the default 2e-12 stops short of the root
+    lam_plus = brentq(lambda l: nu(l) - a, lo, lam_deg, xtol=1e-21)
+    lam_minus = brentq(lambda l: nu(l) + a, lam_deg, hi, xtol=1e-21)
     return min(lam_plus, lam_minus), max(lam_plus, lam_minus)
 
 

@@ -19,6 +19,7 @@ from .errors import ConfigError
 __all__ = [
     "BASIS_LABELS",
     "PAULI",
+    "PAULI_PRODUCTS",
     "BellKind",
     "TwoQubitState",
     "MetricReport",
@@ -43,6 +44,10 @@ PAULI = {
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+# entry 4a + b is sigma_a x sigma_b for a, b in (i, x, y, z)
+PAULI_PRODUCTS = np.array([np.kron(PAULI[a], PAULI[b])
+                           for a in "ixyz" for b in "ixyz"])
 
 _PSD_TOL = 1e-9
 _HERMITIAN_TOL = 1e-10
@@ -197,14 +202,15 @@ def fidelity(rho: TwoQubitState, target: TwoQubitState) -> float:
     return float(np.real(np.trace(inner)) ** 2)
 
 
+def _expectations(matrix: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Re Tr(matrix O_k) for each O_k of the stack ``ops``; leading axes
+    of ``matrix`` (a stack of matrices) lead the result."""
+    return np.einsum("kij,...ji->...k", ops, matrix).real
+
+
 def _correlation_matrix(rho: TwoQubitState) -> np.ndarray:
     """T_ij = Tr(rho sigma_i x sigma_j) for i, j in (x, y, z)."""
-    t = np.empty((3, 3))
-    for i, si in enumerate("xyz"):
-        for j, sj in enumerate("xyz"):
-            op = np.kron(PAULI[si], PAULI[sj])
-            t[i, j] = float(np.real(np.trace(rho.matrix @ op)))
-    return t
+    return _expectations(rho.matrix, PAULI_PRODUCTS).reshape(4, 4)[1:, 1:]
 
 
 def chsh_max(rho: TwoQubitState) -> float:
@@ -247,15 +253,11 @@ def predicted_visibility(rho: TwoQubitState, basis: str) -> float:
         raise ConfigError(f"unknown basis {basis!r}, expected one of "
                           f"{sorted(_BASIS_ANGLES)}")
     p1 = analyzer_projector(_BASIS_ANGLES[basis])
-
-    def coeff(op2: np.ndarray) -> float:
-        return float(np.real(np.trace(rho.matrix @ np.kron(p1, op2))))
-
-    k0 = coeff(PAULI["i"])
+    ops = np.kron(p1, np.array([PAULI[s] for s in "izx"]))
+    k0, kz, kx = _expectations(rho.matrix, ops)
     if k0 < 1e-12:
         raise ConfigError("fixed analyzer sits on a dark state; no fringe")
-    swing = math.hypot(coeff(PAULI["z"]), coeff(PAULI["x"]))
-    return swing / k0
+    return float(math.hypot(kz, kx) / k0)
 
 
 def trace_distance(rho: TwoQubitState, sigma: TwoQubitState) -> float:

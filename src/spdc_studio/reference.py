@@ -1,8 +1,12 @@
 """Published reference values for the source this toolkit models.
 
 The consolidated report compares run artifacts against these numbers.
-They are comparison targets only; nothing in the simulation reads them
-back, so the physics cannot quietly fit itself to the answers.
+A few are inputs too: ``spdc-studio visibility`` simulates its sweep from
+``SQUEEZING_SLOPE``, the report's bookkeeping rows start from the quoted
+powers and count rates, and ``scripts/make_fixtures.py`` fits the
+measured-spectrum fixture to the measured Schmidt purity, f11 and f12, so
+those rows check arithmetic, not an independent prediction. The JSA,
+tomography and time-of-flight physics read none of them.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import ConfigError, read_input
-from .polarization import PAULI, TwoQubitState
+from .polarization import PAULI_PRODUCTS, TwoQubitState, _expectations
 from .rng import substream
 
 __all__ = [
@@ -134,8 +134,8 @@ def setting_from_label(label: str) -> ProjectorSetting:
 
 def expected_probability(rho: TwoQubitState, setting: ProjectorSetting) -> float:
     """Born-rule coincidence probability Tr(rho P1 x P2)."""
-    p = float(np.real(np.trace(rho.matrix @ setting.operator)))
-    return min(max(p, 0.0), 1.0)
+    p = _expectations(rho.matrix, setting.operator[None])[0]
+    return float(np.clip(p, 0.0, 1.0))
 
 
 def simulate_counts(rho: TwoQubitState, settings: list[ProjectorSetting],
@@ -144,34 +144,12 @@ def simulate_counts(rho: TwoQubitState, settings: list[ProjectorSetting],
     """Poisson coincidence counts for each setting, deterministic per seed."""
     if not pairs_per_setting > 0:
         raise ConfigError("pairs_per_setting must be positive")
-    rng = substream(seed, "tomography.counts")
-    records = []
-    for setting in settings:
-        mean = pairs_per_setting * expected_probability(rho, setting)
-        records.append(TomographyRecord(
-            setting=setting,
-            counts=int(rng.poisson(mean)),
-            acquisition_scale=pairs_per_setting,
-        ))
-    return records
-
-
-def _pauli_basis() -> np.ndarray:
-    ops = []
-    for s1 in "ixyz":
-        for s2 in "ixyz":
-            ops.append(np.kron(PAULI[s1], PAULI[s2]))
-    return np.array(ops)
-
-
-def _design_matrix(records: list[TomographyRecord]) -> np.ndarray:
-    basis = _pauli_basis()
-    design = np.empty((len(records), 16))
-    for k, rec in enumerate(records):
-        op = rec.setting.operator
-        for a in range(16):
-            design[k, a] = float(np.real(np.trace(basis[a] @ op))) / 4.0
-    return design
+    ops = np.array([s.operator for s in settings]).reshape(-1, 4, 4)
+    means = pairs_per_setting * np.clip(_expectations(rho.matrix, ops), 0, 1)
+    counts = substream(seed, "tomography.counts").poisson(means)
+    return [TomographyRecord(setting=setting, counts=int(n),
+                             acquisition_scale=pairs_per_setting)
+            for setting, n in zip(settings, counts)]
 
 
 def linear_inversion(records: list[TomographyRecord]) -> TwoQubitState:
@@ -179,13 +157,14 @@ def linear_inversion(records: list[TomographyRecord]) -> TwoQubitState:
     projected onto the physical (PSD, unit-trace) set."""
     if len(records) < 16:
         raise ConfigError(f"need at least 16 records, got {len(records)}")
-    design = _design_matrix(records)
+    ops = np.array([rec.setting.operator for rec in records])
+    design = _expectations(ops, PAULI_PRODUCTS) / 4.0
     if np.linalg.matrix_rank(design, tol=1e-8) < 16:
         raise ConfigError("tomography settings are not informationally "
                           "complete (design matrix rank < 16)")
     freqs = np.array([rec.counts / rec.acquisition_scale for rec in records])
     coeffs, *_ = np.linalg.lstsq(design, freqs, rcond=None)
-    rho = np.tensordot(coeffs, _pauli_basis(), axes=1) / 4.0
+    rho = np.tensordot(coeffs, PAULI_PRODUCTS, axes=1) / 4.0
     rho = 0.5 * (rho + rho.conj().T)
     eigvals, eigvecs = np.linalg.eigh(rho)
     clipped = np.clip(eigvals, 0.0, None)
@@ -210,7 +189,7 @@ def _deviance(x: np.ndarray, ops: np.ndarray, counts: np.ndarray,
     tau = np.vdot(t, t).real
     rho = t @ t.conj().T / tau
     # the floor keeps n/m finite where a predicted mean underflows
-    means = np.maximum(scales * np.einsum("kij,ji->k", ops, rho).real, 1e-12)
+    means = np.maximum(scales * _expectations(rho, ops), 1e-12)
     excess = means - counts
     # term by term: the total of m - n log m, offset by the saturated
     # constant afterwards, cancels to rounding noise above ftol; n = 0

@@ -363,10 +363,8 @@ class TestVisibility:
         point = doc["points"]["620"]
         assert point["mu"] == pytest.approx(0.1, abs=0.02)
         assert point["squeezing_db"] == pytest.approx(-2.70, abs=0.3)
-
-        lines = (out / "scans.csv").read_text().splitlines()
-        assert lines[0] == "power_mw,basis,visibility"
-        assert len(lines) == 3  # one HV row and one DA row
+        # every visibility lives in the points above
+        assert not (out / "scans.csv").exists()
 
     def test_two_powers_least_squares(self, tmp_path):
         out = tmp_path / "vis"
@@ -405,7 +403,7 @@ class TestVisibility:
         ("50,155,0.05e3", "50"),
     ])
     def test_repeated_powers_exit_2(self, tmp_path, capsys, powers, key):
-        # each power keys one squeezing.json point and its scans.csv rows
+        # each power keys one squeezing.json point
         out = tmp_path / "vis"
         assert main(["visibility", "--powers", powers,
                      "--out", str(out)]) == 2
@@ -534,6 +532,37 @@ class TestReport:
         (runs / "simulate-jsa").mkdir(parents=True)
         (runs / "simulate-jsa" / "summary.json").write_text("{oops")
         assert main(["report", str(runs)]) == 2
+
+    @pytest.mark.parametrize("text, quantity", [
+        ('{"overlap_integral": "x"}', "spectral overlap"),
+        ('{"overlap_integral": true}', "spectral overlap"),
+        ('{"overlap_integral": null}', "spectral overlap"),
+        ('{"overlap_integral": [0.999]}', "spectral overlap"),
+        ('{"overlap_integral": {"value": 0.999}}', "spectral overlap"),
+        ('{"lobes": "x"}', "short lobe peak"),
+        ('[0.999]', "spectral overlap"),
+    ], ids=["string", "bool", "null", "list", "object", "nested",
+            "top-level"])
+    def test_malformed_value_exits_2(self, tmp_path, capsys, text, quantity):
+        runs = tmp_path / "runs"
+        (runs / "simulate-jsa").mkdir(parents=True)
+        (runs / "simulate-jsa" / "summary.json").write_text(text)
+        out = tmp_path / "rep"
+        assert main(["report", str(runs), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "summary.json: " in err and quantity in err
+        assert not out.exists()
+
+    def test_missing_key_not_run(self, tmp_path):
+        runs = tmp_path / "runs"
+        (runs / "simulate-jsa").mkdir(parents=True)
+        (runs / "simulate-jsa" / "summary.json").write_text(
+            '{"schmidt_purity": 0.496}')
+        out = tmp_path / "rep"
+        assert main(["report", str(runs), "--out", str(out)]) == 0
+        text = (out / "report.md").read_text()
+        assert "| spectral overlap (designed JSA) | - |" in text
+        assert "| Schmidt purity (designed JSA) | 0.496 |" in text
 
 
 class TestFullPipeline:

@@ -574,6 +574,21 @@ class TestDesignLobes:
         partner = TWO_PI_C / (wp - TWO_PI_C / lam1)
         assert partner == pytest.approx(lam2, rel=2e-4)
 
+    def test_solved_to_the_root(self, default_crystal, default_pump):
+        # the root solve's tolerance is absolute, in metres; one of 2e-12 m
+        # (brentq's default) leaves |nu - a| at 0.01 1/m
+        lam1, lam2 = design_lobe_wavelengths(default_crystal, default_pump)
+        wp = default_pump.center_omega
+        dk0 = delta_k(wp / 2, wp / 2, default_crystal)
+
+        def nu(lam):
+            ws = TWO_PI_C / lam
+            return delta_k(ws, wp - ws, default_crystal) - dk0
+
+        a = default_crystal.pmf_a
+        assert abs(nu(lam1) - a) <= 1e-6
+        assert abs(nu(lam2) + a) <= 1e-6
+
 
 class TestWalkoff:
     def test_perfect_compensation_for_flat_dispersion(self):

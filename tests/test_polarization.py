@@ -7,14 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdc_studio.errors import ConfigError
-from spdc_studio.polarization import (BASIS_LABELS, PAULI, BellKind,
-                                      TwoQubitState, _correlation_matrix,
+from spdc_studio.polarization import (BASIS_LABELS, PAULI, PAULI_PRODUCTS,
+                                      BellKind, TwoQubitState,
+                                      _correlation_matrix, _expectations,
                                       analyzer_projector, bell_state,
                                       chsh_max, concurrence,
                                       fidelity, metric_report,
                                       predicted_visibility, purity,
                                       rho_from_lobes, trace_distance,
                                       werner_state)
+from spdc_studio.tomography import standard_16_settings
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -35,6 +37,29 @@ def _random_local_unitary(seed):
         q, r = np.linalg.qr(g)
         us.append(q * (np.diag(r) / np.abs(np.diag(r))))
     return np.kron(us[0], us[1])
+
+
+class TestExpectations:
+    def test_pauli_products_order(self):
+        for a, sa in enumerate("ixyz"):
+            for b, sb in enumerate("ixyz"):
+                assert np.array_equal(PAULI_PRODUCTS[4 * a + b],
+                                      np.kron(PAULI[sa], PAULI[sb]))
+
+    @pytest.mark.parametrize("stack", ["settings", "pauli", "analyzers"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_trace_loop(self, stack, seed):
+        if stack == "settings":
+            ops = np.array([s.operator for s in standard_16_settings()])
+        elif stack == "pauli":
+            ops = PAULI_PRODUCTS
+        else:
+            p1 = analyzer_projector(0.3)
+            ops = np.array([np.kron(p1, analyzer_projector(theta))
+                            for theta in np.linspace(0, math.pi, 16)])
+        m = _ginibre_state(seed).matrix
+        oracle = [np.trace(m @ op).real for op in ops]
+        assert np.allclose(_expectations(m, ops), oracle, rtol=0, atol=1e-15)
 
 
 class TestBellStates:

@@ -8,6 +8,7 @@ from spdc_studio.fixtures import load_reference_state
 from spdc_studio.polarization import (PAULI, BellKind, TwoQubitState,
                                       bell_state, concurrence,
                                       trace_distance, werner_state)
+from spdc_studio.rng import substream
 from spdc_studio.tomography import (KETS, ProjectorSetting, TomographyRecord,
                                     expected_probability, linear_inversion,
                                     load_records, mle_reconstruct,
@@ -25,6 +26,20 @@ def _noiseless_records(rho, pairs=1e6):
                          acquisition_scale=pairs)
         for s in standard_16_settings()
     ]
+
+
+class TestSimulateCounts:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_setting_draws(self, seed):
+        rho = load_reference_state()
+        settings = standard_16_settings()
+        rng = substream(seed, "tomography.counts")
+        oracle = [int(rng.poisson(1e5 * expected_probability(rho, s)))
+                  for s in settings]
+        records = simulate_counts(rho, settings, 1e5, seed)
+        assert [rec.counts for rec in records] == oracle
+        assert all(rec.setting is s for rec, s in zip(records, settings))
+        assert simulate_counts(rho, [], 1e5, seed) == []
 
 
 class TestSettings:
