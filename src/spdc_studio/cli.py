@@ -415,7 +415,8 @@ def _report_templates():
 def _artifact_value(doc: dict, extract, path: Path, label: str
                     ) -> float | None:
     """``extract(doc)`` as a float, None when a key on its way is missing;
-    a value that is not a JSON number raises ConfigError naming ``path``."""
+    a value that is not a finite JSON number raises ConfigError naming
+    ``path``."""
     try:
         value = extract(doc)
     except KeyError:
@@ -423,8 +424,10 @@ def _artifact_value(doc: dict, extract, path: Path, label: str
     except (TypeError, IndexError) as exc:
         # a container on its way (the artifact too) is of the wrong kind
         raise ConfigError(f"{path}: cannot read {label}: {exc}") from exc
-    if type(value) not in (int, float):  # a bool is an int subclass
-        raise ConfigError(f"{path}: {label} must be a JSON number, "
+    # a bool is an int subclass; json also decodes NaN, +-Infinity and
+    # integers past the float range, which the comparison rejects
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path}: {label} must be a finite JSON number, "
                           f"got {json.dumps(value)}")
     return float(value)
 

@@ -133,6 +133,16 @@ def jsa_from_jsi(jsi: JsiGrid) -> JsaGrid:
 _TILE = 64  # grid points per side of an overlap_integral tile
 
 
+def _exchange_block(f: np.ndarray, w_s: np.ndarray, w_i: np.ndarray,
+                    rows: slice, cols: slice) -> complex:
+    """sum f(ws, wi) conj(f(wi, ws)) dws dwi over the block of ``rows`` by
+    ``cols``: the weighted block against the transpose of its mirror block
+    (``cols`` by ``rows``), a view that ``vdot`` copies."""
+    weighted = f[rows, cols] * w_s[rows, np.newaxis]
+    weighted *= w_i[cols]
+    return complex(np.vdot(f[cols, rows].T, weighted))
+
+
 def overlap_integral(jsa: JsaGrid) -> float:
     """Exchange-symmetry overlap of the JSA with its transpose, in [0, 1].
 
@@ -160,9 +170,7 @@ def overlap_integral(jsa: JsaGrid) -> float:
     inner = 0.0
     for a, rows in enumerate(tiles):
         for b, cols in enumerate(tiles[a:], start=a):
-            weighted = f[rows, cols] * w_s[rows, np.newaxis]
-            weighted *= w_i[cols]
-            term = np.vdot(f[cols, rows].T, weighted).real
+            term = _exchange_block(f, w_s, w_i, rows, cols).real
             inner += term if a == b else 2.0 * term
     return float((inner / norm_squared) ** 2)
 
@@ -287,9 +295,7 @@ def lobe_overlap_matrix(lobes: LobePair) -> np.ndarray:
     a, k = lobes.jsa.amplitude, lobes.split
     f11 = float(w_s[k:] @ np.abs(a[k:]) ** 2 @ w_i)
     f22 = float(w_s[:k] @ np.abs(a[:k]) ** 2 @ w_i)
-    weighted = a[k:, :k] * w_s[k:, np.newaxis]
-    weighted *= w_i[:k]
-    f12 = complex(np.vdot(np.ascontiguousarray(a[:k, k:].T), weighted))
+    f12 = _exchange_block(a, w_s, w_i, slice(k, None), slice(None, k))
     # the lobes are not normalized (f11 ~ 3e25 on a window in rad/s), so
     # the rounding slack scales with the bound
     if abs(f12) > math.sqrt(f11 * f22) * (1 + 1e-9):

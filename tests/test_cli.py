@@ -1,11 +1,15 @@
+import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spdc_studio
 from spdc_studio import fixtures, tomography
 from spdc_studio.cli import _two_lobe_summary, main
 from spdc_studio.config import load_run_config, make_grid
@@ -68,7 +72,9 @@ class TestSimulateJsa:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     @pytest.mark.parametrize("grid", [None, {"samples": 96,
-                                             "window_nm": [1510.5, 1610.25]}])
+                                             "window_nm": [1510.5, 1610.25]},
+                                      {"samples": 301,
+                                       "window_nm": [1490, 1640]}])
     def test_summary_rebuilds_from_jsa_npy(self, tmp_path, grid):
         # jsa.npy plus the summary's "grid" block are the whole artifact:
         # they give back the grid and, at cut_nm, every two-lobe number
@@ -177,6 +183,7 @@ class TestAnalyzeJsi:
 
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["analyze-jsi", str(tmp_path / "gone.csv")]) == 2
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("cut", ["nan", "inf", "-1"])
     def test_bad_cut_exits_2(self, tmp_path, capsys, cut):
@@ -446,9 +453,6 @@ def test_negative_seed_with_records_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     # passes config validation, then compute_jsa finds the grid too coarse
     ["simulate-jsa", "--config", "coarse.json"],
-    # a 100000^2 grid would fail to allocate instead
-    pytest.param(["simulate-jsa", "--samples", "100000"],
-                 id="simulate-jsa-oversized"),
     ["analyze-jsi", "gone.csv"],
     ["tomography", "--simulate", "ghz"],
     ["visibility", "--powers", "0"],
@@ -474,8 +478,12 @@ def test_exit_2_creates_no_output_directory(tmp_path, capsys, argv):
     (["analyze-jsi", "adir"], "adir: cannot read file"),
     (["simulate-jsa", "--config", "adir"], "adir: cannot read config file"),
     (["report", "dirruns"], "report.json: cannot read run artifact"),
+    # a 100000^2 grid would fail to allocate instead
+    (["simulate-jsa", "--samples", "100000"],
+     "samples must be an integer from 64 to 4096, got 100000"),
 ], ids=["malformed-state", "state-dir", "records-dir", "records-binary",
-        "records-inf-scale", "jsi-dir", "config-dir", "artifact-dir"])
+        "records-inf-scale", "jsi-dir", "config-dir", "artifact-dir",
+        "simulate-jsa-oversized"])
 def test_unreadable_input_exits_2(tmp_path, capsys, argv, named):
     (tmp_path / "bad.json").write_text('{"matrix": [[')
     (tmp_path / "adir").mkdir()
@@ -541,8 +549,14 @@ class TestReport:
         ('{"overlap_integral": {"value": 0.999}}', "spectral overlap"),
         ('{"lobes": "x"}', "short lobe peak"),
         ('[0.999]', "spectral overlap"),
+        # json decodes these, although RFC 8259 has no NaN or infinity and
+        # the integer overflows a float
+        ('{"overlap_integral": 1' + "0" * 400 + "}", "spectral overlap"),
+        ('{"overlap_integral": NaN}', "spectral overlap"),
+        ('{"overlap_integral": Infinity}', "spectral overlap"),
+        ('{"overlap_integral": -Infinity}', "spectral overlap"),
     ], ids=["string", "bool", "null", "list", "object", "nested",
-            "top-level"])
+            "top-level", "huge-integer", "nan", "infinity", "minus-infinity"])
     def test_malformed_value_exits_2(self, tmp_path, capsys, text, quantity):
         runs = tmp_path / "runs"
         (runs / "simulate-jsa").mkdir(parents=True)
@@ -565,17 +579,67 @@ class TestReport:
         assert "| Schmidt purity (designed JSA) | 0.496 |" in text
 
 
+SCRIPT = (Path(__file__).resolve().parents[1] / "scripts"
+          / "run_full_pipeline.py")
+
+
+def _subprocess(argv, cwd, **env):
+    """Run ``python argv`` in ``cwd`` on this checkout's package."""
+    path = [str(Path(spdc_studio.__file__).resolve().parents[1]),
+            os.environ.get("PYTHONPATH")]
+    return subprocess.run(
+        [sys.executable, *argv], cwd=cwd, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
+             **env})
+
+
+def _tree(root):
+    """sha256 of each file under ``root``, by its path below it."""
+    return {p.relative_to(root).as_posix():
+            hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in root.rglob("*") if p.is_file()}
+
+
 class TestFullPipeline:
-    def test_clean_checkout_headline(self, tmp_path, monkeypatch):
-        # the README's promise for scripts/run_full_pipeline.py at seed 0
-        script = (Path(__file__).resolve().parents[1] / "scripts"
-                  / "run_full_pipeline.py")
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        """runs/ of scripts/run_full_pipeline.py at seed 0, in-process."""
         spec = importlib.util.spec_from_file_location("run_full_pipeline",
-                                                      script)
+                                                      SCRIPT)
         pipeline = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(pipeline)
-        monkeypatch.setattr(sys, "argv", [str(script), "0"])
-        assert pipeline.entry() == 0
-        report = (tmp_path / "runs" / "report" / "report.md").read_text()
+        cwd = tmp_path_factory.mktemp("pipeline")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.chdir(cwd)
+            mp.setattr(sys, "argv", [str(SCRIPT), "0"])
+            assert pipeline.entry() == 0
+        return cwd / "runs"
+
+    def test_clean_checkout_headline(self, runs):
+        # the README's promise for scripts/run_full_pipeline.py at seed 0
+        report = (runs / "report" / "report.md").read_text()
         assert report.splitlines()[-1] == \
             "Totals: 28 pass, 0 fail, 0 not run."
+
+    @pytest.mark.parametrize("env, compared", [
+        ({}, None),
+        # BLAS may sum in another order at another thread count, so a
+        # summary may differ in its last digit, but not the report
+        ({"OPENBLAS_NUM_THREADS": "1"}, ["report/report.md"]),
+    ], ids=["default-threads", "one-blas-thread"])
+    def test_script_process_rerun(self, runs, tmp_path, env, compared):
+        # the script as its own process, where a RuntimeWarning (numpy's
+        # ComplexWarning too) is an error, leaves the in-process run's files
+        result = _subprocess(["-W", "error::RuntimeWarning", str(SCRIPT), "0"],
+                             tmp_path, **env)
+        assert result.returncode == 0, result.stderr
+        expected, again = _tree(runs), _tree(tmp_path / "runs")
+        if compared:
+            expected = {name: expected[name] for name in compared}
+            again = {name: again[name] for name in compared}
+        assert again == expected
+
+    def test_module_entry_point(self, tmp_path):
+        result = _subprocess(["-m", "spdc_studio", "--version"], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"spdc-studio {spdc_studio.__version__}\n"
