@@ -83,7 +83,8 @@ def write_reference_state() -> None:
     state = build_reference_state()
     payload = {"schema_version": 1, **state.to_json_dict()}
     path = DATA_DIR / "qst_reference_state.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
 
     rep = metric_report(state)
     print(f"wrote {path}")

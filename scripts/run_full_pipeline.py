@@ -27,7 +27,7 @@ def entry() -> int:
     run(["visibility", "--seed", seed])
     run(["report"])
     print()
-    print(Path("runs/report/report.md").read_text())
+    print(Path("runs/report/report.md").read_text(encoding="utf-8"))
     return 0
 
 

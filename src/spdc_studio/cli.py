@@ -69,7 +69,8 @@ def _write_json(path: Path, payload: dict) -> None:
     # json encodes np.float64 as a float; arrays and numpy ints and bools
     # go through tolist
     path.write_text(json.dumps(payload, indent=2, sort_keys=True,
-                               default=lambda obj: obj.tolist()) + "\n")
+                               default=lambda obj: obj.tolist()) + "\n",
+                    encoding="utf-8")
 
 
 def _out_dir(path: str | None, command: str) -> Path:
@@ -130,8 +131,7 @@ def cmd_simulate_jsa(args: argparse.Namespace) -> int:
     cfg = load_run_config(args.config, samples=args.samples, seed=args.seed,
                           output_dir=args.out)
     jsa = compute_jsa(make_grid(cfg), cfg.crystal, cfg.pump)
-    lam1, lam2 = design_lobe_wavelengths(cfg.crystal, cfg.pump,
-                                         window=cfg.window)
+    lam1, lam2 = cfg.design_lobes
     cut = 0.5 * (lam1 + lam2)
     summary = {
         "command": "simulate-jsa",
@@ -522,7 +522,7 @@ def cmd_report(args: argparse.Namespace) -> int:
               f"{counts['not run']} not run.", ""]
 
     out = _out_dir(args.out, "report")
-    (out / "report.md").write_text("\n".join(lines))
+    (out / "report.md").write_text("\n".join(lines), encoding="utf-8")
     print(f"report: {counts['pass']} pass, {counts['fail']} fail, "
           f"{counts['not run']} not run -> {out / 'report.md'}")
     return 0

@@ -10,7 +10,7 @@ loudly.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, read_json
@@ -51,6 +51,10 @@ class RunConfig:
     window: tuple[float, float] = tuple(v * 1e-9 for v in DEFAULT_WINDOW_NM)
     seed: int = 0
     output_dir: str | None = None
+    # (shorter, longer) designed lobe wavelengths in m, solved once to
+    # check them against the window
+    design_lobes: tuple[float, float] = field(init=False, repr=False,
+                                              compare=False)
 
     def __post_init__(self) -> None:
         try:
@@ -77,6 +81,7 @@ class RunConfig:
             raise ConfigError(
                 f"window [{lo * 1e9:.1f}, {hi * 1e9:.1f}] nm clips the "
                 f"designed lobes at {lam1 * 1e9:.1f} / {lam2 * 1e9:.1f} nm")
+        object.__setattr__(self, "design_lobes", (lam1, lam2))
 
     @property
     def window_nm(self) -> tuple[float, float]:

@@ -8,9 +8,13 @@ convergence failures with 3.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
+from contextlib import contextmanager
 from pathlib import Path
+from typing import TextIO
 
-__all__ = ["ConfigError", "ConvergenceError", "read_input", "read_json"]
+__all__ = ["ConfigError", "ConvergenceError", "open_input", "read_input",
+           "read_json"]
 
 
 class ConfigError(ValueError):
@@ -21,11 +25,14 @@ class ConvergenceError(RuntimeError):
     """An iterative solver failed to meet its convergence criterion."""
 
 
-def read_input(path: str | Path, what: str) -> str:
-    """Text of the input file ``path``; a missing, unreadable or non-UTF-8
-    one raises ConfigError naming the path and ``what`` it should be."""
+@contextmanager
+def open_input(path: str | Path, what: str) -> Iterator[TextIO]:
+    """The input file ``path`` open as UTF-8 text; a missing, unreadable or
+    non-UTF-8 one raises ConfigError naming the path and ``what`` it should
+    be, also when the fault is met part way through reading it."""
     try:
-        return Path(path).read_text()
+        with open(path, encoding="utf-8") as fh:
+            yield fh
     except FileNotFoundError as exc:
         raise ConfigError(f"{path}: no such {what}") from exc
     except OSError as exc:
@@ -33,6 +40,13 @@ def read_input(path: str | Path, what: str) -> str:
                           f"{exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {what} is not UTF-8 text") from exc
+
+
+def read_input(path: str | Path, what: str) -> str:
+    """Text of the input file ``path``, read as :func:`open_input` opens
+    it."""
+    with open_input(path, what) as fh:
+        return fh.read()
 
 
 def read_json(path: str | Path, what: str):

@@ -42,7 +42,7 @@ def reference_state_path() -> Path:
 
 
 def load_reference_state() -> TwoQubitState:
-    payload = json.loads(reference_state_path().read_text())
+    payload = json.loads(reference_state_path().read_text(encoding="utf-8"))
     return TwoQubitState.from_json_dict(payload)
 
 

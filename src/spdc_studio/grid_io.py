@@ -18,11 +18,14 @@ angular frequencies may wobble by one ulp.
 
 from __future__ import annotations
 
+import io
+from collections.abc import Iterable, Iterator
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, read_input
+from .errors import ConfigError, open_input, read_input
 from .optics import TWO_PI_C, FrequencyGrid
 from .spectral import JsiGrid
 
@@ -39,8 +42,9 @@ _IDLER_KEY = "# idler_nm:"
 
 def _format_row(values: np.ndarray) -> str:
     # %-formatting Python floats writes the bytes of f"{v:.17g}" on numpy
-    # floats, faster; callers pass one row at a time to keep memory flat
-    return ",".join(["%.17g" % v for v in values.tolist()])
+    # floats, faster, and one format of the whole row makes no string per
+    # value; callers pass one row at a time to keep memory flat
+    return ",".join(["%.17g"] * values.size) % tuple(values.tolist())
 
 
 def _format_axis(axis_omega: np.ndarray) -> str:
@@ -50,26 +54,30 @@ def _format_axis(axis_omega: np.ndarray) -> str:
 def save_matrix_csv(path: str | Path, grid: FrequencyGrid,
                     values: np.ndarray,
                     comment: str | None = None) -> None:
-    """Write one real-valued matrix with its wavelength axes."""
+    """Write one real-valued matrix with its wavelength axes, as UTF-8
+    text, one formatted row at a time."""
     values = np.asarray(values, dtype=float)
     if values.shape != grid.shape:
         raise ConfigError(f"matrix shape {values.shape} does not match grid "
                           f"{grid.shape}")
-    lines = []
+    headers = []
     if comment:
         for extra in comment.splitlines():
             line = f"# {extra}"
             if line.startswith((_SIGNAL_KEY, _IDLER_KEY)):
                 raise ConfigError(f"comment line {extra!r} would read as an "
                                   f"axis header")
-            lines.append(line)
-    lines.append(f"{_SIGNAL_KEY} {_format_axis(grid.signal_axis)}")
-    lines.append(f"{_IDLER_KEY} {_format_axis(grid.idler_axis)}")
-    lines.extend(_format_row(row) for row in values)
-    Path(path).write_text("\n".join(lines) + "\n")
+            headers.append(line)
+    headers.append(f"{_SIGNAL_KEY} {_format_axis(grid.signal_axis)}")
+    headers.append(f"{_IDLER_KEY} {_format_axis(grid.idler_axis)}")
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in headers:
+            fh.write(line + "\n")
+        for row in values:
+            fh.write(_format_row(row) + "\n")
 
 
-def _loadtxt(lines: list[str]) -> np.ndarray:
+def _loadtxt(lines: Iterable[str]) -> np.ndarray:
     """``lines`` as a 2-D float64 matrix, by numpy's C reader."""
     return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
 
@@ -115,36 +123,74 @@ def _parse_rows(rows: list[str], linenos: list[int], path) -> np.ndarray:
     raise ConfigError(f"{path}: ragged rows (widths {widths})")
 
 
-def load_matrix_csv(path: str | Path) -> tuple[FrequencyGrid, np.ndarray]:
-    """Read a matrix written by :func:`save_matrix_csv`.
-
-    One pass over the lines picks out the two axis headers and the data
-    lines; the data lines are then parsed together by ``np.loadtxt``, and
-    each header by the same call, so headers and data accept the same
-    numbers. A bad value is reported as ``path:lineno``.
-    """
-    text = read_input(path, "file")
-    signal = idler = None
-    rows, linenos = [], []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+def _data_lines(lines: Iterable[str], path: str, axes: dict,
+                linenos: list[int]) -> Iterator[str]:
+    """The data lines of ``lines``, stripped, with their line numbers
+    appended to ``linenos``. Blank and comment lines are skipped; each axis
+    header is parsed into ``axes`` as it is met, wherever it stands."""
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         if line.startswith(_SIGNAL_KEY):
-            signal = _parse_axis(line[len(_SIGNAL_KEY):], str(path), lineno)
+            axes["signal"] = _parse_axis(line[len(_SIGNAL_KEY):], path, lineno)
         elif line.startswith(_IDLER_KEY):
-            idler = _parse_axis(line[len(_IDLER_KEY):], str(path), lineno)
+            axes["idler"] = _parse_axis(line[len(_IDLER_KEY):], path, lineno)
         elif not line.startswith("#"):
-            rows.append(line)
             linenos.append(lineno)
-    if signal is None or idler is None:
+            yield line
+
+
+def _check_found(axes: dict, found_rows: bool, path) -> None:
+    if len(axes) < 2:
         raise ConfigError(f"{path}: missing '{_SIGNAL_KEY}' or "
                           f"'{_IDLER_KEY}' header line")
-    if not rows:
+    if not found_rows:
         raise ConfigError(f"{path}: no matrix rows found")
-    values = _parse_rows(rows, linenos, path)
+
+
+def _stream_matrix(path, axes: dict) -> np.ndarray:
+    """The matrix in ``path``, its lines read from the open file straight
+    into one ``np.loadtxt`` call."""
+    with open_input(path, "file") as fh:
+        data = _data_lines(fh, str(path), axes, [])
+        first = next(data, None)
+        # loadtxt would warn on an empty input
+        values = None if first is None else _loadtxt(chain([first], data))
+    _check_found(axes, values is not None, path)
+    return values
+
+
+def _rescan_matrix(path, axes: dict) -> np.ndarray:
+    """The matrix in ``path`` by the whole-file reading, which raises the
+    first fault by kind: undecodable text, then a bad axis header in line
+    order, a missing header or data, and a bad value or ragged rows."""
+    text = read_input(path, "file")
+    linenos: list[int] = []
+    rows = list(_data_lines(io.StringIO(text), str(path), axes, linenos))
+    _check_found(axes, bool(rows), path)
+    return _parse_rows(rows, linenos, path)
+
+
+def load_matrix_csv(path: str | Path) -> tuple[FrequencyGrid, np.ndarray]:
+    """Read a matrix written by :func:`save_matrix_csv`.
+
+    The UTF-8 lines are read from the open file through one classifier,
+    which parses the two axis headers as it meets them and hands the data
+    lines to a single ``np.loadtxt`` call, so about one grid is held. Each
+    header is parsed by the same call, so headers and data accept the same
+    numbers. Only a failed read reads the file again, whole, to report its
+    first fault (a bad value as ``path:lineno``).
+    """
+    axes: dict = {}
     try:
-        grid = FrequencyGrid(signal_axis=signal, idler_axis=idler)
+        values = _stream_matrix(path, axes)
+    except ValueError:
+        axes = {}
+        values = _rescan_matrix(path, axes)
+    try:
+        grid = FrequencyGrid(signal_axis=axes["signal"],
+                             idler_axis=axes["idler"])
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if values.shape != grid.shape:

@@ -223,14 +223,17 @@ def _tof_bin_probabilities(jsa: JsaGrid, fiber: FiberSpec, det: DetectorSpec
     (signal, idler) time bin. Given a grid cell the arms are independent,
     so P = R_s^T prob R_i with prob the normalized cell-weighted |f|^2."""
     g = jsa.grid
-    prob = np.abs(jsa.amplitude) ** 2 * np.outer(g.signal_weights,
-                                                 g.idler_weights)
+    # built in one buffer, in the operand order of |f|^2 * w / total
+    prob = np.abs(jsa.amplitude)
+    prob **= 2
+    prob *= np.outer(g.signal_weights, g.idler_weights)
     total = prob.sum()
     if total <= 0:
         raise ConfigError("cannot sample from an all-zero JSA")
+    prob /= total
     edges_s, r_s = _tof_response(g.signal_axis, g.signal_weights, fiber, det)
     edges_i, r_i = _tof_response(g.idler_axis, g.idler_weights, fiber, det)
-    return edges_s, edges_i, r_s.T @ (prob / total) @ r_i
+    return edges_s, edges_i, r_s.T @ prob @ r_i
 
 
 def tof_simulate(jsa: JsaGrid, fiber: FiberSpec, det: DetectorSpec,

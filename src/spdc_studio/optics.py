@@ -298,19 +298,23 @@ class JsaGrid:
         return float(self.grid.signal_weights @ np.abs(self.amplitude) ** 2
                      @ self.grid.idler_weights)
 
-    def normalized_copy(self) -> "JsaGrid":
+    def _unit_scale(self) -> float:
+        """1 / ||f||; a zero or overflowing norm raises ConfigError."""
         n2 = self.norm_squared
         if not 0 < n2 < math.inf:
             raise ConfigError(f"cannot normalize a JSA of norm {n2}; it is "
                               f"all-zero or overflows")
-        # a checked amplitude over its own finite norm is finite with unit
-        # norm, so the copy skips __post_init__ and the norm is summed once;
         # numpy divides a complex array by a real scalar as a multiply by
-        # its reciprocal, so a real amplitude scaled this way has the bits
+        # its reciprocal, so a real amplitude scaled by this has the bits
         # of the real part of the complex quotient
+        return 1.0 / math.sqrt(n2)
+
+    def normalized_copy(self) -> "JsaGrid":
+        # a checked amplitude over its own finite norm is finite with unit
+        # norm, so the copy skips __post_init__ and the norm is summed once
         copy = object.__new__(JsaGrid)
         copy.__dict__.update(grid=self.grid,
-                             amplitude=self.amplitude * (1.0 / math.sqrt(n2)))
+                             amplitude=self.amplitude * self._unit_scale())
         return copy
 
 
@@ -604,7 +608,11 @@ def compute_jsa(grid: FrequencyGrid, crystal: CrystalSpec, pump: PumpSpec,
         amplitude = _sampled_domain_pmf(pattern, bare)
         for rows in blocks:
             np.multiply(envelope[rows], amplitude[rows], out=amplitude[rows])
-    return JsaGrid(grid=grid, amplitude=amplitude).normalized_copy()
+    jsa = JsaGrid(grid=grid, amplitude=amplitude)
+    # the amplitude is this call's own buffer: normalize it in place, with
+    # the bits of normalized_copy
+    np.multiply(jsa.amplitude, jsa._unit_scale(), out=jsa.amplitude)
+    return jsa
 
 
 def design_lobe_wavelengths(crystal: CrystalSpec, pump: PumpSpec,

@@ -31,9 +31,8 @@ class _AxisCoefficients:
 
 
 def _load_coefficients() -> dict[str, _AxisCoefficients]:
-    raw = json.loads(
-        resources.files("spdc_studio.data").joinpath("ktp_sellmeier.json").read_text()
-    )
+    path = resources.files("spdc_studio.data").joinpath("ktp_sellmeier.json")
+    raw = json.loads(path.read_text(encoding="utf-8"))
     axes = {}
     for axis, entry in raw["axes"].items():
         axes[axis] = _AxisCoefficients(

@@ -123,10 +123,12 @@ def jsa_from_jsi(jsi: JsiGrid) -> JsaGrid:
     total = float(grid.signal_weights @ jsi.intensity @ grid.idler_weights)
     if total <= 0:
         raise ConfigError("cannot build an amplitude from an all-zero JSI")
-    amplitude = np.sqrt(jsi.intensity / total)
+    # built in one buffer: the quotient, its root, then the sign
+    amplitude = np.divide(jsi.intensity, total)
+    np.sqrt(amplitude, out=amplitude)
     ws = grid.signal_axis[:, np.newaxis]
     wi = grid.idler_axis[np.newaxis, :]
-    amplitude = np.where(wi > ws, -amplitude, amplitude)
+    np.negative(amplitude, where=wi > ws, out=amplitude)
     return JsaGrid(grid=grid, amplitude=amplitude)
 
 

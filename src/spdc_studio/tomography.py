@@ -242,7 +242,7 @@ def mle_reconstruct(records: list[TomographyRecord]) -> MleResult:
 
 def save_records(records: list[TomographyRecord], path: str | Path) -> None:
     """CSV with columns label,counts,acquisition_scale."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label", "counts", "acquisition_scale"])
         for rec in records:

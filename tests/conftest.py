@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,3 +37,20 @@ def reference_state():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+GRID_BYTES = 512 * 512 * 8  # one 512^2 float64 grid
+
+
+@pytest.fixture()
+def peak_grids():
+    """The peak memory a call allocates, in 512^2 float64 grids, as
+    tracemalloc sees it (numpy reports its buffers to it)."""
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / GRID_BYTES
+        finally:
+            tracemalloc.stop()
+    return peak

@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 import spdc_studio
-from spdc_studio import fixtures, tomography
+from spdc_studio import cli, config, fixtures, tomography
 from spdc_studio.cli import _two_lobe_summary, main
 from spdc_studio.config import load_run_config, make_grid
 from spdc_studio.grid_io import save_jsi_csv
-from spdc_studio.optics import TWO_PI_C, FrequencyGrid, JsaGrid, compute_jsa
+from spdc_studio.optics import (TWO_PI_C, CrystalSpec, FrequencyGrid,
+                                JsaGrid, PumpSpec, compute_jsa,
+                                design_lobe_wavelengths)
 from spdc_studio.polarization import TwoQubitState
-from spdc_studio.spectral import jsi_of
+from spdc_studio.spectral import JsiGrid, jsi_of
 from spdc_studio.tomography import standard_16_settings
 
 
@@ -125,6 +127,24 @@ class TestSimulateJsa:
         cfg.write_text(json.dumps({"grid": {"n_samples": 96}}))
         assert main(["simulate-jsa", "--config", str(cfg)]) == 2
 
+    def test_design_lobes_solved_once(self, tmp_path, monkeypatch):
+        # the config solves them to check its window; the command reuses them
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return design_lobe_wavelengths(*args, **kwargs)
+
+        monkeypatch.setattr(config, "design_lobe_wavelengths", counted)
+        monkeypatch.setattr(cli, "design_lobe_wavelengths", counted)
+        out = tmp_path / "sim"
+        assert main(["simulate-jsa", "--samples", "128",
+                     "--out", str(out)]) == 0
+        assert len(calls) == 1
+        lam1, lam2 = design_lobe_wavelengths(CrystalSpec(), PumpSpec())
+        assert _read_json(out / "summary.json")["design_lobe_centers_nm"] \
+            == [lam1 * 1e9, lam2 * 1e9]
+
     def test_seed_precedence(self, tmp_path):
         # an explicit --seed wins, then the config's "seed", then 0
         cfg = tmp_path / "run.json"
@@ -205,6 +225,19 @@ class TestAnalyzeJsi:
             set(_read_json(an / "summary.json"))
         assert shared == TWO_LOBE_KEYS | {"command", "cut_nm",
                                           "schema_version"}
+
+    def test_non_utf8_last_line_exits_2(self, tmp_path, capsys, rng):
+        # the file is streamed; a bad byte met last still names the file
+        grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 512)
+        path = tmp_path / "late.csv"
+        save_jsi_csv(path, JsiGrid(grid=grid,
+                                   intensity=rng.random(grid.shape)))
+        path.write_bytes(path.read_bytes()[:-1] + b"\xff\n")
+        out = tmp_path / "an"
+        assert main(["analyze-jsi", str(path), "--out", str(out)]) == 2
+        assert f"error: {path}: file is not UTF-8 text" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_cut_inside_lobe_exits_2(self, tmp_path, capsys):
         jsi_path = str(fixtures.measured_jsi_path())
@@ -630,7 +663,10 @@ class TestFullPipeline:
     def test_script_process_rerun(self, runs, tmp_path, env, compared):
         # the script as its own process, where a RuntimeWarning (numpy's
         # ComplexWarning too) is an error, leaves the in-process run's files
-        result = _subprocess(["-W", "error::RuntimeWarning", str(SCRIPT), "0"],
+        # and so is a text file opened without an explicit encoding
+        result = _subprocess(["-X", "warn_default_encoding",
+                              "-W", "error::EncodingWarning",
+                              "-W", "error::RuntimeWarning", str(SCRIPT), "0"],
                              tmp_path, **env)
         assert result.returncode == 0, result.stderr
         expected, again = _tree(runs), _tree(tmp_path / "runs")
@@ -643,3 +679,25 @@ class TestFullPipeline:
         result = _subprocess(["-m", "spdc_studio", "--version"], tmp_path)
         assert result.returncode == 0, result.stderr
         assert result.stdout == f"spdc-studio {spdc_studio.__version__}\n"
+
+    def test_c_locale_reads_and_writes_utf8(self, tmp_path):
+        # the locale does not choose the encoding: a CSV saved with a
+        # non-ASCII comment under the C locale is the UTF-8 one, and
+        # analyze-jsi reads it to the same summary
+        comment = "\u03bb scan, 25 \u00b0C"
+        code = ("import sys; from spdc_studio import cli, fixtures, grid_io; "
+                "grid_io.save_jsi_csv('jsi.csv', fixtures.load_measured_jsi(),"
+                f" comment={ascii(comment)}); "
+                "sys.exit(cli.main(['analyze-jsi', 'jsi.csv', '--out', 'an']))")
+        result = _subprocess(["-c", code], tmp_path, LC_ALL="C",
+                             PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        assert result.returncode == 0, result.stderr
+        utf8 = tmp_path / "utf8"
+        utf8.mkdir()
+        save_jsi_csv(utf8 / "jsi.csv", fixtures.load_measured_jsi(),
+                     comment=comment)
+        assert main(["analyze-jsi", str(utf8 / "jsi.csv"),
+                     "--out", str(utf8 / "an")]) == 0
+        for name in ("jsi.csv", "an/summary.json"):
+            assert (tmp_path / name).read_bytes() == \
+                (utf8 / name).read_bytes()

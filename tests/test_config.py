@@ -6,7 +6,7 @@ from spdc_studio.config import (DEFAULT_SAMPLES, DEFAULT_WINDOW_NM,
                                 MAX_SAMPLES, RunConfig, load_run_config,
                                 make_grid)
 from spdc_studio.errors import ConfigError
-from spdc_studio.optics import PulseShape
+from spdc_studio.optics import PulseShape, design_lobe_wavelengths
 
 
 def _write(tmp_path, doc):
@@ -29,6 +29,14 @@ class TestDefaults:
         grid = make_grid(cfg)
         assert grid.shape == (DEFAULT_SAMPLES, DEFAULT_SAMPLES)
         assert grid.axes_identical
+
+    def test_design_lobes_are_the_checked_pair(self):
+        # solved once, to check the window; not an option
+        cfg = RunConfig(window=(1490e-9, 1640e-9))
+        assert cfg.design_lobes == design_lobe_wavelengths(
+            cfg.crystal, cfg.pump, window=cfg.window)
+        with pytest.raises(TypeError):
+            RunConfig(design_lobes=cfg.design_lobes)
 
 
 class TestFileLoading:

@@ -231,6 +231,39 @@ class TestMatrixErrors:
             load_matrix_csv(path)
         assert "at row" not in str(info.value)
 
+    def test_headers_after_the_data_load(self, tmp_path, small_grid,
+                                         small_values):
+        path = tmp_path / "m.csv"
+        save_matrix_csv(path, small_grid, small_values)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[2:] + lines[:2]) + "\n")
+        grid, values = load_matrix_csv(path)
+        assert values.tobytes() == small_values.tobytes()
+        assert grid.axes_identical
+
+    @pytest.mark.filterwarnings("error")
+    def test_headers_only(self, tmp_path, small_grid, small_values):
+        # numpy warns on an empty input; no data line may reach it
+        path = tmp_path / "m.csv"
+        save_matrix_csv(path, small_grid, small_values, comment="note")
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3]) + "\n\n")
+        with pytest.raises(ConfigError, match="m.csv: no matrix rows found"):
+            load_matrix_csv(path)
+
+    def test_bad_axis_after_bad_value_wins(self, tmp_path, small_grid,
+                                           small_values):
+        # every header is checked before any data value, wherever it stands
+        path = tmp_path / "m.csv"
+        save_matrix_csv(path, small_grid, small_values)
+        lines = path.read_text().splitlines()
+        lines[3] = "spam," + lines[3]
+        lines.append(lines.pop(1).replace(",", ",oops,", 1))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError,
+                           match=f"m.csv:{len(lines)}: bad axis value"):
+            load_matrix_csv(path)
+
     def test_non_monotonic_axis_rejected(self, tmp_path):
         # equal wavelengths collapse to equal frequencies
         path = tmp_path / "m.csv"
@@ -238,6 +271,24 @@ class TestMatrixErrors:
                         "1,2\n3,4\n")
         with pytest.raises(ConfigError, match="strictly increasing"):
             load_matrix_csv(path)
+
+
+class TestMemory:
+    """A grid CSV is streamed: neither direction holds the file's text."""
+
+    @pytest.fixture()
+    def jsi_512(self, rng):
+        grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 512)
+        return JsiGrid(grid=grid, intensity=rng.random(grid.shape))
+
+    def test_load_holds_about_one_grid(self, tmp_path, jsi_512, peak_grids):
+        path = tmp_path / "jsi.csv"
+        save_jsi_csv(path, jsi_512)
+        assert peak_grids(lambda: load_jsi_csv(path)) <= 2.0
+
+    def test_save_holds_no_grid(self, tmp_path, jsi_512, peak_grids):
+        path = tmp_path / "jsi.csv"
+        assert peak_grids(lambda: save_jsi_csv(path, jsi_512)) <= 0.5
 
 
 def _float_rows(lines):

@@ -402,6 +402,17 @@ class TestJsaFromJsi:
             for part in (jsa.amplitude, lobes.f1, lobes.f2):
                 assert part.dtype == np.float64
 
+    def test_one_buffer_with_the_bits_of_the_formula(self, default_jsa,
+                                                      peak_grids):
+        jsi = jsi_of(default_jsa)
+        grid = jsi.grid
+        root = np.sqrt(jsi.intensity / float(
+            grid.signal_weights @ jsi.intensity @ grid.idler_weights))
+        wi_above = grid.idler_axis[np.newaxis, :] > grid.signal_axis[:, None]
+        expected = np.where(wi_above, -root, root)
+        assert jsa_from_jsi(jsi).amplitude.tobytes() == expected.tobytes()
+        assert peak_grids(lambda: jsa_from_jsi(jsi)) <= 1.5
+
     def test_result_is_normalized(self, measured_jsi):
         jsa = jsa_from_jsi(measured_jsi)
         assert jsa.norm_squared == pytest.approx(1.0, abs=1e-9)
