@@ -18,14 +18,14 @@ angular frequencies may wobble by one ulp.
 
 from __future__ import annotations
 
-import io
 from collections.abc import Iterable, Iterator
 from itertools import chain
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
-from .errors import ConfigError, open_input, read_input
+from .errors import ConfigError, open_input
 from .optics import TWO_PI_C, FrequencyGrid
 from .spectral import JsiGrid
 
@@ -102,74 +102,44 @@ def _parse_axis(text: str, path: str, lineno: int) -> np.ndarray:
     return TWO_PI_C / (nm * 1e-9)
 
 
-def _parse_rows(rows: list[str], linenos: list[int], path) -> np.ndarray:
-    """The matrix in ``rows``, parsed by numpy's C reader in one call.
-
-    ``float`` and ``np.loadtxt`` round a decimal string the same way, so
-    the values are those of a per-value ``float``. Only a failed parse
-    rescans the rows one at a time, to name the first bad line.
-    """
+def _data_lines(lines: Iterator[str], path: str,
+                axes: dict) -> Iterator[tuple[int, str]]:
+    """The data lines of ``lines``, stripped, with their line numbers.
+    Blank and comment lines are skipped; each axis header is parsed into
+    ``axes`` as it is met, wherever it stands. A bad header is raised only
+    after the rest of ``lines`` is read, so undecodable text outranks it."""
     try:
-        return _loadtxt(rows)
-    except ValueError:
-        pass
-    for lineno, row in zip(linenos, rows):
-        try:
-            _loadtxt([row])
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value: "
-                              f"{_reason(exc)}") from exc
-    widths = sorted({row.count(",") + 1 for row in rows})
-    raise ConfigError(f"{path}: ragged rows (widths {widths})")
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith(_SIGNAL_KEY):
+                axes["signal"] = _parse_axis(line[len(_SIGNAL_KEY):], path,
+                                             lineno)
+            elif line.startswith(_IDLER_KEY):
+                axes["idler"] = _parse_axis(line[len(_IDLER_KEY):], path,
+                                            lineno)
+            elif not line.startswith("#"):
+                yield lineno, line
+    except ConfigError:
+        for _ in lines:
+            pass
+        raise
 
 
-def _data_lines(lines: Iterable[str], path: str, axes: dict,
-                linenos: list[int]) -> Iterator[str]:
-    """The data lines of ``lines``, stripped, with their line numbers
-    appended to ``linenos``. Blank and comment lines are skipped; each axis
-    header is parsed into ``axes`` as it is met, wherever it stands."""
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith(_SIGNAL_KEY):
-            axes["signal"] = _parse_axis(line[len(_SIGNAL_KEY):], path, lineno)
-        elif line.startswith(_IDLER_KEY):
-            axes["idler"] = _parse_axis(line[len(_IDLER_KEY):], path, lineno)
-        elif not line.startswith("#"):
-            linenos.append(lineno)
-            yield line
-
-
-def _check_found(axes: dict, found_rows: bool, path) -> None:
-    if len(axes) < 2:
-        raise ConfigError(f"{path}: missing '{_SIGNAL_KEY}' or "
-                          f"'{_IDLER_KEY}' header line")
-    if not found_rows:
-        raise ConfigError(f"{path}: no matrix rows found")
-
-
-def _stream_matrix(path, axes: dict) -> np.ndarray:
-    """The matrix in ``path``, its lines read from the open file straight
-    into one ``np.loadtxt`` call."""
+def _bad_row(path) -> NoReturn:
+    """Raise the first fault of the data lines of ``path``, whose one-call
+    parse failed: the first row that fails on its own, else ragged rows."""
+    widths = set()
     with open_input(path, "file") as fh:
-        data = _data_lines(fh, str(path), axes, [])
-        first = next(data, None)
-        # loadtxt would warn on an empty input
-        values = None if first is None else _loadtxt(chain([first], data))
-    _check_found(axes, values is not None, path)
-    return values
-
-
-def _rescan_matrix(path, axes: dict) -> np.ndarray:
-    """The matrix in ``path`` by the whole-file reading, which raises the
-    first fault by kind: undecodable text, then a bad axis header in line
-    order, a missing header or data, and a bad value or ragged rows."""
-    text = read_input(path, "file")
-    linenos: list[int] = []
-    rows = list(_data_lines(io.StringIO(text), str(path), axes, linenos))
-    _check_found(axes, bool(rows), path)
-    return _parse_rows(rows, linenos, path)
+        for lineno, row in _data_lines(fh, str(path), {}):
+            try:
+                _loadtxt([row])
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: bad value: "
+                                  f"{_reason(exc)}") from exc
+            widths.add(row.count(",") + 1)
+    raise ConfigError(f"{path}: ragged rows (widths {sorted(widths)})")
 
 
 def load_matrix_csv(path: str | Path) -> tuple[FrequencyGrid, np.ndarray]:
@@ -177,17 +147,37 @@ def load_matrix_csv(path: str | Path) -> tuple[FrequencyGrid, np.ndarray]:
 
     The UTF-8 lines are read from the open file through one classifier,
     which parses the two axis headers as it meets them and hands the data
-    lines to a single ``np.loadtxt`` call, so about one grid is held. Each
+    lines to a single ``np.loadtxt`` call, which rounds each value as
+    ``float`` does; about one grid is held. Each
     header is parsed by the same call, so headers and data accept the same
-    numbers. Only a failed read reads the file again, whole, to report its
-    first fault (a bad value as ``path:lineno``).
+    numbers. The first fault wins by kind: undecodable text, a bad axis
+    header in line order, a missing header or data, then a bad value
+    (``path:lineno``) or ragged rows. So a failed parse reads the rest of
+    the file through the classifier, and only then streams the file again
+    to name its first bad row.
     """
     axes: dict = {}
-    try:
-        values = _stream_matrix(path, axes)
-    except ValueError:
-        axes = {}
-        values = _rescan_matrix(path, axes)
+    values = None
+    with open_input(path, "file") as fh:
+        data = _data_lines(fh, str(path), axes)
+        rows = (line for _, line in data)
+        first = next(rows, None)
+        try:
+            # loadtxt would warn on an empty input
+            if first is not None:
+                values = _loadtxt(chain([first], rows))
+        except (ConfigError, UnicodeDecodeError):
+            raise
+        except ValueError:
+            for _ in data:  # every header is checked before any value
+                pass
+    if len(axes) < 2:
+        raise ConfigError(f"{path}: missing '{_SIGNAL_KEY}' or "
+                          f"'{_IDLER_KEY}' header line")
+    if first is None:
+        raise ConfigError(f"{path}: no matrix rows found")
+    if values is None:
+        _bad_row(path)
     try:
         grid = FrequencyGrid(signal_axis=axes["signal"],
                              idler_axis=axes["idler"])

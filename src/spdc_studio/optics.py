@@ -21,6 +21,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,7 +72,8 @@ DESIGN_WIDTH_SCALE = 6.0
 MIN_SAMPLES_PER_FWHM = 8
 
 # Points per sinc fringe 2 pi/L of the 1-D mismatch sample that
-# compute_jsa(FROM_DOMAINS) interpolates from. Phi is the transform of a
+# compute_jsa(FROM_DOMAINS) interpolates from; the sample spans the grid's
+# mismatch range, taken block by block. Phi is the transform of a
 # pattern on [0, L], so |d^4 Phi/d dk^4| <= L^4 and 4-point Lagrange
 # interpolation errs by at most (9/16)/4! * (2 pi/200)^4 = 2.3e-8 in Phi.
 DOMAIN_SAMPLES_PER_FRINGE = 200
@@ -483,30 +485,31 @@ def _lattice_domain_pmf(pattern: PolingPattern, lo: float, h: float,
     return phi
 
 
-def _sampled_domain_pmf(pattern: PolingPattern, bare: np.ndarray) -> np.ndarray:
-    """``pmf_from_domains`` on a 2-D mismatch grid, through a 1-D sample.
+def _sampled_domain_pmf(pattern: PolingPattern, lo: float, hi: float
+                        ) -> Callable[[np.ndarray], np.ndarray]:
+    """``pmf_from_domains`` of mismatches in [lo, hi], through a 1-D sample.
 
-    Phi is evaluated once on a uniform sample spanning [min, max] of the
-    whole of ``bare`` at DOMAIN_SAMPLES_PER_FRINGE points per 2 pi/L, by
-    the two phase tables of ``_lattice_domain_pmf``, then mapped onto the
-    grid with 4-point Lagrange (cubic) weights over the row blocks of
-    ``compute_jsa``, so the interpolation temporaries stay block sized.
+    Phi is evaluated once on a uniform sample spanning [lo, hi] at
+    DOMAIN_SAMPLES_PER_FRINGE points per 2 pi/L, by the two phase tables
+    of ``_lattice_domain_pmf``. The returned function maps an array of
+    mismatches onto it with 4-point Lagrange (cubic) weights; fed one row
+    block of ``compute_jsa`` at a time, its temporaries stay block sized.
     """
     h = 2.0 * math.pi / (pattern.length * DOMAIN_SAMPLES_PER_FRINGE)
-    lo = float(bare.min()) - h
-    n = math.ceil((float(bare.max()) - lo) / h) + 3
-    sample = _lattice_domain_pmf(pattern, lo, h, n)
-    phi = np.empty(bare.shape, dtype=complex)
-    for rows in _row_blocks(bare.shape):
-        t = (bare[rows] - lo) / h
+    start = lo - h
+    n = math.ceil((hi - start) / h) + 3
+    sample = _lattice_domain_pmf(pattern, start, h, n)
+
+    def interpolant(nu: np.ndarray) -> np.ndarray:
+        t = (nu - start) / h
         # 1 <= floor(t) <= n - 3 by construction; the clip absorbs rounding
         j = np.clip(np.floor(t).astype(np.intp), 1, n - 3)
         f = t - j
         fp, fm, fmm = f + 1.0, f - 1.0, f - 2.0
-        phi[rows] = 0.5 * (fm * fmm * (fp * sample[j] - f / 3.0 * sample[j - 1])
-                           + fp * f * (fm / 3.0 * sample[j + 2]
-                                       - fmm * sample[j + 1]))
-    return phi
+        return 0.5 * (fm * fmm * (fp * sample[j] - f / 3.0 * sample[j - 1])
+                      + fp * f * (fm / 3.0 * sample[j + 2]
+                                  - fmm * sample[j + 1]))
+    return interpolant
 
 
 def _lobe_slopes(crystal: CrystalSpec, pump: PumpSpec) -> tuple[float, float]:
@@ -549,10 +552,13 @@ def compute_jsa(grid: FrequencyGrid, crystal: CrystalSpec, pump: PumpSpec,
     The elementwise chain (delta_k in its order of operations, the pump
     factor and the PMF) runs in blocks of whole rows of about
     ``_BLOCK_POINTS`` points, written into one preallocated amplitude, so
-    its temporaries stay in cache. The reductions stay whole-grid: delta_k
-    at the degenerate point, the mismatch range of the domain sample, and
-    the norm. Ufuncs do not depend on position, so the result has the bits
-    of the same chain evaluated on the whole grid at once.
+    its temporaries stay in cache. Both PMF modes take a block's mismatch
+    the same way, less delta_k at the degenerate point (analytic) or less
+    2 pi/Lambda (domains). The domain sample's range is the min and max
+    over one extra pass of the blocks, the whole grid's exact extremes, so
+    no mismatch grid is held. Only the norm stays whole-grid. Ufuncs do
+    not depend on position, so the result has the bits of the same chain
+    evaluated on the whole grid at once.
     """
     if pmf_mode is PmfMode.ANALYTIC:
         sigma_eff = crystal.pmf_sigma * DESIGN_WIDTH_SCALE
@@ -591,23 +597,23 @@ def compute_jsa(grid: FrequencyGrid, crystal: CrystalSpec, pump: PumpSpec,
     k_i = wavevector(wi, "z")
     qpm = 2.0 * math.pi / crystal.poling_period
     blocks = _row_blocks(grid.shape)
+
+    def mismatch(rows: slice) -> np.ndarray:
+        # delta_k's order of operations, less ``offset``
+        return k_p[rows] - k_s[rows] - k_i + qpm - offset
+
     if pmf_mode is PmfMode.ANALYTIC:
         w0 = pump.center_omega / 2.0
-        dk0 = float(delta_k(w0, w0, crystal))
+        offset = float(delta_k(w0, w0, crystal))
         amplitude = np.empty(grid.shape)
-        for rows in blocks:
-            # delta_k's order of operations
-            dk = k_p[rows] - k_s[rows] - k_i + qpm - dk0
-            np.multiply(envelope[rows],
-                        pmf_analytic(dk, sigma_eff, crystal.pmf_a),
-                        out=amplitude[rows])
+        pmf = partial(pmf_analytic, sigma=sigma_eff, a=crystal.pmf_a)
     else:
-        bare = np.empty(grid.shape)
-        for rows in blocks:
-            np.subtract(k_p[rows] - k_s[rows] - k_i + qpm, qpm, out=bare[rows])
-        amplitude = _sampled_domain_pmf(pattern, bare)
-        for rows in blocks:
-            np.multiply(envelope[rows], amplitude[rows], out=amplitude[rows])
+        offset = qpm
+        amplitude = np.empty(grid.shape, dtype=complex)
+        lo, hi = zip(*((nu.min(), nu.max()) for nu in map(mismatch, blocks)))
+        pmf = _sampled_domain_pmf(pattern, np.min(lo), np.max(hi))
+    for rows in blocks:
+        np.multiply(envelope[rows], pmf(mismatch(rows)), out=amplitude[rows])
     jsa = JsaGrid(grid=grid, amplitude=amplitude)
     # the amplitude is this call's own buffer: normalize it in place, with
     # the bits of normalized_copy

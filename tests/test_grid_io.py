@@ -20,6 +20,45 @@ def small_values(small_grid, rng):
     return rng.normal(size=small_grid.shape)
 
 
+def _bad_axis(line):
+    return line.replace(",", ",oops,", 1)
+
+
+def _axis_then_undecodable(lines):
+    lines[0] = _bad_axis(lines[0])
+    return b"\xff\n"
+
+
+def _value_then_undecodable(lines):
+    lines[4] = "spam," + lines[4]
+    return b"\xff\n"
+
+
+def _ragged_without_idler_header(lines):
+    lines[4] += ",0.0"
+    del lines[1]
+    return b""
+
+
+def _value_then_late_bad_axis(lines):
+    idler = lines.pop(1)
+    lines[2] = "spam," + lines[2]
+    lines.insert(3, _bad_axis(idler))
+    return b""
+
+
+def _bad_last_row(lines):
+    lines[-1] = "spam," + lines[-1]
+
+
+def _ragged_last_row(lines):
+    lines[-1] += ",0.5"
+
+
+def _bad_axis_on_last_line(lines):
+    lines.append(_bad_axis(lines.pop(1)))
+
+
 class TestMatrixRoundTrip:
     def test_values_bit_exact(self, tmp_path, small_grid, small_values):
         path = tmp_path / "m.csv"
@@ -264,6 +303,25 @@ class TestMatrixErrors:
                            match=f"m.csv:{len(lines)}: bad axis value"):
             load_matrix_csv(path)
 
+    @pytest.mark.parametrize("edit, match", [
+        (_axis_then_undecodable, "m.csv: file is not UTF-8 text"),
+        (_value_then_undecodable, "m.csv: file is not UTF-8 text"),
+        (_ragged_without_idler_header, "m.csv: missing .* header line"),
+        (_value_then_late_bad_axis, "m.csv:4: bad axis value"),
+    ], ids=["axis-then-undecodable", "value-then-undecodable",
+            "ragged-without-header", "value-then-late-axis"])
+    def test_first_fault_wins_by_kind(self, tmp_path, edit, match):
+        # 64 rows: the undecodable last line lies beyond the first chunk
+        # the text reader decodes, so it is met only by reading on
+        grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 64)
+        path = tmp_path / "m.csv"
+        save_matrix_csv(path, grid, np.ones(grid.shape))
+        lines = path.read_text().splitlines()
+        tail = edit(lines)
+        path.write_bytes(("\n".join(lines) + "\n").encode() + tail)
+        with pytest.raises(ConfigError, match=match):
+            load_matrix_csv(path)
+
     def test_non_monotonic_axis_rejected(self, tmp_path):
         # equal wavelengths collapse to equal frequencies
         path = tmp_path / "m.csv"
@@ -285,6 +343,24 @@ class TestMemory:
         path = tmp_path / "jsi.csv"
         save_jsi_csv(path, jsi_512)
         assert peak_grids(lambda: load_jsi_csv(path)) <= 2.0
+
+    @pytest.mark.parametrize("edit, match", [
+        (_bad_last_row, "bad value"),
+        (_ragged_last_row, "ragged rows"),
+        (_bad_axis_on_last_line, "bad axis value"),
+    ], ids=["bad-last-row", "ragged-row", "bad-axis-on-last-line"])
+    def test_failed_load_holds_about_one_grid(self, tmp_path, jsi_512,
+                                              peak_grids, edit, match):
+        path = tmp_path / "jsi.csv"
+        save_jsi_csv(path, jsi_512)
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+
+        def load():
+            with pytest.raises(ConfigError, match=match):
+                load_jsi_csv(path)
+        assert peak_grids(load) <= 2.0
 
     def test_save_holds_no_grid(self, tmp_path, jsi_512, peak_grids):
         path = tmp_path / "jsi.csv"

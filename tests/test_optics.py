@@ -511,6 +511,14 @@ class TestComputeJsa:
                           pmf_mode=PmfMode.FROM_DOMAINS)
         assert jsa.norm_squared == pytest.approx(1.0, abs=1e-9)
 
+    def test_from_domains_holds_no_mismatch_grid(self, default_crystal,
+                                                 default_pump, peak_grids):
+        # the mismatch is taken block by block, for its range and for Phi
+        grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 512)
+        assert peak_grids(lambda: compute_jsa(
+            grid, default_crystal, default_pump,
+            pmf_mode=PmfMode.FROM_DOMAINS)) <= 4.25
+
 
 class TestJsaGridDtype:
     """A JsaGrid stores float64 when the imaginary part is exactly zero
