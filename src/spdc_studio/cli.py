@@ -45,7 +45,7 @@ from .polarization import (BellKind, TwoQubitState, bell_state,
                            metric_report, predicted_visibility,
                            rho_from_lobes, trace_distance, werner_state)
 from .rng import check_seed
-from .spectral import (JsiGrid, jsa_from_jsi, jsi_of, lobe_metrics,
+from .spectral import (jsa_from_jsi, jsi_of, lobe_metrics,
                        lobe_overlap_matrix, overlap_integral, schmidt,
                        single_lobe_purity, split_lobes)
 from .tomography import (load_records, mle_reconstruct, save_records,
@@ -92,12 +92,14 @@ def _complex_pair(z: complex) -> list[float]:
 
 # ---------------------------------------------------------------- commands
 
-def _two_lobe_summary(jsa: JsaGrid, jsi: JsiGrid, cut: float) -> dict:
+def _two_lobe_summary(jsa: JsaGrid, positions: dict, cut: float) -> dict:
     """The two-lobe analysis shared by ``simulate-jsa`` and ``analyze-jsi``.
 
     Splits ``jsa`` at the signal cut wavelength ``cut`` (m) and returns its
     spectral metrics, the lobe overlaps f_mn and the polarization state
-    they imply. Lobe positions come from ``jsi``, the intensity as given.
+    they imply. ``positions`` are the lobe positions, ``lobe_metrics`` of
+    the intensity as given at the same cut; the caller takes them first, so
+    no intensity grid is held while the kernels run.
     """
     sr = schmidt(jsa)
     lobes = split_lobes(jsa, cut)
@@ -110,7 +112,7 @@ def _two_lobe_summary(jsa: JsaGrid, jsi: JsiGrid, cut: float) -> dict:
         "overlap_integral": overlap_integral(jsa),
         "schmidt_purity": sr.purity,
         "schmidt_number": sr.schmidt_number,
-        "lobes": lobe_metrics(jsi, cut),
+        "lobes": positions,
         "f_mn": {"f11": f11, "f22": f22,
                  "f12": _complex_pair(f_mn[0, 1])},
         "single_lobe_purity": {
@@ -125,6 +127,23 @@ def _two_lobe_summary(jsa: JsaGrid, jsi: JsiGrid, cut: float) -> dict:
         "visibility": {b: predicted_visibility(rho, b)
                        for b in ("H", "V", "D", "A")},
     }
+
+
+_NPY_BLOCK = 64  # rows per block written to jsa.npy
+
+
+def _save_complex_npy(path: Path, amplitude: np.ndarray) -> None:
+    """Store ``amplitude`` exactly, as complex128 whatever its in-memory
+    dtype, with the bytes of ``np.save(path, amplitude.astype(complex))``:
+    the format's version 1.0 header, then one block of rows at a time, so
+    no whole complex copy is made. The summary's "grid" block rebuilds its
+    axes."""
+    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(complex)),
+              "fortran_order": False, "shape": amplitude.shape}
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        for start in range(0, amplitude.shape[0], _NPY_BLOCK):
+            fh.write(amplitude[start:start + _NPY_BLOCK].astype(complex))
 
 
 def cmd_simulate_jsa(args: argparse.Namespace) -> int:
@@ -144,12 +163,10 @@ def cmd_simulate_jsa(args: argparse.Namespace) -> int:
             "h_short_v_long": temporal_walkoff(cfg.crystal, lam1, lam2) * 1e15,
             "h_long_v_short": temporal_walkoff(cfg.crystal, lam2, lam1) * 1e15,
         },
-        **_two_lobe_summary(jsa, jsi_of(jsa), cut),
+        **_two_lobe_summary(jsa, lobe_metrics(jsi_of(jsa), cut), cut),
     }
     out = _out_dir(cfg.output_dir, "simulate-jsa")
-    # the amplitude is stored exactly, as complex128 whatever the in-memory
-    # dtype; the "grid" block rebuilds its axes
-    np.save(out / "jsa.npy", jsa.amplitude.astype(complex))
+    _save_complex_npy(out / "jsa.npy", jsa.amplitude)
     _write_json(out / "summary.json", summary)
     print(f"simulate-jsa: overlap {summary['overlap_integral']:.6f}, "
           f"Schmidt purity {summary['schmidt_purity']:.6f} -> {out}")
@@ -160,12 +177,15 @@ def cmd_analyze_jsi(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.cut_nm) and args.cut_nm > 0):
         raise ConfigError(f"--cut-nm must be positive and finite, "
                           f"got {args.cut_nm}")
+    cut = args.cut_nm * 1e-9
     jsi = grid_io.load_jsi_csv(args.jsi_file)
+    jsa, positions = jsa_from_jsi(jsi), lobe_metrics(jsi, cut)
+    del jsi  # the kernels below need only the amplitude
     summary = {
         "command": "analyze-jsi",
         "input": Path(args.jsi_file).name,
         "cut_nm": args.cut_nm,
-        **_two_lobe_summary(jsa_from_jsi(jsi), jsi, args.cut_nm * 1e-9),
+        **_two_lobe_summary(jsa, positions, cut),
     }
     out = _out_dir(args.out, "analyze-jsi")
     _write_json(out / "summary.json", summary)

@@ -8,8 +8,9 @@ feeds the polarization density matrix.
 
 The Schmidt purity comes from the Gram matrix of the quadrature-weighted
 amplitude, not from a singular-value decomposition, so no Schmidt
-coefficients are computed or returned. The Gram matrix is formed on the
-smaller side, and in real arithmetic when the amplitude is real.
+coefficients are computed or returned. The Gram matrix is taken on the
+smaller side, and in real arithmetic when the amplitude is real; it is
+summed one block of rows at a time and never held whole.
 
 A lobe pair is its parent JSA split at one signal row, as the dichroic
 splitter routes each photon by wavelength: the lobes are row views of the
@@ -177,23 +178,43 @@ def overlap_integral(jsa: JsaGrid) -> float:
     return float((inner / norm_squared) ** 2)
 
 
+_GRAM_BLOCK = 128  # rows of the weighted amplitude per Gram block
+
+
 def _gram_purity(amp: np.ndarray, w_s: np.ndarray, w_i: np.ndarray,
                  zero_error: str) -> float:
     """||G||_F^2 / (tr G)^2 for G the Gram matrix of ``amp`` weighted by
     sqrt(w_s) on its rows and sqrt(w_i) on its columns (see ``schmidt``);
     a G of zero trace, from a zero amplitude or no rows, raises
-    ``zero_error``."""
+    ``zero_error``.
+
+    With W the weighted amplitude, turned by a transposed view so that its
+    rows are the smaller side, G = W W^H. Over row blocks W_a of W its
+    blocks are G_ab = W_a W_b^H, with G_ba = G_ab^H, so ||G||_F^2 is the sum
+    of ||G_aa||^2 plus twice each ||G_ab||^2 with a < b, and tr G the sum of
+    the tr G_aa. One block of G is held at a time, never the whole.
+    """
     weighted = amp * np.sqrt(w_s)[:, np.newaxis]
     weighted *= np.sqrt(w_i)
-    adjoint = weighted.conj().T  # a view of weighted itself when it is real
-    if weighted.shape[0] < weighted.shape[1]:
-        gram = weighted @ adjoint
-    else:
-        gram = adjoint @ weighted
-    norm_squared = float(np.trace(gram).real)
+    if weighted.shape[0] > weighted.shape[1]:
+        # W^T conj(W) = conj(W^H W): the same norm and trace
+        weighted = weighted.T
+    blocks = [slice(r, r + _GRAM_BLOCK)
+              for r in range(0, weighted.shape[0], _GRAM_BLOCK)]
+    norm_squared = squared_sum = 0.0
+    for b, cols in enumerate(blocks):
+        adjoint = weighted[cols].conj().T  # a view when W is real
+        for a, rows in enumerate(blocks[:b + 1]):
+            gram = weighted[rows] @ adjoint
+            term = float(np.vdot(gram, gram).real)
+            if a == b:
+                norm_squared += float(np.trace(gram).real)
+                squared_sum += term
+            else:
+                squared_sum += 2.0 * term
     if norm_squared <= 0:
         raise ConfigError(zero_error)
-    return float(np.vdot(gram, gram).real) / norm_squared**2
+    return squared_sum / norm_squared**2
 
 
 def schmidt(jsa: JsaGrid) -> SchmidtResult:
@@ -203,11 +224,12 @@ def schmidt(jsa: JsaGrid) -> SchmidtResult:
     eigenvalues of G = A^H A divided by tr G, so the purity sum(lambda_k^2)
     is ||G||_F^2 / (tr G)^2 exactly. The ratio does not depend on the
     normalization of the JSA. Of A^H A and A A^H, which share ||G||_F^2
-    and tr G, the smaller is formed. A real amplitude, which ``JsaGrid``
-    stores as float64 (the analytic JSA and ``jsa_from_jsi``), takes real
-    arithmetic, where A^T A runs as a symmetric rank-k update; only a
-    complex128 amplitude, one with a nonzero imaginary part, takes complex
-    arithmetic.
+    and tr G, the smaller is taken, and summed by row blocks without
+    being formed whole. A real amplitude, which ``JsaGrid`` stores as
+    float64 (the analytic JSA and ``jsa_from_jsi``), takes real
+    arithmetic, where each diagonal block runs as a symmetric rank-k
+    update; only a complex128 amplitude, one with a nonzero imaginary
+    part, takes complex arithmetic.
     """
     grid = jsa.grid
     purity = _gram_purity(

@@ -18,7 +18,7 @@ from spdc_studio.optics import (TWO_PI_C, CrystalSpec, FrequencyGrid,
                                 JsaGrid, PumpSpec, compute_jsa,
                                 design_lobe_wavelengths)
 from spdc_studio.polarization import TwoQubitState
-from spdc_studio.spectral import JsiGrid, jsi_of
+from spdc_studio.spectral import JsiGrid, jsi_of, lobe_metrics
 from spdc_studio.tomography import standard_16_settings
 
 
@@ -94,11 +94,37 @@ class TestSimulateJsa:
         assert np.array_equal(rebuilt.idler_axis, expected.idler_axis)
 
         jsa = JsaGrid(grid=rebuilt, amplitude=np.load(out / "jsa.npy"))
-        again = _two_lobe_summary(jsa, jsi_of(jsa), summary["cut_nm"] * 1e-9)
+        cut = summary["cut_nm"] * 1e-9
+        again = _two_lobe_summary(jsa, lobe_metrics(jsi_of(jsa), cut), cut)
         assert set(again) == TWO_LOBE_KEYS
         assert json.loads(json.dumps(
             again, default=lambda obj: obj.tolist())) == \
             {k: summary[k] for k in TWO_LOBE_KEYS}
+
+    @pytest.mark.parametrize("samples", [512, 301])
+    def test_jsa_npy_has_the_bytes_of_np_save(self, tmp_path, samples):
+        # written a block of rows at a time; 301 rows are not a whole
+        # number of blocks
+        out = tmp_path / "sim"
+        assert main(["simulate-jsa", "--samples", str(samples),
+                     "--out", str(out)]) == 0
+        cfg = load_run_config(samples=samples)
+        expected = compute_jsa(make_grid(cfg), cfg.crystal, cfg.pump)
+        reference = tmp_path / "reference.npy"
+        np.save(reference, expected.amplitude.astype(complex))
+        assert (out / "jsa.npy").read_bytes() == reference.read_bytes()
+        loaded = np.load(out / "jsa.npy")
+        assert loaded.dtype == np.complex128
+        assert loaded.real.tobytes() == expected.amplitude.tobytes()
+        assert not np.any(loaded.imag)
+
+    def test_holds_about_two_grids(self, tmp_path, peak_grids):
+        # the amplitude and, at most, one transient grid at a time: no
+        # intensity, whole Gram or complex copy beside it
+        out = tmp_path / "sim"
+        assert peak_grids(lambda: main(["simulate-jsa",
+                                        "--out", str(out)])) <= 2.5
+        assert (out / "jsa.npy").is_file()
 
     def test_config_file_respected(self, tmp_path):
         cfg = tmp_path / "run.json"

@@ -105,8 +105,8 @@ def _exchange_mixed_jsa(seed):
 
 class _NumpySpy:
     """Stands in for numpy inside spectral and keeps every first argument
-    of np.vdot: in schmidt that is the Gram matrix, whose dtype and size
-    tell which branch formed it."""
+    of np.vdot: in schmidt those are the Gram blocks, whose dtype and
+    shapes tell which branch summed them."""
 
     def __init__(self):
         self.vdot_args = []
@@ -117,6 +117,18 @@ class _NumpySpy:
     def vdot(self, a, b):
         self.vdot_args.append(a)
         return np.vdot(a, b)
+
+
+def _assert_blocks_tile(blocks, side, dtype):
+    """``blocks`` are the Gram blocks G_ab, a <= b, of a side x side Gram
+    over row blocks of at most ``_GRAM_BLOCK`` rows, each of ``dtype``:
+    with G_ba = G_ab^H for each a < b, they tile side^2."""
+    extents = [min(spectral._GRAM_BLOCK, side - r)
+               for r in range(0, side, spectral._GRAM_BLOCK)]
+    pairs = [(a, b) for b in range(len(extents)) for a in range(b + 1)]
+    assert sorted(tuple(sorted(g.shape)) for g in blocks) == \
+        sorted(tuple(sorted((extents[a], extents[b]))) for a, b in pairs)
+    assert all(g.dtype == dtype for g in blocks)
 
 
 @pytest.fixture()
@@ -328,14 +340,13 @@ class TestKernelsAgainstDirectFormulas:
 
 
 class TestSchmidtBranches:
-    """Which Gram matrix schmidt and single_lobe_purity form: real or
-    complex, and of the smaller side."""
+    """How schmidt and single_lobe_purity sum the Gram matrix: in real or
+    complex arithmetic, over row blocks of the smaller side, never whole."""
 
     def test_real_full_for_the_design_jsa(self, default_jsa, numpy_spy):
-        schmidt(default_jsa)
-        gram, = numpy_spy.vdot_args
-        assert gram.dtype == np.float64
-        assert gram.shape == (512, 512)
+        purity = schmidt(default_jsa).purity
+        _assert_blocks_tile(numpy_spy.vdot_args, 512, np.float64)
+        assert purity == pytest.approx(_gram_purity(default_jsa), rel=1e-12)
 
     def test_real_over_each_lobes_rows(self, default_jsa, measured_jsi,
                                        numpy_spy):
@@ -345,10 +356,11 @@ class TestSchmidtBranches:
             for which in ("f1", "f2"):
                 rows = getattr(lobes, which).shape[0]
                 assert 0 < rows < jsa.grid.shape[1]
-                single_lobe_purity(lobes, which)
-                gram = numpy_spy.vdot_args[-1]
-                assert gram.dtype == np.float64
-                assert gram.shape == (rows, rows)
+                numpy_spy.vdot_args.clear()
+                purity = single_lobe_purity(lobes, which)
+                _assert_blocks_tile(numpy_spy.vdot_args, rows, np.float64)
+                assert purity == pytest.approx(
+                    _gram_purity(_padded_lobe(lobes, which)), rel=1e-12)
 
     def test_complex_full_for_the_domain_sampled_jsa(
             self, default_crystal, default_pump, numpy_spy):
@@ -358,26 +370,30 @@ class TestSchmidtBranches:
         assert jsa.amplitude.dtype == np.complex128
         assert np.any(jsa.amplitude.imag)
         purity = schmidt(jsa).purity
-        gram, = numpy_spy.vdot_args
-        assert gram.dtype == np.complex128
-        assert gram.shape == (96, 96)
+        _assert_blocks_tile(numpy_spy.vdot_args, 96, np.complex128)
         assert purity == pytest.approx(_gram_purity(jsa), rel=1e-12)
 
     @pytest.mark.parametrize("complex_valued", [False, True])
-    @pytest.mark.parametrize("shape", [(12, 30), (30, 12)])
+    @pytest.mark.parametrize("shape", [(12, 30), (30, 12), (300, 200),
+                                       (200, 300)])
     def test_trimmed_to_the_smaller_side(self, numpy_spy, complex_valued,
                                          shape):
-        # zero rows and columns are kept: they add nothing to the Gram
+        # zero rows and columns are kept: they add nothing to the Gram;
+        # 200 rows are not a whole number of blocks
         rng = np.random.default_rng(7)
         amp = _random_amplitude(rng, shape, complex_valued, 3)
         grid = FrequencyGrid(signal_axis=np.arange(1.0, shape[0] + 1),
                              idler_axis=np.arange(1.0, shape[1] + 1))
         jsa = JsaGrid(grid=grid, amplitude=amp)
         purity = schmidt(jsa).purity
-        gram, = numpy_spy.vdot_args
-        assert gram.dtype == (np.complex128 if complex_valued else np.float64)
-        assert gram.shape == (min(shape),) * 2
+        _assert_blocks_tile(
+            numpy_spy.vdot_args, min(shape),
+            np.complex128 if complex_valued else np.float64)
         assert purity == pytest.approx(_gram_purity(jsa), rel=1e-12)
+
+    def test_holds_no_whole_gram(self, default_jsa, peak_grids):
+        # the weighted amplitude and one block; a whole Gram is one more grid
+        assert peak_grids(lambda: schmidt(default_jsa)) <= 1.25
 
 
 class TestJsaFromJsi:
