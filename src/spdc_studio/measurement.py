@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigError, ConvergenceError
 from .optics import (_FWHM_SIGMA, TWO_PI_C, FrequencyGrid, JsaGrid,
@@ -190,6 +189,9 @@ def _tof_response(axis: np.ndarray, widths: np.ndarray, fiber: FiberSpec,
     (23 of 158 edges at the defaults), clipped to the window, with
     the same arithmetic per entry as on the whole window, so R has the
     bits of the dense formula."""
+    # imported here, so that no CLI command imports scipy
+    from scipy.special import ndtr
+
     slope, lam_ref = fiber.delay_per_wavelength, fiber.reference_wavelength
     bin_width = det.jitter_fwhm
     pad = 5.0 * det.jitter_fwhm + bin_width

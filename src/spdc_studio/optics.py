@@ -26,7 +26,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.optimize import brentq
 
 from . import sellmeier
 from .errors import ConfigError
@@ -621,6 +620,34 @@ def compute_jsa(grid: FrequencyGrid, crystal: CrystalSpec, pump: PumpSpec,
     return jsa
 
 
+def _bracketed_root(fn: Callable[[float], float], lo: float, hi: float,
+                    xtol: float) -> float:
+    """A root of ``fn`` in [lo, hi] by the Pegasus variant of regula falsi
+    (Dowell & Jarratt, BIT 12, 503 (1972)): a secant step between the two
+    ends of the bracket, scaling the kept end's value down whenever the
+    same end is kept again. Stops when the bracket is at most ``xtol`` wide
+    or the secant step rounds onto an end. ValueError when fn(lo) and
+    fn(hi) have the same sign."""
+    x0, x1 = lo, hi
+    f0, f1 = fn(x0), fn(x1)
+    if f0 * f1 > 0:
+        raise ValueError("fn(lo) and fn(hi) must have opposite signs")
+    x = x1
+    while abs(x1 - x0) > xtol:
+        x = x1 - f1 * (x1 - x0) / (f1 - f0)
+        if not min(x0, x1) < x < max(x0, x1):
+            break
+        fx = fn(x)
+        if fx == 0:
+            break
+        if (fx > 0) == (f1 > 0):
+            f0 *= f1 / (f1 + fx)
+        else:
+            x0, f0 = x1, f1
+        x1, f1 = x, fx
+    return x
+
+
 def design_lobe_wavelengths(crystal: CrystalSpec, pump: PumpSpec,
                             window: tuple[float, float] = (1500e-9, 1620e-9)
                             ) -> tuple[float, float]:
@@ -642,9 +669,9 @@ def design_lobe_wavelengths(crystal: CrystalSpec, pump: PumpSpec,
     lo, hi = window
     a = crystal.pmf_a
     lam_deg = TWO_PI_C / w0
-    # xtol is absolute, in metres: the default 2e-12 stops short of the root
-    lam_plus = brentq(lambda l: nu(l) - a, lo, lam_deg, xtol=1e-21)
-    lam_minus = brentq(lambda l: nu(l) + a, lam_deg, hi, xtol=1e-21)
+    # xtol is absolute, in metres: a few ulps at 1.5 um
+    lam_plus = _bracketed_root(lambda l: nu(l) - a, lo, lam_deg, xtol=1e-21)
+    lam_minus = _bracketed_root(lambda l: nu(l) + a, lam_deg, hi, xtol=1e-21)
     return min(lam_plus, lam_minus), max(lam_plus, lam_minus)
 
 

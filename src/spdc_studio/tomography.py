@@ -4,9 +4,9 @@ Forward simulation draws Poisson coincidence counts for the canonical
 sixteen projective settings (James et al., PRA 64, 052312 (2001)).
 Reconstruction minimizes the Poisson deviance over a full complex factor
 T of rho = T T~ / tr(T T~), which keeps every iterate a valid density
-matrix, with BFGS on the closed-form gradient, starting from linear
-(Stokes) inversion. BFGS is numpy code in scipy, so the fit uses only
-numpy's BLAS pool (see ``mle_reconstruct``).
+matrix. It starts from linear (Stokes) inversion and takes damped Newton
+(Levenberg-Marquardt) steps on the deviance's exact Hessian, in numpy
+(see ``minimize``).
 
 Single-qubit analysis kets, written in the (H, V) basis:
 
@@ -25,9 +25,9 @@ import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConfigError, read_input
 from .polarization import PAULI_PRODUCTS, TwoQubitState, _expectations
@@ -88,9 +88,15 @@ class ProjectorSetting:
     @property
     def operator(self) -> np.ndarray:
         """Rank-1 coincidence projector P1 x P2."""
-        p1 = np.outer(self.arm1, self.arm1.conj())
-        p2 = np.outer(self.arm2, self.arm2.conj())
-        return np.kron(p1, p2)
+        return _projectors([self])[0]
+
+
+def _projectors(settings: list[ProjectorSetting]) -> np.ndarray:
+    """The settings' projectors P1 x P2 = |a1 a2><a1 a2|, one (n, 4, 4)
+    stack built in one pass."""
+    arms = np.array([(s.arm1, s.arm2) for s in settings]).reshape(-1, 2, 2)
+    kets = (arms[:, 0, :, None] * arms[:, 1, None, :]).reshape(-1, 4)
+    return kets[:, :, None] * kets[:, None, :].conj()
 
 
 @dataclass(frozen=True)
@@ -144,7 +150,7 @@ def simulate_counts(rho: TwoQubitState, settings: list[ProjectorSetting],
     """Poisson coincidence counts for each setting, deterministic per seed."""
     if not pairs_per_setting > 0:
         raise ConfigError("pairs_per_setting must be positive")
-    ops = np.array([s.operator for s in settings]).reshape(-1, 4, 4)
+    ops = _projectors(settings)
     means = pairs_per_setting * np.clip(_expectations(rho.matrix, ops), 0, 1)
     counts = substream(seed, "tomography.counts").poisson(means)
     return [TomographyRecord(setting=setting, counts=int(n),
@@ -155,15 +161,24 @@ def simulate_counts(rho: TwoQubitState, settings: list[ProjectorSetting],
 def linear_inversion(records: list[TomographyRecord]) -> TwoQubitState:
     """Least-squares Stokes inversion of measured frequencies,
     projected onto the physical (PSD, unit-trace) set."""
+    freqs = np.array([rec.counts / rec.acquisition_scale for rec in records])
+    return TwoQubitState(matrix=_stokes_inversion(_operators(records), freqs))
+
+
+def _operators(records: list[TomographyRecord]) -> np.ndarray:
+    """The records' coincidence projectors, one (n, 4, 4) stack."""
     if len(records) < 16:
         raise ConfigError(f"need at least 16 records, got {len(records)}")
-    ops = np.array([rec.setting.operator for rec in records])
+    return _projectors([rec.setting for rec in records])
+
+
+def _stokes_inversion(ops: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """``linear_inversion``'s density matrix from the projector stack."""
     design = _expectations(ops, PAULI_PRODUCTS) / 4.0
-    if np.linalg.matrix_rank(design, tol=1e-8) < 16:
+    coeffs, _, _, singular = np.linalg.lstsq(design, freqs, rcond=None)
+    if np.count_nonzero(singular > 1e-8) < 16:
         raise ConfigError("tomography settings are not informationally "
                           "complete (design matrix rank < 16)")
-    freqs = np.array([rec.counts / rec.acquisition_scale for rec in records])
-    coeffs, *_ = np.linalg.lstsq(design, freqs, rcond=None)
     rho = np.tensordot(coeffs, PAULI_PRODUCTS, axes=1) / 4.0
     rho = 0.5 * (rho + rho.conj().T)
     eigvals, eigvecs = np.linalg.eigh(rho)
@@ -171,64 +186,145 @@ def linear_inversion(records: list[TomographyRecord]) -> TwoQubitState:
     if clipped.sum() <= 0:
         clipped = np.ones(4)
     rho = (eigvecs * clipped) @ eigvecs.conj().T
-    rho /= np.real(np.trace(rho))
-    return TwoQubitState(matrix=rho)
+    return rho / np.real(np.trace(rho))
+
+
+# the 32 unit vectors of the floats of T, as complex 4x4 matrices
+_UNIT_FACTORS = np.eye(32).view(complex).reshape(32, 4, 4)
 
 
 def _deviance(x: np.ndarray, ops: np.ndarray, counts: np.ndarray,
-              scales: np.ndarray) -> tuple[float, np.ndarray]:
+              scales: np.ndarray, hessian: bool = False) -> tuple:
     """Poisson deviance sum_k [m_k - n_k - n_k log(m_k/n_k)] of the state
     rho = T T~ / tau, tau = tr(T T~), with m_k = N_k p_k = N_k tr(O_k rho),
-    and its gradient in x, the complex 4x4 factor T viewed as 32 floats.
+    and its gradient in x, the complex 4x4 factor T viewed as 32 floats;
+    with ``hessian``, also its Hessian in x.
 
     The gradient is X = 2 (G - g 1) T / tau viewed the same way, with
     G = sum_k (N_k - n_k/p_k) O_k and g = tr(G rho) (Rehacek et al.,
-    PRA 75, 042108 (2007)).
+    PRA 75, 042108 (2007)). The Hessian is
+    J_w^T J_w + (2/tau) [L(G - g 1) - x X^T - X x^T]: the rows of J_w are
+    (N_k sqrt(n_k) / m_k) dp_k/dx, with dp_k/dx = 2 (O_k - p_k) T / tau
+    viewed as 32 floats, and L(M) is the real 32x32 matrix of T -> M T.
     """
     t = x.view(complex).reshape(4, 4)
     tau = np.vdot(t, t).real
     rho = t @ t.conj().T / tau
+    probs = _expectations(rho, ops)
     # the floor keeps n/m finite where a predicted mean underflows
-    means = np.maximum(scales * _expectations(rho, ops), 1e-12)
+    means = np.maximum(scales * probs, 1e-12)
     excess = means - counts
     # term by term: the total of m - n log m, offset by the saturated
-    # constant afterwards, cancels to rounding noise above ftol; n = 0
-    # contributes m alone
+    # constant afterwards, cancels to rounding noise above the stopping
+    # tolerance; n = 0 contributes m alone
     terms = excess - counts * np.log1p(excess / np.maximum(counts, 1.0))
+    value = float(np.sum(terms))
     g_op = np.einsum("k,kij->ij", scales * excess / means, ops)
-    grad = 2.0 * (g_op - np.trace(g_op @ rho).real * np.eye(4)) @ t / tau
-    return float(np.sum(terms)), grad.ravel().view(float)
+    shifted = g_op - np.trace(g_op @ rho).real * np.eye(4)
+    grad = (2.0 * shifted @ t / tau).ravel().view(float)
+    if not hessian:
+        return value, grad
+    dp = 2.0 * (ops @ t - probs[:, None, None] * t) / tau
+    jw = ((scales * np.sqrt(counts) / means)[:, None]
+          * dp.reshape(len(ops), 16).view(float))
+    lmat = (shifted @ _UNIT_FACTORS).reshape(32, 16).view(float).T
+    cross = np.outer(x, grad)
+    hess = jw.T @ jw + (2.0 / tau) * (lmat - cross - cross.T)
+    return value, grad, hess
+
+
+class NewtonResult(NamedTuple):
+    """``minimize``'s result, with the field names of scipy's."""
+
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    success: bool
+
+
+def minimize(fun, x0: np.ndarray, args: tuple,
+             options: dict) -> NewtonResult:
+    """Minimize ``fun`` by damped Newton (Levenberg-Marquardt) steps on its
+    exact Hessian; ``fun(x, *args, hessian=True)`` returns the value, the
+    gradient g and the Hessian H. ``options["maxiter"]`` caps the
+    iterations.
+
+    A trial step s solves (H + lam 1) s = -g, with lam at least 1e-12 of
+    max |H| and large enough that H + lam 1 has a Cholesky factor; while
+    it has none, lam <- max(4 lam, 1e-6 max |H|). For the deviance the
+    floor covers the 17-dimensional gauge T -> c T U, along which it is
+    constant: g has no component there beyond rounding, so neither has s.
+    A step is taken when it gains more than 0.1 of the model's predicted
+    decrease -(g.s + s.H.s / 2); otherwise lam grows the same way and s is
+    solved again. After a step that gains more than 0.75 of the
+    prediction, lam /= 4. The fit has converged when a step's decrease,
+    or a predicted decrease, is at most 1e-14 max(1, f), and f is finite;
+    a step predicted to gain no more is the last, and is kept unless it
+    raises f by more than that.
+
+    The shift is found by Cholesky rather than from the spectrum of H: at
+    32 rows numpy's ``eigh`` runs LAPACK's divide and conquer, whose
+    threaded BLAS calls stall for milliseconds when another process holds
+    the second core.
+    """
+    maxiter = options["maxiter"]
+    x = np.array(x0, dtype=float)
+    f, grad, hess = fun(x, *args, hessian=True)
+    nit, nfev, lam, converged = 0, 1, 0.0, False
+    while not converged and nit < maxiter:
+        nit += 1
+        scale = np.abs(hess).max()
+        tol = 1e-14 * max(1.0, f)
+        while True:
+            lam = max(lam, 1e-12 * scale)
+            shifted = hess + lam * np.eye(x.size)
+            try:
+                np.linalg.cholesky(shifted)
+            except np.linalg.LinAlgError:  # H + lam 1 is not positive
+                lam = max(4.0 * lam, 1e-6 * scale)
+                continue
+            step = np.linalg.solve(shifted, -grad)
+            # -(g.s + s.H.s / 2), with s.H.s = -g.s - lam s.s
+            predicted = 0.5 * (lam * (step @ step) - grad @ step)
+            trial = x + step
+            f_trial, g_trial, h_trial = fun(trial, *args, hessian=True)
+            nfev += 1
+            decrease = f - f_trial
+            # a step predicted to gain at most tol is the last one
+            converged = predicted <= tol
+            if decrease > 0.1 * predicted or converged:
+                break
+            lam = max(4.0 * lam, 1e-6 * scale)
+        if decrease >= -tol:
+            x, f, grad, hess = trial, f_trial, g_trial, h_trial
+        converged = converged or decrease <= tol
+        if decrease > 0.75 * predicted:
+            lam /= 4.0
+    return NewtonResult(x, f, nit, nfev, converged and math.isfinite(f))
 
 
 def mle_reconstruct(records: list[TomographyRecord]) -> MleResult:
     """Maximum-likelihood state estimate under the Poisson counting model.
 
-    BFGS minimizes the deviance of ``_deviance`` with its closed-form
-    gradient over a full complex factor T; rho = T T~ / tr(T T~) is
-    positive and unit trace by construction. The start T0 = V sqrt(L)
-    diagonalizes the projected linear inversion mixed with 0.1 % of the
-    maximally mixed state: the gradient of a zero column of T is zero, so
-    a rank-deficient start would keep its rank. Non-convergence is
-    reported through the ``converged`` flag rather than an exception; a
-    stop on precision loss counts as non-convergence.
-
-    scipy's BFGS and its line search are numpy code, so the fit touches
-    only numpy's BLAS pool, with tiny calls. L-BFGS-B would run its
-    compiled core on scipy's separate OpenBLAS pool; where both pools
-    span the same cores, handoffs between them stall for a scheduler
-    tick, slowing the fit and the numpy products around it.
+    ``minimize`` takes damped Newton steps on the deviance of ``_deviance``,
+    with its closed-form gradient and Hessian, over a full complex factor
+    T; rho = T T~ / tr(T T~) is positive and unit trace by construction.
+    The start T0 = V sqrt(L) diagonalizes the projected linear inversion
+    mixed with 0.1 % of the maximally mixed state: the gradient of a zero
+    column of T is zero, so a rank-deficient start would keep its rank.
+    Non-convergence within 100 iterations is reported through the
+    ``converged`` flag rather than an exception.
     """
-    init = linear_inversion(records)  # also validates the design
-    ops = np.array([rec.setting.operator for rec in records])
+    ops = _operators(records)
     counts = np.array([rec.counts for rec in records], dtype=float)
     scales = np.array([rec.acquisition_scale for rec in records], dtype=float)
+    init = _stokes_inversion(ops, counts / scales)  # validates the design
 
-    eigvals, eigvecs = np.linalg.eigh(0.999 * init.matrix
-                                      + 0.001 * np.eye(4) / 4.0)
+    eigvals, eigvecs = np.linalg.eigh(0.999 * init + 0.001 * np.eye(4) / 4.0)
     t0 = eigvecs * np.sqrt(eigvals)
     result = minimize(_deviance, t0.ravel().view(float),
-                      args=(ops, counts, scales), jac=True, method="BFGS",
-                      options={"maxiter": 2000, "gtol": 1e-4})
+                      args=(ops, counts, scales), options={"maxiter": 100})
 
     t = result.x.view(complex).reshape(4, 4)
     rho = t @ t.conj().T

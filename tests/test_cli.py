@@ -701,6 +701,28 @@ class TestFullPipeline:
             again = {name: again[name] for name in compared}
         assert again == expected
 
+    def test_commands_import_no_scipy(self, tmp_path):
+        # scipy.optimize alone took about 0.5 s of every command's start-up;
+        # the import and each of the five seed-0 commands load no scipy
+        code = "\n".join([
+            "import sys",
+            "from spdc_studio import cli, fixtures",
+            "def check(step):",
+            "    loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']",
+            "    assert not loaded, (step, loaded)",
+            "check('import spdc_studio.cli')",
+            "for argv in (['simulate-jsa', '--seed', '0'],",
+            "             ['analyze-jsi', str(fixtures.measured_jsi_path())],",
+            "             ['tomography', '--simulate', 'reference-fixture',",
+            "              '--seed', '0'],",
+            "             ['visibility', '--seed', '0'], ['report']):",
+            "    assert cli.main(argv) == 0, argv",
+            "    check(argv[0])",
+        ])
+        result = _subprocess(["-c", code], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "runs" / "report" / "report.md").exists()
+
     def test_module_entry_point(self, tmp_path):
         result = _subprocess(["-m", "spdc_studio", "--version"], tmp_path)
         assert result.returncode == 0, result.stderr

@@ -170,6 +170,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             load_run_config(path)
 
+    def test_window_between_lobes_does_not_bracket(self):
+        # both lobes lie outside 1555-1565 nm, so neither root is bracketed
+        with pytest.raises(ConfigError, match="does not bracket") as info:
+            RunConfig(window=(1555e-9, 1565e-9))
+        assert isinstance(info.value.__cause__, ValueError)
+
     def test_bad_window_shape(self, tmp_path):
         path = _write(tmp_path, {"grid": {"window_nm": [1500]}})
         with pytest.raises(ConfigError, match="min_nm, max_nm"):

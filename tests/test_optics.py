@@ -9,7 +9,8 @@ from spdc_studio import sellmeier
 from spdc_studio.config import MAX_SAMPLES, RunConfig, make_grid
 from spdc_studio.errors import ConfigError
 from spdc_studio.optics import (_BLOCK_POINTS, _LATTICE_WIDTH, C_LIGHT,
-                                DESIGN_WIDTH_SCALE, _lattice_domain_pmf,
+                                DESIGN_WIDTH_SCALE, _bracketed_root,
+                                _lattice_domain_pmf,
                                 _pump_lattice,
                                 DOMAIN_SAMPLES_PER_FRINGE, TWO_PI_C,
                                 CrystalSpec, FrequencyGrid, JsaGrid, PmfMode, PolingPattern,
@@ -596,6 +597,22 @@ class TestDesignLobes:
         a = default_crystal.pmf_a
         assert abs(nu(lam1) - a) <= 1e-6
         assert abs(nu(lam2) + a) <= 1e-6
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 2.0), (2.0, 0.0), (1.0, 1.5)])
+    def test_bracketed_root(self, lo, hi):
+        calls = []
+
+        def cube(x):
+            calls.append(x)
+            return x ** 3 - 2.0
+
+        root = _bracketed_root(cube, lo, hi, xtol=1e-15)
+        assert root == pytest.approx(2.0 ** (1 / 3), rel=1e-15, abs=0)
+        assert len(calls) <= 15
+
+    def test_bracketed_root_needs_a_sign_change(self):
+        with pytest.raises(ValueError, match="opposite signs"):
+            _bracketed_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
 
 
 class TestWalkoff:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.special import xlogy
 
 from spdc_studio import tomography
@@ -226,6 +227,22 @@ class TestMleReconstruct:
                    for e in np.eye(32)]
         assert np.allclose(grad, numeric, rtol=1e-6, atol=1e-6)
 
+    def test_deviance_hessian_matches_central_differences(self):
+        records = simulate_counts(load_reference_state(),
+                                  standard_16_settings(), 1e3, seed=1)
+        args = _arrays(records)
+        x = np.random.default_rng(5).normal(size=32)
+        value, grad, hess = tomography._deviance(x, *args, hessian=True)
+        plain_value, plain_grad = tomography._deviance(x, *args)
+        assert value == plain_value and np.array_equal(grad, plain_grad)
+        h = 1e-6
+        numeric = np.array([(tomography._deviance(x + h * e, *args)[1]
+                             - tomography._deviance(x - h * e, *args)[1])
+                            / (2 * h) for e in np.eye(32)])
+        top = np.abs(hess).max()
+        assert np.abs(hess - hess.T).max() <= 1e-14 * top
+        assert np.abs(hess - numeric).max() <= 1e-8 * top
+
     @pytest.mark.parametrize("state, pairs, seed", [
         ("reference", 1e5, 0), ("reference", 1e5, 1), ("reference", 1e5, 2),
         ("psi-minus", 1e5, 0), ("reference", 1e3, 1)])
@@ -243,11 +260,13 @@ class TestMleReconstruct:
 
     @pytest.mark.parametrize("state, pairs, seed", [
         *[("reference", 1e5, s) for s in range(10)],
-        ("psi-minus", 1e5, 0), ("werner", 1e4, 0)])
+        ("psi-minus", 1e5, 0), ("werner", 1e4, 0),
+        # fits on the rank boundary
+        ("psi-minus", 1e4, 0), ("psi-minus", 1e3, 3), ("reference", 1e2, 2)])
     def test_no_worse_than_lbfgsb_oracle(self, monkeypatch, state, pairs,
                                          seed):
-        # the oracle: L-BFGS-B at tight tolerances, started from the point
-        # mle_reconstruct hands its optimizer
+        # the oracle: scipy's L-BFGS-B at tight tolerances, started from the
+        # point mle_reconstruct hands its optimizer
         truth = {"reference": load_reference_state,
                  "psi-minus": lambda: bell_state(BellKind.PSI_MINUS),
                  "werner": lambda: werner_state(0.9)}[state]()
@@ -263,12 +282,24 @@ class TestMleReconstruct:
         result = mle_reconstruct(records)
         (fun, x0, args), = calls
         assert fun is tomography._deviance
-        oracle = real_minimize(fun, x0, args=args, jac=True,
-                               method="L-BFGS-B",
-                               options={"maxiter": 2000, "ftol": 1e-10,
-                                        "gtol": 1e-9})
+        oracle = scipy.optimize.minimize(
+            fun, x0, args=args, jac=True, method="L-BFGS-B",
+            options={"maxiter": 2000, "ftol": 1e-10, "gtol": 1e-9})
         assert result.converged
+        assert result.iterations <= 25
         assert result.deviance <= oracle.fun + 1e-9
+
+    def test_non_finite_deviance_not_converged(self):
+        # a count near the float range makes the deviance infinite, which
+        # no tolerance relative to it can call converged
+        records = simulate_counts(werner_state(0.9), standard_16_settings(),
+                                  1e4, seed=9)
+        records[0] = TomographyRecord(setting=records[0].setting,
+                                      counts=10 ** 300,
+                                      acquisition_scale=1e4)
+        with np.errstate(all="ignore"):
+            result = mle_reconstruct(records)
+        assert not result.converged
 
     def test_nonconverged_result_flagged(self, monkeypatch):
         real_minimize = tomography.minimize
