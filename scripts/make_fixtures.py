@@ -15,8 +15,11 @@ Two artifacts are produced under src/spdc_studio/data:
   the standard analysis pipeline reproduces the reference lobe weights,
   coherence and Schmidt purity.
 
-The script is deterministic; run it after changing either recipe and
-commit the regenerated files.
+qst_reference_state.json regenerates byte for byte. measured_jsi.csv
+regenerates only to rounding: the shape fit runs on BLAS and LAPACK, whose
+rounding depends on the thread count and the host, so cells move by about
+1e-14 of the peak (tests/test_grid_io.py holds them within 1e-12). Run the
+script after changing either recipe and commit the regenerated files.
 """
 
 from __future__ import annotations

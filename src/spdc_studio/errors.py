@@ -13,8 +13,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TextIO
 
-__all__ = ["ConfigError", "ConvergenceError", "open_input", "read_input",
-           "read_json"]
+__all__ = ["ConfigError", "ConvergenceError", "open_input", "read_json"]
 
 
 class ConfigError(ValueError):
@@ -42,17 +41,11 @@ def open_input(path: str | Path, what: str) -> Iterator[TextIO]:
         raise ConfigError(f"{path}: {what} is not UTF-8 text") from exc
 
 
-def read_input(path: str | Path, what: str) -> str:
-    """Text of the input file ``path``, read as :func:`open_input` opens
-    it."""
-    with open_input(path, what) as fh:
-        return fh.read()
-
-
 def read_json(path: str | Path, what: str):
-    """The JSON document in ``path``, read as :func:`read_input` reads it;
+    """The JSON document in ``path``, read as :func:`open_input` opens it;
     malformed JSON raises ConfigError with the path and line."""
     try:
-        return json.loads(read_input(path, what))
+        with open_input(path, what) as fh:
+            return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}: {exc.msg}") from exc

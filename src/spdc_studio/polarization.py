@@ -116,10 +116,11 @@ class TwoQubitState:
             entries = payload["matrix"]
             rho = np.array([[complex(re, im) for re, im in row]
                             for row in entries])
+            basis = payload.get("basis")
+            basis = None if basis is None else list(basis)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed density-matrix JSON: {exc}") from exc
-        basis = payload.get("basis")
-        if basis is not None and list(basis) != list(BASIS_LABELS):
+        if basis is not None and basis != list(BASIS_LABELS):
             raise ConfigError(f"unsupported basis order {basis}")
         return cls(matrix=rho)
 

@@ -21,7 +21,6 @@ labs; this one is fixed here and used consistently everywhere.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, read_input
+from .errors import ConfigError, open_input
 from .polarization import PAULI_PRODUCTS, TwoQubitState, _expectations
 from .rng import substream
 
@@ -110,9 +109,11 @@ class TomographyRecord:
     def __post_init__(self) -> None:
         if self.counts < 0:
             raise ConfigError("counts must be non-negative")
-        if not (math.isfinite(self.acquisition_scale)
-                and self.acquisition_scale > 0):
-            raise ConfigError("acquisition_scale must be positive and finite")
+        scale = self.acquisition_scale
+        # the frequency counts / scale seeds the fit
+        if not (0 < scale < math.inf and math.isfinite(self.counts / scale)):
+            raise ConfigError("acquisition_scale must be positive and finite, "
+                              "and so must counts / acquisition_scale")
 
 
 @dataclass(frozen=True)
@@ -261,7 +262,8 @@ def minimize(fun, x0: np.ndarray, args: tuple,
     prediction, lam /= 4. The fit has converged when a step's decrease,
     or a predicted decrease, is at most 1e-14 max(1, f), and f is finite;
     a step predicted to gain no more is the last, and is kept unless it
-    raises f by more than that.
+    raises f by more than that. A non-finite max |H|, lam, trial value or
+    predicted decrease ends the fit as not converged.
 
     The shift is found by Cholesky rather than from the spectrum of H: at
     32 rows numpy's ``eigh`` runs LAPACK's divide and conquer, whose
@@ -278,6 +280,8 @@ def minimize(fun, x0: np.ndarray, args: tuple,
         tol = 1e-14 * max(1.0, f)
         while True:
             lam = max(lam, 1e-12 * scale)
+            if not (math.isfinite(scale) and math.isfinite(lam)):
+                return NewtonResult(x, f, nit, nfev, False)
             shifted = hess + lam * np.eye(x.size)
             try:
                 np.linalg.cholesky(shifted)
@@ -290,6 +294,8 @@ def minimize(fun, x0: np.ndarray, args: tuple,
             trial = x + step
             f_trial, g_trial, h_trial = fun(trial, *args, hessian=True)
             nfev += 1
+            if not (math.isfinite(f_trial) and math.isfinite(predicted)):
+                return NewtonResult(x, f, nit, nfev, False)
             decrease = f - f_trial
             # a step predicted to gain at most tol is the last one
             converged = predicted <= tol
@@ -347,22 +353,23 @@ def save_records(records: list[TomographyRecord], path: str | Path) -> None:
 
 
 def load_records(path: str | Path) -> list[TomographyRecord]:
-    reader = csv.DictReader(io.StringIO(read_input(path, "records file"),
-                                        newline=""))
-    if reader.fieldnames != ["label", "counts", "acquisition_scale"]:
-        raise ConfigError(
-            f"{path}: expected header label,counts,acquisition_scale"
-        )
-    records = []
-    for row in reader:
-        try:
-            records.append(TomographyRecord(
-                setting=setting_from_label(row["label"]),
-                counts=int(row["counts"]),
-                acquisition_scale=float(row["acquisition_scale"]),
-            ))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}: malformed row {row}: {exc}") from exc
+    with open_input(path, "records file") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != ["label", "counts", "acquisition_scale"]:
+            raise ConfigError(
+                f"{path}: expected header label,counts,acquisition_scale"
+            )
+        records = []
+        for row in reader:
+            try:
+                records.append(TomographyRecord(
+                    setting=setting_from_label(row["label"]),
+                    counts=int(row["counts"]),
+                    acquisition_scale=float(row["acquisition_scale"]),
+                ))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{path}: malformed row {row}: {exc}"
+                                  ) from exc
     if not records:
         raise ConfigError(f"{path}: no tomography records found")
     return records

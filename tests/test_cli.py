@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -402,6 +403,22 @@ class TestTomography:
         assert (a / "records.csv").read_bytes() == \
             (b / "records.csv").read_bytes()
 
+    def test_overflowing_records_exit_3(self, tmp_path):
+        # 1e308 pairs per setting overflow the deviance, which warns, and
+        # the fit must stop as not converged. Its own process, since tier-1
+        # makes each RuntimeWarning an error
+        (tmp_path / "big.csv").write_text(
+            "label,counts,acquisition_scale\n"
+            + "".join(f"{s.label},100,1e308\n"
+                      for s in standard_16_settings()))
+        result = _subprocess(["-m", "spdc_studio", "tomography", "--records",
+                              "big.csv", "--out", "out"], tmp_path)
+        assert result.returncode == 3, result.stderr
+        assert result.stderr.endswith(
+            "convergence error: MLE reconstruction did not converge\n")
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_bad_inputs_exit_2(self, tmp_path):
         assert main(["tomography", "--simulate", "ghz"]) == 2
         assert main(["tomography", "--simulate", "werner:x"]) == 2
@@ -540,16 +557,32 @@ def test_exit_2_creates_no_output_directory(tmp_path, capsys, argv):
     # a 100000^2 grid would fail to allocate instead
     (["simulate-jsa", "--samples", "100000"],
      "samples must be an integer from 64 to 4096, got 100000"),
+    (["tomography", "--state-file", "basis.json"],
+     "basis.json: malformed density-matrix JSON"),
+    (["tomography", "--records", "tiny.csv"],
+     "tiny.csv: malformed row {'label': 'HH', 'counts': '100', "
+     "'acquisition_scale': '1e-320'}"),
+    (["tomography", "--records", "huge.csv"], "int too large"),
+    (["tomography", "--n-per-setting", "1e300"],
+     "--n-per-setting must be positive and finite, at most 1e18, got 1e+300"),
+    (["visibility", "--powers", "1e300"],
+     "pump powers must be positive and finite, at most 1e6 mW, got '1e300'"),
 ], ids=["malformed-state", "state-dir", "records-dir", "records-binary",
         "records-inf-scale", "jsi-dir", "config-dir", "artifact-dir",
-        "simulate-jsa-oversized"])
+        "simulate-jsa-oversized", "state-basis-int", "records-subnormal-scale",
+        "records-huge-counts", "n-per-setting-huge", "powers-huge"])
 def test_unreadable_input_exits_2(tmp_path, capsys, argv, named):
     (tmp_path / "bad.json").write_text('{"matrix": [[')
+    (tmp_path / "basis.json").write_text('{"matrix": [[[1, 0]]], "basis": 5}')
     (tmp_path / "adir").mkdir()
     (tmp_path / "binary.csv").write_bytes(b"label,counts\n\xff\xfe\n")
-    (tmp_path / "inf.csv").write_text(
-        "label,counts,acquisition_scale\n"
-        + "".join(f"{s.label},100,inf\n" for s in standard_16_settings()))
+    for name, counts, scale in (("inf.csv", 100, "inf"),
+                                ("tiny.csv", 100, "1e-320"),
+                                ("huge.csv", 10 ** 400, "1e5")):
+        (tmp_path / name).write_text(
+            "label,counts,acquisition_scale\n" + "".join(
+                f"{s.label},{counts},{scale}\n"
+                for s in standard_16_settings()))
     (tmp_path / "dirruns" / "tomography" / "report.json").mkdir(parents=True)
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
@@ -626,6 +659,32 @@ class TestReport:
         assert "summary.json: " in err and quantity in err
         assert not out.exists()
 
+    def test_every_band_graded_as_printed(self):
+        # each reference text, parsed, against its row's check: a tenth of
+        # the tolerance inside the band passes and a tenth outside fails,
+        # on both sides; a printed target is rounded by less than that
+        # (66.7 for 66.667 kHz)
+        rows = [row[-2:] for row in cli._report_templates()]
+        rows += [row[-2:] for row in cli._computed_rows()]
+        assert len(rows) == 28
+        for text, check in rows:
+            band = re.fullmatch(
+                r"(\S+) \+/- ([\d.]+)(%?)( \(reconstructed\))?", text)
+            if band:
+                target, tol = float(band[1]), float(band[2])
+                if band[3]:
+                    tol *= abs(target) / 100
+                inside = [target - 0.9 * tol, target + 0.9 * tol]
+                outside = [target - 1.1 * tol, target + 1.1 * tol]
+            else:
+                bound = re.search(r"\(pass: ([<>])= (\S+)\)$", text)
+                assert bound, text
+                limit = float(bound[2])
+                past = 1e-9 if bound[1] == "<" else -1e-9
+                inside, outside = [limit], [limit + past]
+            assert all(check(v) for v in inside), text
+            assert not any(check(v) for v in outside), text
+
     def test_missing_key_not_run(self, tmp_path):
         runs = tmp_path / "runs"
         (runs / "simulate-jsa").mkdir(parents=True)
@@ -649,7 +708,7 @@ def _subprocess(argv, cwd, **env):
     return subprocess.run(
         [sys.executable, *argv], cwd=cwd, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)),
-             **env})
+             **env}, timeout=300)
 
 
 def _tree(root):

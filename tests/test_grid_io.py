@@ -1,8 +1,12 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spdc_studio import fixtures
 from spdc_studio.errors import ConfigError
 from spdc_studio.grid_io import (load_jsi_csv, load_matrix_csv, save_jsi_csv,
                                  save_matrix_csv)
@@ -450,3 +454,23 @@ class TestJsiCsv:
         with pytest.raises(ConfigError,
                            match="jsi.csv: JSI contains non-finite entries"):
             load_jsi_csv(path)
+
+
+def test_bundled_jsi_regenerates_to_rounding(tmp_path):
+    # scripts/make_fixtures.py's shape fit runs on BLAS and LAPACK, whose
+    # rounding depends on the thread count and the host, so the recipe
+    # gives back the committed file's axes and, to 1e-12 of the peak, its
+    # intensity, but not its bytes
+    script = Path(__file__).resolve().parents[1] / "scripts" / \
+        "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", script)
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    jsi, _ = make_fixtures.tune_jsi()
+    save_jsi_csv(tmp_path / "measured_jsi.csv", jsi)
+    again = load_jsi_csv(tmp_path / "measured_jsi.csv")
+    committed = fixtures.load_measured_jsi()
+    assert np.array_equal(again.grid.signal_axis, committed.grid.signal_axis)
+    assert np.array_equal(again.grid.idler_axis, committed.grid.idler_axis)
+    assert np.abs(again.intensity - committed.intensity).max() <= \
+        1e-12 * committed.intensity.max()

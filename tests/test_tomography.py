@@ -301,6 +301,29 @@ class TestMleReconstruct:
             result = mle_reconstruct(records)
         assert not result.converged
 
+    @pytest.mark.parametrize("finite_start", [False, True],
+                             ids=["nan-everywhere", "nan-past-the-start"])
+    def test_non_finite_objective_ends_the_fit(self, finite_start):
+        # a NaN value, gradient or Hessian ends the fit at once: lam must
+        # not grow without end, nor a NaN trial count as converged once
+        # the steps have shrunk
+        x0 = np.ones(4)
+        calls = []
+
+        def objective(x, hessian):
+            calls.append(x)
+            if len(calls) > 10_000:
+                raise AssertionError("minimize never stops on NaN")
+            if finite_start and np.array_equal(x, x0):
+                return float(x @ x), 2.0 * x, 2.0 * np.eye(4)
+            return np.nan, np.full(4, np.nan), np.full((4, 4), np.nan)
+
+        result = tomography.minimize(objective, x0, args=(),
+                                     options={"maxiter": 100})
+        assert not result.success
+        assert np.array_equal(result.x, x0)
+        assert result.nfev == len(calls) <= 2
+
     def test_nonconverged_result_flagged(self, monkeypatch):
         real_minimize = tomography.minimize
 
@@ -349,7 +372,8 @@ class TestRecordsIo:
             load_records(path)
 
     def test_non_finite_scale_rejected(self, tmp_path):
-        for scale in (np.inf, np.nan, 0.0):
+        # 3 / 1e-320 is infinite, a frequency no fit can start from
+        for scale in (np.inf, np.nan, 0.0, 1e-320):
             with pytest.raises(ConfigError, match="positive and finite"):
                 TomographyRecord(setting=setting_from_label("HH"), counts=3,
                                  acquisition_scale=scale)
