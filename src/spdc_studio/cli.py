@@ -25,6 +25,7 @@ convergence failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -45,9 +46,8 @@ from .polarization import (BellKind, TwoQubitState, bell_state,
                            metric_report, predicted_visibility,
                            rho_from_lobes, trace_distance, werner_state)
 from .rng import check_seed
-from .spectral import (jsa_from_jsi, jsi_of, lobe_metrics,
-                       lobe_overlap_matrix, overlap_integral, schmidt,
-                       single_lobe_purity, split_lobes)
+from .spectral import (_exchange_overlap, _gram_purities, jsa_from_jsi,
+                       jsi_of, lobe_metrics, lobe_overlap_matrix, split_lobes)
 from .tomography import (load_records, mle_reconstruct, save_records,
                          simulate_counts, standard_16_settings)
 
@@ -108,25 +108,23 @@ def _two_lobe_summary(jsa: JsaGrid, positions: dict, cut: float) -> dict:
     spectral metrics, the lobe overlaps f_mn and the polarization state
     they imply. ``positions`` are the lobe positions, ``lobe_metrics`` of
     the intensity as given at the same cut; the caller takes them first, so
-    no intensity grid is held while the kernels run.
+    no intensity grid is held while the kernels run. One Gram pass split at
+    the lobes gives all three purities, and the overlap reuses f12.
     """
-    sr = schmidt(jsa)
     lobes = split_lobes(jsa, cut)
     f_mn = lobe_overlap_matrix(lobes)
+    purity, single_lobe = _gram_purities(jsa, split=lobes.split)
     rho = rho_from_lobes(f_mn)
     f11 = float(np.real(f_mn[0, 0]))
     f22 = float(np.real(f_mn[1, 1]))
     return {
-        "overlap_integral": overlap_integral(jsa),
-        "schmidt_purity": sr.purity,
-        "schmidt_number": sr.schmidt_number,
+        "overlap_integral": _exchange_overlap(jsa, lobes.split, f_mn[0, 1]),
+        "schmidt_purity": purity,
+        "schmidt_number": 1.0 / purity,
         "lobes": positions,
         "f_mn": {"f11": f11, "f22": f22,
                  "f12": _complex_pair(f_mn[0, 1])},
-        "single_lobe_purity": {
-            "f1": single_lobe_purity(lobes, "f1"),
-            "f2": single_lobe_purity(lobes, "f2"),
-        },
+        "single_lobe_purity": single_lobe,
         "concurrence_bound": 2.0 * math.sqrt(max(f11 * f22, 0.0)),
         **_state_metrics(rho),
         "visibility": {b: predicted_visibility(rho, b)
@@ -522,7 +520,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------ parser
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` reuses; the command runs by name, so a
+    ``cmd_*`` function rebound on the module is the one called."""
     parser = argparse.ArgumentParser(
         prog="spdc-studio",
         description="Simulation and analysis toolkit for domain-engineered "
@@ -547,7 +548,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate-jsa",
                        help="designed JSA (jsa.npy) and its two-lobe summary")
     common(p, needs_config=True)
-    p.set_defaults(func=cmd_simulate_jsa)
 
     p = sub.add_parser("analyze-jsi",
                        help="two-lobe analysis of a JSI CSV file")
@@ -555,7 +555,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cut-nm", type=float, default=1560.0,
                    help="wavelength separating the two lobes (nm)")
     common(p)
-    p.set_defaults(func=cmd_analyze_jsi)
 
     p = sub.add_parser("tomography",
                        help="16-setting tomography with MLE reconstruction")
@@ -570,14 +569,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-per-setting", type=float, default=None,
                    help="pairs per setting when simulating (default 1e5)")
     common(p)
-    p.set_defaults(func=cmd_tomography)
 
     p = sub.add_parser("visibility",
                        help="power sweep of visibility and squeezing fit")
     p.add_argument("--powers", default=_DEFAULT_POWERS_MW,
                    help="comma-separated pump powers in mW")
     common(p)
-    p.set_defaults(func=cmd_visibility)
 
     p = sub.add_parser("report",
                        help="consolidated report against reference values")
@@ -585,17 +582,15 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="directory holding per-command outputs")
     p.add_argument("--out", default=None,
                    help="output directory (default runs/report)")
-    p.set_defaults(func=cmd_report)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if getattr(args, "seed", None) is not None:
             check_seed(args.seed)
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

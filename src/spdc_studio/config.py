@@ -17,6 +17,7 @@ from .errors import ConfigError, read_json
 from .optics import (CrystalSpec, FrequencyGrid, PulseShape, PumpSpec,
                      design_lobe_wavelengths)
 from .rng import check_seed
+from .sellmeier import VALID_RANGE_UM
 
 __all__ = [
     "RunConfig",
@@ -68,6 +69,11 @@ class RunConfig:
         lo, hi = self.window
         if not 0 < lo < hi:
             raise ConfigError("window must satisfy 0 < min < max")
+        lo_um, hi_um = VALID_RANGE_UM
+        if lo < lo_um * 1e-6 or hi > hi_um * 1e-6:
+            raise ConfigError(f"window [{lo * 1e9:g}, {hi * 1e9:g}] nm must "
+                              f"lie within the KTP Sellmeier range "
+                              f"[{lo_um}, {hi_um}] um")
         object.__setattr__(self, "seed", check_seed(self.seed))
         try:
             lam1, lam2 = design_lobe_wavelengths(self.crystal, self.pump,

@@ -361,6 +361,8 @@ def fit_visibility(scan: VisibilityScan) -> dict:
 # crossed analyzers
 _SETTING_MIN = (0.0, 0.0)
 _SETTING_MAX = (0.0, math.pi / 2)
+# past r ~ 178, mu^2 in _coincidence_probability overflows
+_MAX_SQUEEZING = 100.0
 
 
 def multipair_visibility(r: float, det: DetectorSpec, n_trials: int,
@@ -377,8 +379,9 @@ def multipair_visibility(r: float, det: DetectorSpec, n_trials: int,
     ``stream`` names the random substream, so callers can draw
     statistically independent repetitions under one seed.
     """
-    if r < 0:
-        raise ConfigError("squeezing parameter must be non-negative")
+    if not 0 <= r <= _MAX_SQUEEZING:
+        raise ConfigError(f"squeezing parameter must be non-negative and at "
+                          f"most {_MAX_SQUEEZING:g}, got {r}")
     if n_trials < 1:
         raise ConfigError("n_trials must be positive")
     mu = math.sinh(r) ** 2

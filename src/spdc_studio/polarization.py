@@ -85,6 +85,11 @@ class TwoQubitState:
             raise ConfigError(f"density matrix must be 4x4, got {rho.shape}")
         if not np.all(np.isfinite(rho)):
             raise ConfigError("density matrix contains non-finite entries")
+        # a unit-trace positive matrix has |rho_jk| <= 1; far larger
+        # entries would overflow the checks below
+        if np.max(np.abs([rho.real, rho.imag])) > 1.0 + 1e-6:
+            raise ConfigError("density matrix entries must lie within "
+                              "[-1, 1] in real and imaginary part")
         if np.linalg.norm(rho - rho.conj().T) > _HERMITIAN_TOL:
             raise ConfigError("density matrix is not Hermitian")
         trace = float(np.real(np.trace(rho)))

@@ -13,8 +13,8 @@ smaller side, and in real arithmetic when the amplitude is real; it is
 summed one block of rows at a time and never held whole.
 
 A lobe pair is its parent JSA split at one signal row, as the dichroic
-splitter routes each photon by wavelength: the lobes are row views of the
-parent amplitude, never copies of it.
+splitter routes each photon by wavelength. It holds only the parent and
+the split, and a Gram pass whose blocks break there gives every purity.
 
 ``JsaGrid`` stores a real amplitude (the analytic JSA and ``jsa_from_jsi``)
 as float64 and only one with a nonzero imaginary part (the
@@ -80,25 +80,12 @@ class LobePair:
     lower-right lobe (omega_s above the cut, signal wavelength below it),
     is the parent's rows from ``split`` on and f2 the rows before it, so
     the two lobes reassemble the parent exactly. Only the parent ``jsa``
-    is held; ``f1`` and ``f2`` are read-only views of its rows.
+    and the split are held.
     """
 
     jsa: JsaGrid
     split: int
     cut_frequency: float
-
-    @property
-    def f1(self) -> np.ndarray:
-        return _read_only(self.jsa.amplitude[self.split:])
-
-    @property
-    def f2(self) -> np.ndarray:
-        return _read_only(self.jsa.amplitude[:self.split])
-
-
-def _read_only(view: np.ndarray) -> np.ndarray:
-    view.flags.writeable = False
-    return view
 
 
 @dataclass(frozen=True)
@@ -133,9 +120,6 @@ def jsa_from_jsi(jsi: JsiGrid) -> JsaGrid:
     return JsaGrid(grid=grid, amplitude=amplitude)
 
 
-_TILE = 64  # grid points per side of an overlap_integral tile
-
-
 def _exchange_block(f: np.ndarray, w_s: np.ndarray, w_i: np.ndarray,
                     rows: slice, cols: slice) -> complex:
     """sum f(ws, wi) conj(f(wi, ws)) dws dwi over the block of ``rows`` by
@@ -146,20 +130,14 @@ def _exchange_block(f: np.ndarray, w_s: np.ndarray, w_i: np.ndarray,
     return complex(np.vdot(f[cols, rows].T, weighted))
 
 
-def overlap_integral(jsa: JsaGrid) -> float:
-    """Exchange-symmetry overlap of the JSA with its transpose, in [0, 1].
-
-    eta = (sum f(ws, wi) conj(f(wi, ws)) dws dwi / ||f||^2)^2, which does
-    not depend on the scale of f, as ``schmidt`` does not. Equals 1 exactly
-    when f is symmetric or antisymmetric under exchange, and upper-bounds
-    the polarization entanglement the source can reach. A JSA of zero or
-    non-finite norm raises ConfigError.
-
-    The sum runs over square tiles of ``_TILE`` points. Swapping ws and wi
-    turns the sum over tile (b, a) into the complex conjugate of the sum
-    over tile (a, b), so the inner product is real: the diagonal tiles plus
-    2 Re of each tile with a < b. Each tile is weighted on its own, so no
-    full-grid weighted or transposed copy is made.
+def _exchange_overlap(jsa: JsaGrid, split: int, f12: complex | None = None
+                      ) -> float:
+    """``overlap_integral`` summed over the blocks of a split at signal row
+    ``split``. Swapping ws and wi turns the block of rows before the split
+    by columns after it into the conjugate of f12, the block after by
+    before (summed here unless given), so the inner product is real: the
+    two same-side blocks plus 2 Re f12. Each block is weighted on its own,
+    so no full-grid weighted or transposed copy is made.
     """
     if not jsa.grid.axes_identical:
         raise ConfigError("overlap integral needs identical signal/idler axes")
@@ -169,52 +147,81 @@ def overlap_integral(jsa: JsaGrid) -> float:
                           f"norm {norm_squared}; it is all-zero or overflows")
     f = jsa.amplitude
     w_s, w_i = jsa.grid.signal_weights, jsa.grid.idler_weights
-    tiles = [slice(t, t + _TILE) for t in range(0, f.shape[0], _TILE)]
-    inner = 0.0
-    for a, rows in enumerate(tiles):
-        for b, cols in enumerate(tiles[a:], start=a):
-            term = _exchange_block(f, w_s, w_i, rows, cols).real
-            inner += term if a == b else 2.0 * term
+    before, after = slice(None, split), slice(split, None)
+    if f12 is None:
+        f12 = _exchange_block(f, w_s, w_i, after, before)
+    inner = (_exchange_block(f, w_s, w_i, before, before).real
+             + _exchange_block(f, w_s, w_i, after, after).real
+             + 2.0 * f12.real)
     return float((inner / norm_squared) ** 2)
+
+
+def overlap_integral(jsa: JsaGrid) -> float:
+    """Exchange-symmetry overlap of the JSA with its transpose, in [0, 1].
+
+    eta = (sum f(ws, wi) conj(f(wi, ws)) dws dwi / ||f||^2)^2, which does
+    not depend on the scale of f, as ``schmidt`` does not. Equals 1 exactly
+    when f is symmetric or antisymmetric under exchange, and upper-bounds
+    the polarization entanglement the source can reach. A JSA of zero or
+    non-finite norm raises ConfigError. The sum is split at the middle row.
+    """
+    return _exchange_overlap(jsa, jsa.amplitude.shape[0] // 2)
 
 
 _GRAM_BLOCK = 128  # rows of the weighted amplitude per Gram block
 
 
-def _gram_purity(amp: np.ndarray, w_s: np.ndarray, w_i: np.ndarray,
-                 zero_error: str) -> float:
-    """||G||_F^2 / (tr G)^2 for G the Gram matrix of ``amp`` weighted by
-    sqrt(w_s) on its rows and sqrt(w_i) on its columns (see ``schmidt``);
-    a G of zero trace, from a zero amplitude or no rows, raises
-    ``zero_error``.
+def _gram_purities(jsa: JsaGrid, rows: slice = slice(None),
+                   split: int | None = None,
+                   zero_error: str = "cannot take the Schmidt purity of an "
+                                     "all-zero JSA") -> tuple[float, dict]:
+    """||G||_F^2 / (tr G)^2 for G the Gram matrix of the amplitude's
+    ``rows`` weighted by sqrt(w_s) on its rows and sqrt(w_i) on its columns
+    (see ``schmidt``) and, given a ``split`` row, the same for each lobe:
+    {"f1": rows from the split on, "f2": rows before it}, else {}. A G of
+    zero trace, from a zero amplitude or no rows, raises ``zero_error``, and
+    an empty lobe "lobe f1 (or f2) is identically zero".
 
-    With W the weighted amplitude, turned by a transposed view so that its
-    rows are the smaller side, G = W W^H. Over row blocks W_a of W its
+    With W the weighted amplitude, G = W W^H. Over row blocks W_a of W its
     blocks are G_ab = W_a W_b^H, with G_ba = G_ab^H, so ||G||_F^2 is the sum
     of ||G_aa||^2 plus twice each ||G_ab||^2 with a < b, and tr G the sum of
-    the tr G_aa. One block of G is held at a time, never the whole.
+    the tr G_aa. The blocks break at the split, so the Gram of each lobe is
+    a diagonal block G_ll of G and ||G||^2 = ||G_11||^2 + ||G_22||^2 +
+    2 ||G_12||^2: one pass gives all three purities. With no split, W is
+    turned by a transposed view so that its rows are the smaller side. One
+    block of G is held at a time, never the whole.
     """
-    weighted = amp * np.sqrt(w_s)[:, np.newaxis]
-    weighted *= np.sqrt(w_i)
-    if weighted.shape[0] > weighted.shape[1]:
+    grid = jsa.grid
+    weighted = (jsa.amplitude[rows]
+                * np.sqrt(grid.signal_weights[rows])[:, np.newaxis])
+    weighted *= np.sqrt(grid.idler_weights)
+    if split is None and weighted.shape[0] > weighted.shape[1]:
         # W^T conj(W) = conj(W^H W): the same norm and trace
         weighted = weighted.T
-    blocks = [slice(r, r + _GRAM_BLOCK)
-              for r in range(0, weighted.shape[0], _GRAM_BLOCK)]
-    norm_squared = squared_sum = 0.0
-    for b, cols in enumerate(blocks):
+    k, n = split or 0, weighted.shape[0]
+    blocks = [(lobe, slice(r, min(r + _GRAM_BLOCK, end)))
+              for lobe, start, end in (("f2", 0, k), ("f1", k, n))
+              for r in range(start, end, _GRAM_BLOCK)]
+    sums = {"G": [0.0, 0.0], "f1": [0.0, 0.0], "f2": [0.0, 0.0]}  # tr, ||.||^2
+    for b, (lobe, cols) in enumerate(blocks):
         adjoint = weighted[cols].conj().T  # a view when W is real
-        for a, rows in enumerate(blocks[:b + 1]):
-            gram = weighted[rows] @ adjoint
-            term = float(np.vdot(gram, gram).real)
-            if a == b:
-                norm_squared += float(np.trace(gram).real)
-                squared_sum += term
-            else:
-                squared_sum += 2.0 * term
-    if norm_squared <= 0:
-        raise ConfigError(zero_error)
-    return squared_sum / norm_squared**2
+        for a, (other, block) in enumerate(blocks[:b + 1]):
+            gram = weighted[block] @ adjoint
+            term = float(np.vdot(gram, gram).real) * (1.0 if a == b else 2.0)
+            trace = float(np.trace(gram).real) if a == b else 0.0
+            for name in ("G", lobe) if other == lobe else ("G",):
+                sums[name][0] += trace
+                sums[name][1] += term
+
+    def purity(name: str, error: str) -> float:
+        trace, squared_sum = sums[name]
+        if trace <= 0:
+            raise ConfigError(error)
+        return squared_sum / trace**2
+
+    whole = purity("G", zero_error)
+    return whole, {} if split is None else {
+        w: purity(w, f"lobe {w} is identically zero") for w in ("f1", "f2")}
 
 
 def schmidt(jsa: JsaGrid) -> SchmidtResult:
@@ -231,10 +238,7 @@ def schmidt(jsa: JsaGrid) -> SchmidtResult:
     update; only a complex128 amplitude, one with a nonzero imaginary
     part, takes complex arithmetic.
     """
-    grid = jsa.grid
-    purity = _gram_purity(
-        jsa.amplitude, grid.signal_weights, grid.idler_weights,
-        "cannot take the Schmidt purity of an all-zero JSA")
+    purity, _ = _gram_purities(jsa)
     return SchmidtResult(purity=purity, schmidt_number=1.0 / purity)
 
 
@@ -334,10 +338,9 @@ def single_lobe_purity(lobes: LobePair, which: str = "f1") -> float:
     """Schmidt purity of one lobe on its own (independent of its norm)."""
     if which not in ("f1", "f2"):
         raise ConfigError(f"unknown lobe {which!r}, expected 'f1' or 'f2'")
-    grid = lobes.jsa.grid
     rows = slice(lobes.split, None) if which == "f1" else slice(lobes.split)
-    return _gram_purity(lobes.jsa.amplitude[rows], grid.signal_weights[rows],
-                        grid.idler_weights, f"lobe {which} is identically zero")
+    return _gram_purities(lobes.jsa, rows,
+                          zero_error=f"lobe {which} is identically zero")[0]
 
 
 def _fwhm_of(x: np.ndarray, y: np.ndarray) -> float:

@@ -367,6 +367,10 @@ def load_records(path: str | Path) -> list[TomographyRecord]:
                     counts=int(row["counts"]),
                     acquisition_scale=float(row["acquisition_scale"]),
                 ))
+                # the fit reads counts as floats, exact to 2**53
+                if records[-1].counts > 2**53:
+                    raise ValueError(f"counts must be at most 2**53, got "
+                                     f"{records[-1].counts}")
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{path}: malformed row {row}: {exc}"
                                   ) from exc

@@ -567,18 +567,33 @@ def test_exit_2_creates_no_output_directory(tmp_path, capsys, argv):
      "--n-per-setting must be positive and finite, at most 1e18, got 1e+300"),
     (["visibility", "--powers", "1e300"],
      "pump powers must be positive and finite, at most 1e6 mW, got '1e300'"),
+    # each of the next three overflowed into a RuntimeWarning
+    (["tomography", "--state-file", "big.json"],
+     "big.json: density matrix entries must lie within [-1, 1]"),
+    (["tomography", "--records", "int.csv"],
+     "counts must be at most 2**53, got 100000000000000000000000"),
+    (["simulate-jsa", "--config", "wide.json"],
+     "window [1e-300, 1e+300] nm must lie within the KTP Sellmeier range "
+     "[0.4, 3.5] um"),
 ], ids=["malformed-state", "state-dir", "records-dir", "records-binary",
         "records-inf-scale", "jsi-dir", "config-dir", "artifact-dir",
         "simulate-jsa-oversized", "state-basis-int", "records-subnormal-scale",
-        "records-huge-counts", "n-per-setting-huge", "powers-huge"])
+        "records-huge-counts", "n-per-setting-huge", "powers-huge",
+        "state-huge-entries", "records-int-counts", "config-huge-window"])
 def test_unreadable_input_exits_2(tmp_path, capsys, argv, named):
     (tmp_path / "bad.json").write_text('{"matrix": [[')
     (tmp_path / "basis.json").write_text('{"matrix": [[[1, 0]]], "basis": 5}')
+    (tmp_path / "big.json").write_text(json.dumps({"matrix": [
+        [[1e308 if j == k else 0.0, 0.0] for k in range(4)]
+        for j in range(4)]}))
+    (tmp_path / "wide.json").write_text(
+        json.dumps({"grid": {"window_nm": [1e-300, 1e300]}}))
     (tmp_path / "adir").mkdir()
     (tmp_path / "binary.csv").write_bytes(b"label,counts\n\xff\xfe\n")
     for name, counts, scale in (("inf.csv", 100, "inf"),
                                 ("tiny.csv", 100, "1e-320"),
-                                ("huge.csv", 10 ** 400, "1e5")):
+                                ("huge.csv", 10 ** 400, "1e5"),
+                                ("int.csv", 10 ** 23, "1e5")):
         (tmp_path / name).write_text(
             "label,counts,acquisition_scale\n" + "".join(
                 f"{s.label},{counts},{scale}\n"

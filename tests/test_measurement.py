@@ -457,6 +457,16 @@ class TestMultipair:
         with pytest.raises(ConfigError, match="non-negative"):
             multipair_visibility(-0.1, DetectorSpec(), n_trials=100, seed=0)
 
+    def test_r_past_the_float_range_rejected(self):
+        # r = 100 is the largest accepted; from r ~ 178 the coincidence
+        # probability overflowed into a bare numpy error
+        det = DetectorSpec()
+        assert 0.0 <= multipair_visibility(100.0, det, n_trials=100,
+                                           seed=0) <= 1.0
+        for r in (math.nextafter(100.0, math.inf), 200.0, 400.0, math.nan):
+            with pytest.raises(ConfigError, match="at most 100, got"):
+                multipair_visibility(r, det, n_trials=100, seed=0)
+
     def test_invert_round_trip(self):
         det = DetectorSpec()
         r_true = 0.4

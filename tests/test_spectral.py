@@ -1,9 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdc_studio import spectral
+from spdc_studio import cli, spectral
 from spdc_studio.errors import ConfigError, ConvergenceError
 from spdc_studio.optics import (TWO_PI_C, FrequencyGrid, JsaGrid, PmfMode,
                                 compute_jsa, design_lobe_wavelengths)
@@ -104,9 +106,10 @@ def _exchange_mixed_jsa(seed):
 
 
 class _NumpySpy:
-    """Stands in for numpy inside spectral and keeps every first argument
-    of np.vdot: in schmidt those are the Gram blocks, whose dtype and
-    shapes tell which branch summed them."""
+    """Stands in for numpy inside spectral and keeps every argument of
+    np.vdot(a, a), a block taken against itself: those are the Gram
+    blocks, whose dtype and shapes tell which branch summed them. The
+    exchange sums take a block against another array and are not kept."""
 
     def __init__(self):
         self.vdot_args = []
@@ -115,16 +118,19 @@ class _NumpySpy:
         return getattr(np, name)
 
     def vdot(self, a, b):
-        self.vdot_args.append(a)
+        if a is b:
+            self.vdot_args.append(a)
         return np.vdot(a, b)
 
 
-def _assert_blocks_tile(blocks, side, dtype):
+def _assert_blocks_tile(blocks, side, dtype, split=0):
     """``blocks`` are the Gram blocks G_ab, a <= b, of a side x side Gram
-    over row blocks of at most ``_GRAM_BLOCK`` rows, each of ``dtype``:
-    with G_ba = G_ab^H for each a < b, they tile side^2."""
-    extents = [min(spectral._GRAM_BLOCK, side - r)
-               for r in range(0, side, spectral._GRAM_BLOCK)]
+    over row blocks of at most ``_GRAM_BLOCK`` rows that break at row
+    ``split``, each of ``dtype``: with G_ba = G_ab^H for each a < b, they
+    tile side^2 once."""
+    extents = [min(spectral._GRAM_BLOCK, end - r)
+               for start, end in ((0, split), (split, side))
+               for r in range(start, end, spectral._GRAM_BLOCK)]
     pairs = [(a, b) for b in range(len(extents)) for a in range(b + 1)]
     assert sorted(tuple(sorted(g.shape)) for g in blocks) == \
         sorted(tuple(sorted((extents[a], extents[b]))) for a, b in pairs)
@@ -286,8 +292,9 @@ class TestKernelsAgainstDirectFormulas:
     @pytest.mark.parametrize("complex_valued", [False, True])
     @pytest.mark.parametrize("samples", [65, 300, 512])
     def test_overlap_integral_over_tile_pairs(self, samples, complex_valued):
-        # 65 and 300 end in partial tiles, 512 (the CLI's default) in whole
-        # ones; B + c B^T keeps the exchange sum well away from zero
+        # split at the middle row: 65 into unequal sides, 300 and 512 (the
+        # CLI's default) into equal ones; B + c B^T keeps the exchange sum
+        # well away from zero
         rng = np.random.default_rng(samples)
         grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, samples)
         base = _random_amplitude(rng, grid.shape, complex_valued, 0)
@@ -354,7 +361,8 @@ class TestSchmidtBranches:
         for jsa in (default_jsa, jsa_from_jsi(measured_jsi)):
             lobes = split_lobes(jsa, 1560e-9)
             for which in ("f1", "f2"):
-                rows = getattr(lobes, which).shape[0]
+                rows = (jsa.grid.shape[0] - lobes.split if which == "f1"
+                        else lobes.split)
                 assert 0 < rows < jsa.grid.shape[1]
                 numpy_spy.vdot_args.clear()
                 purity = single_lobe_purity(lobes, which)
@@ -396,6 +404,71 @@ class TestSchmidtBranches:
         assert peak_grids(lambda: schmidt(default_jsa)) <= 1.25
 
 
+def _design_cut(crystal, pump):
+    lam1, lam2 = design_lobe_wavelengths(crystal, pump)
+    return 0.5 * (lam1 + lam2)
+
+
+class TestTwoLobeSummary:
+    """The CLI's two-lobe summary takes the Schmidt purity and both
+    single-lobe purities from one Gram pass split at the lobes, and the
+    overlap from one exchange sum that reuses f12."""
+
+    @pytest.fixture(params=["design", "measured", "domains",
+                            "random-complex"])
+    def jsa_and_cut(self, request, default_crystal, default_pump):
+        cut = _design_cut(default_crystal, default_pump)
+        if request.param == "design":
+            return request.getfixturevalue("default_jsa"), cut
+        if request.param == "measured":
+            return (jsa_from_jsi(request.getfixturevalue("measured_jsi")),
+                    1560e-9)
+        if request.param == "domains":
+            # complex; split at the valley split_lobes suggests for it
+            grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 96)
+            return compute_jsa(grid, default_crystal, default_pump,
+                               pmf_mode=PmfMode.FROM_DOMAINS), 1588e-9
+        # a split 42 rows past a block edge, with rows of both lobes in
+        # more than one block; B + c B^T keeps the exchange sum away from 0
+        rng = np.random.default_rng(11)
+        grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 300)
+        base = _random_amplitude(rng, grid.shape, True, 0)
+        jsa = JsaGrid(grid=grid,
+                      amplitude=base + 0.5 * base.T).normalized_copy()
+        axis = grid.signal_axis
+        return jsa, TWO_PI_C / (0.5 * (axis[169] + axis[170]))
+
+    def test_matches_the_kernels_and_the_oracles(self, jsa_and_cut):
+        jsa, cut = jsa_and_cut
+        summary = cli._two_lobe_summary(jsa, {}, cut)
+        lobes = split_lobes(jsa, cut)
+        assert lobes.split % spectral._GRAM_BLOCK != 0
+        purity = summary["schmidt_purity"]
+        assert purity == pytest.approx(schmidt(jsa).purity, rel=1e-12)
+        assert purity == pytest.approx(_gram_purity(jsa), rel=1e-12)
+        assert summary["schmidt_number"] == pytest.approx(1 / purity,
+                                                          rel=1e-15)
+        for which in ("f1", "f2"):
+            lobe = summary["single_lobe_purity"][which]
+            assert lobe == pytest.approx(single_lobe_purity(lobes, which),
+                                         rel=1e-12)
+            assert lobe == pytest.approx(
+                _gram_purity(_padded_lobe(lobes, which)), rel=1e-12)
+        f = jsa.amplitude
+        overlap = summary["overlap_integral"]
+        assert overlap == pytest.approx(overlap_integral(jsa), rel=1e-12)
+        assert overlap == pytest.approx(
+            abs(_exchange_sum(f, f, jsa.grid)) ** 2, rel=1e-12)
+
+    def test_tiles_the_gram_once(self, default_jsa, default_crystal,
+                                 default_pump, numpy_spy):
+        # not the whole Gram and then each lobe's Gram again
+        cut = _design_cut(default_crystal, default_pump)
+        split = split_lobes(default_jsa, cut).split
+        cli._two_lobe_summary(default_jsa, {}, cut)
+        _assert_blocks_tile(numpy_spy.vdot_args, 512, np.float64, split)
+
+
 class TestJsaFromJsi:
     def test_round_trip_with_conformant_signs(self):
         # an amplitude that is negative exactly where omega_i > omega_s
@@ -412,11 +485,11 @@ class TestJsaFromJsi:
         assert np.allclose(back.amplitude, jsa.amplitude, atol=1e-9 * scale)
 
     def test_result_and_its_lobes_are_real(self, default_jsa, measured_jsi):
-        # so are the analytic JSA and its lobes
+        # so is the analytic JSA; the lobes are rows of the parent itself
         for jsa in (default_jsa, jsa_from_jsi(measured_jsi)):
             lobes = split_lobes(jsa, 1560e-9)
-            for part in (jsa.amplitude, lobes.f1, lobes.f2):
-                assert part.dtype == np.float64
+            assert lobes.jsa is jsa
+            assert jsa.amplitude.dtype == np.float64
 
     def test_one_buffer_with_the_bits_of_the_formula(self, default_jsa,
                                                       peak_grids):
@@ -449,10 +522,13 @@ class TestJsaFromJsi:
 
 class TestSplitLobes:
     def test_exact_reassembly(self, default_jsa):
+        # the pair holds the parent itself and the split row, no lobe copy:
+        # f2 is the rows before the split and f1 the rows from it on
         lobes = split_lobes(default_jsa, 1560e-9)
         assert lobes.jsa is default_jsa
-        total = np.concatenate([lobes.f2, lobes.f1])
-        assert np.array_equal(total, default_jsa.amplitude)
+        assert [f.name for f in fields(LobePair)] == ["jsa", "split",
+                                                      "cut_frequency"]
+        assert 0 < lobes.split < default_jsa.grid.shape[0]
 
     def test_lobes_are_disjoint(self, default_jsa):
         # f1 holds exactly the rows above the cut, f2 the rest
@@ -478,23 +554,19 @@ class TestSplitLobes:
     def test_cut_beyond_the_window_leaves_a_lobe_empty(
             self, default_jsa, cut_nm, empty):
         lobes = split_lobes(default_jsa, cut_nm * 1e-9)
-        assert getattr(lobes, empty).shape == (0, default_jsa.grid.shape[1])
+        assert lobes.split == (default_jsa.grid.shape[0] if empty == "f1"
+                               else 0)
         f = lobe_overlap_matrix(lobes)
         assert f[0, 0].real + f[1, 1].real == pytest.approx(1.0, abs=1e-12)
         assert f[0, 1] == 0
         full = "f2" if empty == "f1" else "f1"
         assert single_lobe_purity(lobes, full) == pytest.approx(
             schmidt(default_jsa).purity, rel=1e-12)
-        with pytest.raises(ConfigError, match="identically zero"):
+        with pytest.raises(ConfigError, match=f"lobe {empty} is identically"):
             single_lobe_purity(lobes, empty)
-
-    def test_lobes_are_read_only_views_of_the_parent(self, default_jsa):
-        lobes = split_lobes(default_jsa, 1560e-9)
-        for lobe in (lobes.f1, lobes.f2):
-            assert np.shares_memory(lobe, default_jsa.amplitude)
-            assert not lobe.flags.writeable
-            with pytest.raises(ValueError):
-                lobe[0, 0] = 1.0
+        # so does the split pass behind the two-lobe summary
+        with pytest.raises(ConfigError, match=f"lobe {empty} is identically"):
+            cli._two_lobe_summary(default_jsa, {}, cut_nm * 1e-9)
 
     def test_cut_inside_lobe_suggests_valley(self, default_jsa):
         with pytest.raises(ConfigError, match="try a cut near"):
