@@ -47,7 +47,7 @@ from .polarization import (BellKind, TwoQubitState, bell_state,
                            rho_from_lobes, trace_distance, werner_state)
 from .rng import check_seed
 from .spectral import (_exchange_overlap, _gram_purities, jsa_from_jsi,
-                       jsi_of, lobe_metrics, lobe_overlap_matrix, split_lobes)
+                       lobe_metrics, lobe_overlap_matrix, split_lobes)
 from .tomography import (load_records, mle_reconstruct, save_records,
                          simulate_counts, standard_16_settings)
 
@@ -101,27 +101,24 @@ def _state_metrics(state: TwoQubitState) -> dict:
             "chsh_s": metrics.chsh_s}
 
 
-def _two_lobe_summary(jsa: JsaGrid, positions: dict, cut: float) -> dict:
+def _two_lobe_summary(jsa: JsaGrid, cut: float) -> dict:
     """The two-lobe analysis shared by ``simulate-jsa`` and ``analyze-jsi``.
 
     Splits ``jsa`` at the signal cut wavelength ``cut`` (m) and returns its
-    spectral metrics, the lobe overlaps f_mn and the polarization state
-    they imply. ``positions`` are the lobe positions, ``lobe_metrics`` of
-    the intensity as given at the same cut; the caller takes them first, so
-    no intensity grid is held while the kernels run. One Gram pass split at
-    the lobes gives all three purities, and the overlap reuses f12.
+    spectral metrics, the lobe positions, the lobe overlaps f_mn and the
+    polarization state they imply. One Gram pass split at the lobes gives
+    all three purities, and the overlap reuses f_mn's f12 and its norm.
     """
     lobes = split_lobes(jsa, cut)
     f_mn = lobe_overlap_matrix(lobes)
     purity, single_lobe = _gram_purities(jsa, split=lobes.split)
     rho = rho_from_lobes(f_mn)
-    f11 = float(np.real(f_mn[0, 0]))
-    f22 = float(np.real(f_mn[1, 1]))
+    f11, f22 = float(f_mn[0, 0].real), float(f_mn[1, 1].real)
     return {
-        "overlap_integral": _exchange_overlap(jsa, lobes.split, f_mn[0, 1]),
+        "overlap_integral": _exchange_overlap(jsa, lobes.split, f_mn),
         "schmidt_purity": purity,
         "schmidt_number": 1.0 / purity,
-        "lobes": positions,
+        "lobes": lobe_metrics(jsa, cut),
         "f_mn": {"f11": f11, "f22": f22,
                  "f12": _complex_pair(f_mn[0, 1])},
         "single_lobe_purity": single_lobe,
@@ -166,7 +163,7 @@ def cmd_simulate_jsa(args: argparse.Namespace) -> int:
             "h_short_v_long": temporal_walkoff(cfg.crystal, lam1, lam2) * 1e15,
             "h_long_v_short": temporal_walkoff(cfg.crystal, lam2, lam1) * 1e15,
         },
-        **_two_lobe_summary(jsa, lobe_metrics(jsi_of(jsa), cut), cut),
+        **_two_lobe_summary(jsa, cut),
     }
     out = _out_dir(cfg.output_dir, "simulate-jsa")
     _save_complex_npy(out / "jsa.npy", jsa.amplitude)
@@ -181,14 +178,12 @@ def cmd_analyze_jsi(args: argparse.Namespace) -> int:
         raise ConfigError(f"--cut-nm must be positive and finite, "
                           f"got {args.cut_nm}")
     cut = args.cut_nm * 1e-9
-    jsi = grid_io.load_jsi_csv(args.jsi_file)
-    jsa, positions = jsa_from_jsi(jsi), lobe_metrics(jsi, cut)
-    del jsi  # the kernels below need only the amplitude
+    jsa = jsa_from_jsi(grid_io.load_jsi_csv(args.jsi_file))
     summary = {
         "command": "analyze-jsi",
         "input": Path(args.jsi_file).name,
         "cut_nm": args.cut_nm,
-        **_two_lobe_summary(jsa, positions, cut),
+        **_two_lobe_summary(jsa, cut),
     }
     out = _out_dir(args.out, "analyze-jsi")
     _write_json(out / _ARTIFACTS["analyze-jsi"], summary)
@@ -252,10 +247,6 @@ def cmd_tomography(args: argparse.Namespace) -> int:
     if not result.converged:
         raise ConvergenceError("MLE reconstruction did not converge")
 
-    out = _out_dir(args.out, "tomography")
-    if truth is not None:
-        save_records(records, out / "records.csv")
-    _write_json(out / "rho.json", result.state.to_json_dict())
     report = {
         "command": "tomography",
         "source": source,
@@ -274,6 +265,12 @@ def cmd_tomography(args: argparse.Namespace) -> int:
             "trace_distance_to_reconstruction":
                 trace_distance(result.state, truth),
         }
+    # the report is whole before the directory is made: a reconstruction
+    # with a dark analyzer port exits 2 and must leave none
+    out = _out_dir(args.out, "tomography")
+    if truth is not None:
+        save_records(records, out / "records.csv")
+    _write_json(out / "rho.json", result.state.to_json_dict())
     _write_json(out / _ARTIFACTS["tomography"], report)
     print(f"tomography: S {report['chsh_s']:.4f}, concurrence "
           f"{report['concurrence']:.4f} ({result.iterations} iterations) "

@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable, Sequence
@@ -98,7 +99,8 @@ class PmfMode(enum.Enum):
 
 def _check_numbers(spec, where: str) -> None:
     """Reject float fields that are not finite real numbers; JSON configs
-    can hand in strings, booleans and the NaN/Infinity tokens."""
+    can hand in strings, booleans, the NaN/Infinity tokens and integers
+    past the float range."""
     for field in fields(spec):
         if field.type != "float":
             continue
@@ -106,7 +108,7 @@ def _check_numbers(spec, where: str) -> None:
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ConfigError(
                 f"{where} {field.name} must be a number, got {value!r}")
-        if not math.isfinite(value):
+        if not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{where} {field.name} must be finite, got {value}")
 
 
@@ -295,9 +297,15 @@ class JsaGrid:
         object.__setattr__(self, "amplitude", amp)
 
     @property
+    def signal_marginal(self) -> np.ndarray:
+        """sum_i |f_ji|^2 w_i for each signal row j; no |f|^2 grid is built."""
+        amp, w_i = self.amplitude, self.grid.idler_weights
+        parts = (amp.real, amp.imag) if np.iscomplexobj(amp) else (amp,)
+        return sum(np.einsum("ij,ij,j->i", p, p, w_i) for p in parts)
+
+    @property
     def norm_squared(self) -> float:
-        return float(self.grid.signal_weights @ np.abs(self.amplitude) ** 2
-                     @ self.grid.idler_weights)
+        return float(self.grid.signal_weights @ self.signal_marginal)
 
     def _unit_scale(self) -> float:
         """1 / ||f||; a zero or overflowing norm raises ConfigError."""
@@ -555,7 +563,7 @@ def compute_jsa(grid: FrequencyGrid, crystal: CrystalSpec, pump: PumpSpec,
     the same way, less delta_k at the degenerate point (analytic) or less
     2 pi/Lambda (domains). The domain sample's range is the min and max
     over one extra pass of the blocks, the whole grid's exact extremes, so
-    no mismatch grid is held. Only the norm stays whole-grid. Ufuncs do
+    no mismatch grid is held, nor an |f|^2 grid for the norm. Ufuncs do
     not depend on position, so the result has the bits of the same chain
     evaluated on the whole grid at once.
     """

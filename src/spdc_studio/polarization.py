@@ -123,7 +123,7 @@ class TwoQubitState:
                             for row in entries])
             basis = payload.get("basis")
             basis = None if basis is None else list(basis)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"malformed density-matrix JSON: {exc}") from exc
         if basis is not None and basis != list(BASIS_LABELS):
             raise ConfigError(f"unsupported basis order {basis}")

@@ -22,8 +22,8 @@ domain-sampled JSA) as complex128, so every kernel here takes real or
 complex arithmetic by the stored dtype alone.
 
 The quadrature weights are separable, w(ws, wi) = w_s(ws) w_i(wi), so every
-weighted sum here scales rows by w_s and columns by w_i (a norm is
-w_s @ |f|^2 @ w_i); no 2-D grid of weights is built.
+weighted sum here scales rows by w_s and columns by w_i, and every |f|^2 sum
+reads ``signal_marginal``, |f|^2 @ w_i; no 2-D grid of weights is built.
 """
 
 from __future__ import annotations
@@ -70,6 +70,11 @@ class JsiGrid:
         if np.any(intensity < 0):
             raise ConfigError("JSI must be non-negative")
         object.__setattr__(self, "intensity", intensity)
+
+    @property
+    def signal_marginal(self) -> np.ndarray:
+        """The intensity of each signal row integrated over the idler axis."""
+        return self.intensity @ self.grid.idler_weights
 
 
 @dataclass(frozen=True)
@@ -130,26 +135,27 @@ def _exchange_block(f: np.ndarray, w_s: np.ndarray, w_i: np.ndarray,
     return complex(np.vdot(f[cols, rows].T, weighted))
 
 
-def _exchange_overlap(jsa: JsaGrid, split: int, f12: complex | None = None
-                      ) -> float:
+def _exchange_overlap(jsa: JsaGrid, split: int,
+                      f_mn: np.ndarray | None = None) -> float:
     """``overlap_integral`` summed over the blocks of a split at signal row
     ``split``. Swapping ws and wi turns the block of rows before the split
     by columns after it into the conjugate of f12, the block after by
-    before (summed here unless given), so the inner product is real: the
-    two same-side blocks plus 2 Re f12. Each block is weighted on its own,
-    so no full-grid weighted or transposed copy is made.
+    before: the inner product is real, the same-side blocks plus 2 Re f12.
+    A lobe matrix ``f_mn`` of the split gives f12 and the norm f11 + f22.
+    Each block is weighted on its own, so no full-grid copy is made.
     """
     if not jsa.grid.axes_identical:
         raise ConfigError("overlap integral needs identical signal/idler axes")
-    norm_squared = jsa.norm_squared
+    norm_squared = (jsa.norm_squared if f_mn is None
+                    else float(f_mn[0, 0].real + f_mn[1, 1].real))
     if not 0 < norm_squared < math.inf:
         raise ConfigError(f"cannot take the overlap integral of a JSA of "
                           f"norm {norm_squared}; it is all-zero or overflows")
     f = jsa.amplitude
     w_s, w_i = jsa.grid.signal_weights, jsa.grid.idler_weights
     before, after = slice(None, split), slice(split, None)
-    if f12 is None:
-        f12 = _exchange_block(f, w_s, w_i, after, before)
+    f12 = (_exchange_block(f, w_s, w_i, after, before) if f_mn is None
+           else f_mn[0, 1])
     inner = (_exchange_block(f, w_s, w_i, before, before).real
              + _exchange_block(f, w_s, w_i, after, after).real
              + 2.0 * f12.real)
@@ -242,14 +248,9 @@ def schmidt(jsa: JsaGrid) -> SchmidtResult:
     return SchmidtResult(purity=purity, schmidt_number=1.0 / purity)
 
 
-def _marginal_spectrum(jsi: JsiGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Signal marginal intensity density (signal omega axis, density)."""
-    return jsi.grid.signal_axis, jsi.intensity @ jsi.grid.idler_weights
-
-
-def _suggest_cut(jsi: JsiGrid) -> float:
-    """Wavelength of the marginal-intensity minimum between the two lobes."""
-    omega, density = _marginal_spectrum(jsi)
+def _suggest_cut(jsa: JsaGrid) -> float:
+    """Wavelength of the signal-marginal minimum between the two lobes."""
+    omega, density = jsa.grid.signal_axis, jsa.signal_marginal
     peak = int(np.argmax(density))
     # second peak: best sample at least one lobe-width away on the other side
     mask = np.abs(omega - omega[peak]) > 0.2 * (omega[-1] - omega[0])
@@ -280,16 +281,14 @@ def split_lobes(jsa: JsaGrid, cut_wavelength: float) -> LobePair:
     cut_omega = TWO_PI_C / cut_wavelength
     lam_s = TWO_PI_C / grid.signal_axis
 
-    # intensity per signal row, integrated over the idler axis
-    row_intensity = (np.abs(jsa.amplitude) ** 2 @ grid.idler_weights
-                     * grid.signal_weights)
+    row_intensity = jsa.signal_marginal * grid.signal_weights
     total = float(np.sum(row_intensity))
     if total <= 0:
         raise ConfigError("cannot split an all-zero JSA")
     strip = np.abs(lam_s - cut_wavelength) <= _STRIP_HALFWIDTH
     strip_fraction = float(np.sum(row_intensity[strip])) / total
     if strip_fraction > _MAX_CUT_FRACTION:
-        suggestion = _suggest_cut(jsi_of(jsa))
+        suggestion = _suggest_cut(jsa)
         raise ConfigError(
             f"cut at {cut_wavelength * 1e9:.2f} nm lies inside a lobe "
             f"({100 * strip_fraction:.1f}% of intensity within "
@@ -310,19 +309,18 @@ def lobe_overlap_matrix(lobes: LobePair) -> np.ndarray:
     meet after the frequency relabeling of the splitting element. For a
     normalized parent JSA, f11 + f22 = 1.
 
-    f11 sums over the parent's rows from the split on and f22 over the rows
-    before it. f1 is zero off its rows and f2 off its own, so the exchange
-    sum f12 = sum f1(ws, wi) conj(f2(wi, ws)) lives on the one block with
-    signal in f1's rows and idler in f2's: a quarter of the grid for a
-    split at the middle.
+    f11 sums the parent's signal marginal over the rows from the split on
+    and f22 over the rows before it. f1 is zero off its rows and f2 off its
+    own, so the exchange sum f12 = sum f1(ws, wi) conj(f2(wi, ws)) lives on
+    the one block with signal in f1's rows and idler in f2's: a quarter of
+    the grid for a split at the middle.
     """
     grid = lobes.jsa.grid
     if not grid.axes_identical:
         raise ConfigError("lobe overlaps need identical signal/idler axes")
     w_s, w_i = grid.signal_weights, grid.idler_weights
-    a, k = lobes.jsa.amplitude, lobes.split
-    f11 = float(w_s[k:] @ np.abs(a[k:]) ** 2 @ w_i)
-    f22 = float(w_s[:k] @ np.abs(a[:k]) ** 2 @ w_i)
+    a, k, m = lobes.jsa.amplitude, lobes.split, lobes.jsa.signal_marginal
+    f11, f22 = float(w_s[k:] @ m[k:]), float(w_s[:k] @ m[:k])
     f12 = _exchange_block(a, w_s, w_i, slice(k, None), slice(None, k))
     # the lobes are not normalized (f11 ~ 3e25 on a window in rad/s), so
     # the rounding slack scales with the bound
@@ -374,15 +372,16 @@ def _peak_of(x: np.ndarray, y: np.ndarray) -> float:
     return float(x[j] + shift * 0.5 * (x[j + 1] - x[j - 1]))
 
 
-def lobe_metrics(jsi: JsiGrid, cut_wavelength: float) -> dict:
-    """Peak, centroid and FWHM of each lobe in the signal marginal.
+def lobe_metrics(spectrum: JsaGrid | JsiGrid, cut_wavelength: float) -> dict:
+    """Peak, centroid and FWHM of each lobe in the signal marginal of a JSA
+    or a JSI, none of which depends on its scale.
 
     Returned wavelengths are in nm, keyed by lobe: 'short' is the lobe
     below the cut wavelength, 'long' the one above. The centroid is
     robust against noise but pulled by asymmetric tails; the refined peak
     is what lobe positions are usually quoted as.
     """
-    omega, density = _marginal_spectrum(jsi)
+    omega, density = spectrum.grid.signal_axis, spectrum.signal_marginal
     lam = TWO_PI_C / omega
     # express the marginal as a density in wavelength so centroids and
     # widths read directly in nm

@@ -110,10 +110,12 @@ class TomographyRecord:
         if self.counts < 0:
             raise ConfigError("counts must be non-negative")
         scale = self.acquisition_scale
-        # the frequency counts / scale seeds the fit
-        if not (0 < scale < math.inf and math.isfinite(self.counts / scale)):
-            raise ConfigError("acquisition_scale must be positive and finite, "
-                              "and so must counts / acquisition_scale")
+        # the frequency counts / scale seeds the fit; past about 1e154 pairs
+        # the deviance overflows, so scales share --n-per-setting's cap
+        if not (0 < scale <= 1e18 and math.isfinite(self.counts / scale)):
+            raise ConfigError(f"acquisition_scale must be positive and "
+                              f"finite, at most 1e18, with counts / "
+                              f"acquisition_scale finite, got {scale}")
 
 
 @dataclass(frozen=True)
@@ -217,8 +219,14 @@ def _deviance(x: np.ndarray, ops: np.ndarray, counts: np.ndarray,
     excess = means - counts
     # term by term: the total of m - n log m, offset by the saturated
     # constant afterwards, cancels to rounding noise above the stopping
-    # tolerance; n = 0 contributes m alone
-    terms = excess - counts * np.log1p(excess / np.maximum(counts, 1.0))
+    # tolerance; n = 0 contributes m alone. log(m/n) is log1p(m/n - 1)
+    # near m = n, but log(m/n) itself where m << n, since there m/n - 1
+    # can round to -1
+    ratio = excess / np.maximum(counts, 1.0)
+    far = ratio < -0.5
+    log_ratio = np.log1p(np.where(far, 0.0, ratio))
+    log_ratio[far] = np.log(means[far] / counts[far])
+    terms = excess - counts * log_ratio
     value = float(np.sum(terms))
     g_op = np.einsum("k,kij->ij", scales * excess / means, ops)
     shifted = g_op - np.trace(g_op @ rho).real * np.eye(4)
@@ -252,9 +260,10 @@ def minimize(fun, x0: np.ndarray, args: tuple,
     iterations.
 
     A trial step s solves (H + lam 1) s = -g, with lam at least 1e-12 of
-    max |H| and large enough that H + lam 1 has a Cholesky factor; while
-    it has none, lam <- max(4 lam, 1e-6 max |H|). For the deviance the
-    floor covers the 17-dimensional gauge T -> c T U, along which it is
+    max |H| and the smallest normal float, and large enough that H + lam 1
+    has a Cholesky factor; while it has none, lam <- max(4 lam, 1e-6 max
+    |H|), so lam grows even where H underflows to zero. For the deviance
+    the floor covers the 17-dimensional gauge T -> c T U, along which it is
     constant: g has no component there beyond rounding, so neither has s.
     A step is taken when it gains more than 0.1 of the model's predicted
     decrease -(g.s + s.H.s / 2); otherwise lam grows the same way and s is
@@ -279,7 +288,7 @@ def minimize(fun, x0: np.ndarray, args: tuple,
         scale = np.abs(hess).max()
         tol = 1e-14 * max(1.0, f)
         while True:
-            lam = max(lam, 1e-12 * scale)
+            lam = max(lam, 1e-12 * scale, np.finfo(float).tiny)
             if not (math.isfinite(scale) and math.isfinite(lam)):
                 return NewtonResult(x, f, nit, nfev, False)
             shifted = hess + lam * np.eye(x.size)

@@ -19,7 +19,7 @@ from spdc_studio.optics import (TWO_PI_C, CrystalSpec, FrequencyGrid,
                                 JsaGrid, PumpSpec, compute_jsa,
                                 design_lobe_wavelengths)
 from spdc_studio.polarization import TwoQubitState
-from spdc_studio.spectral import JsiGrid, jsi_of, lobe_metrics
+from spdc_studio.spectral import JsiGrid, jsi_of
 from spdc_studio.tomography import standard_16_settings
 
 
@@ -96,7 +96,7 @@ class TestSimulateJsa:
 
         jsa = JsaGrid(grid=rebuilt, amplitude=np.load(out / "jsa.npy"))
         cut = summary["cut_nm"] * 1e-9
-        again = _two_lobe_summary(jsa, lobe_metrics(jsi_of(jsa), cut), cut)
+        again = _two_lobe_summary(jsa, cut)
         assert set(again) == TWO_LOBE_KEYS
         assert json.loads(json.dumps(
             again, default=lambda obj: obj.tolist())) == \
@@ -403,21 +403,24 @@ class TestTomography:
         assert (a / "records.csv").read_bytes() == \
             (b / "records.csv").read_bytes()
 
-    def test_overflowing_records_exit_3(self, tmp_path):
-        # 1e308 pairs per setting overflow the deviance, which warns, and
-        # the fit must stop as not converged. Its own process, since tier-1
-        # makes each RuntimeWarning an error
-        (tmp_path / "big.csv").write_text(
+    @pytest.mark.parametrize("counts, scale", [(2 ** 53, "1"),
+                                               (100000, "1e-290")],
+                             ids=["counts-2**53", "scale-1e-290"])
+    def test_counts_far_above_their_means_fit_without_warning(
+            self, tmp_path, counts, scale):
+        # the predicted means fall below 2**-54 of the counts, where
+        # m/n - 1 rounds to -1 and log1p(-1) warned; the deviance takes
+        # log(m/n) there. Run as the CLI runs, with warnings as errors
+        (tmp_path / "far.csv").write_text(
             "label,counts,acquisition_scale\n"
-            + "".join(f"{s.label},100,1e308\n"
+            + "".join(f"{s.label},{counts},{scale}\n"
                       for s in standard_16_settings()))
-        result = _subprocess(["-m", "spdc_studio", "tomography", "--records",
-                              "big.csv", "--out", "out"], tmp_path)
-        assert result.returncode == 3, result.stderr
-        assert result.stderr.endswith(
-            "convergence error: MLE reconstruction did not converge\n")
-        assert "Traceback" not in result.stderr
-        assert not (tmp_path / "out").exists()
+        result = _subprocess(["-W", "error::RuntimeWarning", "-m",
+                              "spdc_studio", "tomography", "--records",
+                              "far.csv", "--out", "out"], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == ""
+        assert (tmp_path / "out" / "report.json").is_file()
 
     def test_bad_inputs_exit_2(self, tmp_path):
         assert main(["tomography", "--simulate", "ghz"]) == 2
@@ -559,10 +562,18 @@ def test_exit_2_creates_no_output_directory(tmp_path, capsys, argv):
      "samples must be an integer from 64 to 4096, got 100000"),
     (["tomography", "--state-file", "basis.json"],
      "basis.json: malformed density-matrix JSON"),
+    (["tomography", "--state-file", "bigint.json"],
+     "bigint.json: malformed density-matrix JSON: int too large to convert "
+     "to float"),
     (["tomography", "--records", "tiny.csv"],
      "tiny.csv: malformed row {'label': 'HH', 'counts': '100', "
      "'acquisition_scale': '1e-320'}"),
     (["tomography", "--records", "huge.csv"], "int too large"),
+    # 1e308 pairs per setting overflowed the deviance, and the fit ended
+    # not converged after five RuntimeWarnings
+    (["tomography", "--records", "scale.csv"],
+     "acquisition_scale must be positive and finite, at most 1e18, with "
+     "counts / acquisition_scale finite, got 1e+308"),
     (["tomography", "--n-per-setting", "1e300"],
      "--n-per-setting must be positive and finite, at most 1e18, got 1e+300"),
     (["visibility", "--powers", "1e300"],
@@ -575,17 +586,22 @@ def test_exit_2_creates_no_output_directory(tmp_path, capsys, argv):
     (["simulate-jsa", "--config", "wide.json"],
      "window [1e-300, 1e+300] nm must lie within the KTP Sellmeier range "
      "[0.4, 3.5] um"),
+    # found after the fit, which once wrote rho.json first
+    (["tomography", "--records", "dark.csv"],
+     "fixed analyzer sits on a dark state"),
 ], ids=["malformed-state", "state-dir", "records-dir", "records-binary",
         "records-inf-scale", "jsi-dir", "config-dir", "artifact-dir",
-        "simulate-jsa-oversized", "state-basis-int", "records-subnormal-scale",
-        "records-huge-counts", "n-per-setting-huge", "powers-huge",
-        "state-huge-entries", "records-int-counts", "config-huge-window"])
+        "simulate-jsa-oversized", "state-basis-int", "state-int-past-floats",
+        "records-subnormal-scale", "records-huge-counts", "records-huge-scale",
+        "n-per-setting-huge", "powers-huge", "state-huge-entries",
+        "records-int-counts", "config-huge-window", "records-dark-analyzer"])
 def test_unreadable_input_exits_2(tmp_path, capsys, argv, named):
     (tmp_path / "bad.json").write_text('{"matrix": [[')
     (tmp_path / "basis.json").write_text('{"matrix": [[[1, 0]]], "basis": 5}')
-    (tmp_path / "big.json").write_text(json.dumps({"matrix": [
-        [[1e308 if j == k else 0.0, 0.0] for k in range(4)]
-        for j in range(4)]}))
+    for name, big in (("big.json", 1e308), ("bigint.json", 10 ** 400)):
+        (tmp_path / name).write_text(json.dumps({"matrix": [
+            [[big if j == k else 0.0, 0.0] for k in range(4)]
+            for j in range(4)]}))
     (tmp_path / "wide.json").write_text(
         json.dumps({"grid": {"window_nm": [1e-300, 1e300]}}))
     (tmp_path / "adir").mkdir()
@@ -593,11 +609,16 @@ def test_unreadable_input_exits_2(tmp_path, capsys, argv, named):
     for name, counts, scale in (("inf.csv", 100, "inf"),
                                 ("tiny.csv", 100, "1e-320"),
                                 ("huge.csv", 10 ** 400, "1e5"),
+                                ("scale.csv", 100, "1e308"),
                                 ("int.csv", 10 ** 23, "1e5")):
         (tmp_path / name).write_text(
             "label,counts,acquisition_scale\n" + "".join(
                 f"{s.label},{counts},{scale}\n"
                 for s in standard_16_settings()))
+    (tmp_path / "dark.csv").write_text(
+        "label,counts,acquisition_scale\n" + "".join(
+            f"{s.label},{10 ** 9 if s.label == 'HH' else 0},1\n"
+            for s in standard_16_settings()))
     (tmp_path / "dirruns" / "tomography" / "report.json").mkdir(parents=True)
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2

@@ -126,6 +126,8 @@ class TestValidation:
         ("pump", "average_power", float("nan")),
         ("crystal", "temperature", float("nan")),
         ("pump", "repetition_rate", float("inf")),
+        # an integer past the float range, which math.isfinite cannot take
+        ("pump", "center_wavelength", 10 ** 400),
     ])
     def test_non_finite_field_rejected(self, tmp_path, section, key, value):
         # json.dumps writes these as the non-standard Infinity / NaN tokens,

@@ -11,10 +11,10 @@ from spdc_studio.optics import (TWO_PI_C, FrequencyGrid, JsaGrid, PmfMode,
                                 compute_jsa, design_lobe_wavelengths)
 from spdc_studio.polarization import concurrence, predicted_visibility, purity, \
     rho_from_lobes
-from spdc_studio.spectral import (JsiGrid, LobePair, _marginal_spectrum,
-                                  jsa_from_jsi, jsi_of, lobe_metrics,
-                                  lobe_overlap_matrix, overlap_integral,
-                                  schmidt, single_lobe_purity, split_lobes)
+from spdc_studio.spectral import (JsiGrid, LobePair, jsa_from_jsi, jsi_of,
+                                  lobe_metrics, lobe_overlap_matrix,
+                                  overlap_integral, schmidt,
+                                  single_lobe_purity, split_lobes)
 
 
 def _gaussian_blob(grid, center_s_nm, center_i_nm, width_nm):
@@ -440,7 +440,7 @@ class TestTwoLobeSummary:
 
     def test_matches_the_kernels_and_the_oracles(self, jsa_and_cut):
         jsa, cut = jsa_and_cut
-        summary = cli._two_lobe_summary(jsa, {}, cut)
+        summary = cli._two_lobe_summary(jsa, cut)
         lobes = split_lobes(jsa, cut)
         assert lobes.split % spectral._GRAM_BLOCK != 0
         purity = summary["schmidt_purity"]
@@ -465,7 +465,7 @@ class TestTwoLobeSummary:
         # not the whole Gram and then each lobe's Gram again
         cut = _design_cut(default_crystal, default_pump)
         split = split_lobes(default_jsa, cut).split
-        cli._two_lobe_summary(default_jsa, {}, cut)
+        cli._two_lobe_summary(default_jsa, cut)
         _assert_blocks_tile(numpy_spy.vdot_args, 512, np.float64, split)
 
 
@@ -566,7 +566,7 @@ class TestSplitLobes:
             single_lobe_purity(lobes, empty)
         # so does the split pass behind the two-lobe summary
         with pytest.raises(ConfigError, match=f"lobe {empty} is identically"):
-            cli._two_lobe_summary(default_jsa, {}, cut_nm * 1e-9)
+            cli._two_lobe_summary(default_jsa, cut_nm * 1e-9)
 
     def test_cut_inside_lobe_suggests_valley(self, default_jsa):
         with pytest.raises(ConfigError, match="try a cut near"):
@@ -662,11 +662,48 @@ class TestSingleLobePurity:
 
 class TestMarginals:
     def test_marginal_integrates_to_norm(self, default_jsa):
-        jsi = jsi_of(default_jsa)
-        omega, density = _marginal_spectrum(jsi)
-        assert np.array_equal(omega, jsi.grid.signal_axis)
-        assert np.sum(density * jsi.grid.signal_weights) == pytest.approx(
-            1.0, abs=1e-9)
+        for spectrum in (default_jsa, jsi_of(default_jsa)):
+            density = spectrum.signal_marginal
+            assert density.shape == spectrum.grid.signal_axis.shape
+            assert np.sum(density * spectrum.grid.signal_weights) == \
+                pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "domains"])
+    def test_signal_marginal_of_the_intensity_grid(self, default_jsa,
+                                                   default_crystal,
+                                                   default_pump, kind):
+        if kind == "real":
+            jsa = default_jsa
+        elif kind == "complex":
+            jsa = _random_jsa(5, samples=301)
+        else:
+            grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 96)
+            jsa = compute_jsa(grid, default_crystal, default_pump,
+                              pmf_mode=PmfMode.FROM_DOMAINS)
+        assert (jsa.amplitude.dtype == np.float64) == (kind == "real")
+        expected = np.abs(jsa.amplitude) ** 2 @ jsa.grid.idler_weights
+        assert np.allclose(jsa.signal_marginal, expected, rtol=1e-13, atol=0)
+        assert jsa.norm_squared == pytest.approx(
+            jsa.grid.signal_weights @ expected, rel=1e-13)
+
+    def test_lobe_metrics_of_the_amplitude_and_its_intensity(
+            self, default_jsa, measured_jsi):
+        # peak, centroid and FWHM read the same marginal either way
+        for jsa in (default_jsa, jsa_from_jsi(measured_jsi)):
+            direct = lobe_metrics(jsi_of(jsa), 1560e-9)
+            m = lobe_metrics(jsa, 1560e-9)
+            for lobe in ("short", "long"):
+                assert m[lobe] == pytest.approx(direct[lobe], rel=1e-13)
+
+    @pytest.mark.parametrize("call", [
+        lambda jsa: split_lobes(jsa, 1560e-9),
+        lambda jsa: jsa.norm_squared,
+        lambda jsa: lobe_metrics(jsa, 1560e-9),
+    ], ids=["split_lobes", "norm_squared", "lobe_metrics"])
+    def test_reductions_build_no_intensity_grid(self, default_jsa,
+                                                peak_grids, call):
+        # a whole |f|^2 grid would be one 512^2 grid
+        assert peak_grids(lambda: call(default_jsa)) <= 0.05
 
 
 class TestLobeMetrics:

@@ -290,16 +290,54 @@ class TestMleReconstruct:
         assert result.deviance <= oracle.fun + 1e-9
 
     def test_non_finite_deviance_not_converged(self):
-        # a count near the float range makes the deviance infinite, which
-        # no tolerance relative to it can call converged
+        # a count at the top of the float range overflows n log(m/n), so
+        # the deviance is infinite, which no tolerance relative to it can
+        # call converged
         records = simulate_counts(werner_state(0.9), standard_16_settings(),
                                   1e4, seed=9)
         records[0] = TomographyRecord(setting=records[0].setting,
-                                      counts=10 ** 300,
+                                      counts=10 ** 308,
                                       acquisition_scale=1e4)
         with np.errstate(all="ignore"):
             result = mle_reconstruct(records)
         assert not result.converged
+
+    @pytest.mark.parametrize("counts, scale", [(2 ** 53, 1.0),
+                                               (100000, 1e-290)])
+    def test_deviance_finite_far_below_the_counts(self, counts, scale):
+        # m = max(N p, 1e-12) far below n, where m/n - 1 rounds to -1 and
+        # log1p(-1) is -inf; the deviance takes log(m/n) there
+        records = [TomographyRecord(setting=s, counts=counts,
+                                    acquisition_scale=scale)
+                   for s in standard_16_settings()]
+        ops = tomography._operators(records)
+        x = (np.eye(4, dtype=complex) / 2).ravel().view(float)
+        value, grad = tomography._deviance(x, ops, np.full(16, counts * 1.0),
+                                           np.full(16, scale))
+        # each projector has trace 1, so p = 1/4 at rho = 1/4
+        m = max(scale / 4, 1e-12)
+        expected = 16 * (m - counts - counts * np.log(m / counts))
+        assert value == pytest.approx(expected, rel=1e-12)
+        assert np.all(np.isfinite(grad))
+
+    @pytest.mark.parametrize("scale", [5e-324, 1e-320])
+    def test_underflowing_hessian_ends_the_fit(self, monkeypatch, scale):
+        # no counts at a subnormal scale: the Hessian underflows to zero,
+        # where a lam floored at 1e-12 of max |H| alone stayed zero and the
+        # Cholesky retries never ended
+        cholesky, calls = np.linalg.cholesky, []
+
+        def counted(a):
+            calls.append(a)
+            if len(calls) > 10_000:
+                raise AssertionError("minimize never stops on a zero Hessian")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        records = [TomographyRecord(setting=s, counts=0,
+                                    acquisition_scale=scale)
+                   for s in standard_16_settings()]
+        assert mle_reconstruct(records).converged
 
     @pytest.mark.parametrize("finite_start", [False, True],
                              ids=["nan-everywhere", "nan-past-the-start"])
