@@ -78,8 +78,8 @@ MIN_SAMPLES_PER_FWHM = 8
 # interpolation errs by at most (9/16)/4! * (2 pi/200)^4 = 2.3e-8 in Phi.
 DOMAIN_SAMPLES_PER_FRINGE = 200
 
-# Grid points per row block of compute_jsa: 256 KiB per float64 temporary.
-_BLOCK_POINTS = 32768
+# Grid points per row block of compute_jsa: 64 KiB per float64 temporary.
+_BLOCK_POINTS = 8192
 
 # Samples per row of the phase tables of _lattice_domain_pmf.
 _LATTICE_WIDTH = 64
@@ -559,7 +559,8 @@ def compute_jsa(grid: FrequencyGrid, crystal: CrystalSpec, pump: PumpSpec,
     The elementwise chain (delta_k in its order of operations, the pump
     factor and the PMF) runs in blocks of whole rows of about
     ``_BLOCK_POINTS`` points, written into one preallocated amplitude, so
-    its temporaries stay in cache. Both PMF modes take a block's mismatch
+    its temporaries stay in cache and the call holds little more than the
+    amplitude. Both PMF modes take a block's mismatch
     the same way, less delta_k at the degenerate point (analytic) or less
     2 pi/Lambda (domains). The domain sample's range is the min and max
     over one extra pass of the blocks, the whole grid's exact extremes, so

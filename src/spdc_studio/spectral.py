@@ -10,7 +10,10 @@ The Schmidt purity comes from the Gram matrix of the quadrature-weighted
 amplitude, not from a singular-value decomposition, so no Schmidt
 coefficients are computed or returned. The Gram matrix is taken on the
 smaller side, and in real arithmetic when the amplitude is real; it is
-summed one block of rows at a time and never held whole.
+summed one block of rows at a time and never held whole, and only the
+block being summed is weighted, so no weighted copy of the amplitude is
+made either. The exchange sums run a chunk of rows at a time, so each
+kernel holds its input and a fraction of a grid.
 
 A lobe pair is its parent JSA split at one signal row, as the dichroic
 splitter routes each photon by wavelength. It holds only the parent and
@@ -110,10 +113,15 @@ def jsa_from_jsi(jsi: JsiGrid) -> JsaGrid:
     """Square root of a normalized intensity with a pi phase between lobes.
 
     Every sample with omega_i > omega_s is negated, which is the relative
-    phase the two-lobe design imprints.
+    phase the two-lobe design imprints. A JSI whose weighted total
+    overflows the float range, or is zero, raises ConfigError.
     """
     grid = jsi.grid
-    total = float(grid.signal_weights @ jsi.intensity @ grid.idler_weights)
+    with np.errstate(over="ignore"):
+        total = float(grid.signal_weights @ jsi.intensity @ grid.idler_weights)
+    if not math.isfinite(total):
+        raise ConfigError("the JSI's weighted total overflows the float "
+                          "range; scale its values down")
     if total <= 0:
         raise ConfigError("cannot build an amplitude from an all-zero JSI")
     # built in one buffer: the quotient, its root, then the sign
@@ -125,14 +133,24 @@ def jsa_from_jsi(jsi: JsiGrid) -> JsaGrid:
     return JsaGrid(grid=grid, amplitude=amplitude)
 
 
+_EXCHANGE_CHUNK = 64  # rows of a block per step of an exchange sum
+
+
 def _exchange_block(f: np.ndarray, w_s: np.ndarray, w_i: np.ndarray,
                     rows: slice, cols: slice) -> complex:
     """sum f(ws, wi) conj(f(wi, ws)) dws dwi over the block of ``rows`` by
     ``cols``: the weighted block against the transpose of its mirror block
-    (``cols`` by ``rows``), a view that ``vdot`` copies."""
-    weighted = f[rows, cols] * w_s[rows, np.newaxis]
-    weighted *= w_i[cols]
-    return complex(np.vdot(f[cols, rows].T, weighted))
+    (``cols`` by ``rows``). It is summed ``_EXCHANGE_CHUNK`` rows at a time,
+    so neither the weighted rows nor the contiguous copy that ``vdot``
+    makes of the transposed mirror grows past one chunk."""
+    start, stop, _ = rows.indices(f.shape[0])
+    total = 0j
+    for r in range(start, stop, _EXCHANGE_CHUNK):
+        chunk = slice(r, min(r + _EXCHANGE_CHUNK, stop))
+        weighted = f[chunk, cols] * w_s[chunk, np.newaxis]
+        weighted *= w_i[cols]
+        total += np.vdot(f[cols, chunk].T, weighted)
+    return complex(total)
 
 
 def _exchange_overlap(jsa: JsaGrid, split: int,
@@ -142,7 +160,8 @@ def _exchange_overlap(jsa: JsaGrid, split: int,
     by columns after it into the conjugate of f12, the block after by
     before: the inner product is real, the same-side blocks plus 2 Re f12.
     A lobe matrix ``f_mn`` of the split gives f12 and the norm f11 + f22.
-    Each block is weighted on its own, so no full-grid copy is made.
+    Each block is weighted a chunk of rows at a time, so no full-grid copy
+    is made.
     """
     if not jsa.grid.axes_identical:
         raise ConfigError("overlap integral needs identical signal/idler axes")
@@ -193,31 +212,51 @@ def _gram_purities(jsa: JsaGrid, rows: slice = slice(None),
     of ||G_aa||^2 plus twice each ||G_ab||^2 with a < b, and tr G the sum of
     the tr G_aa. The blocks break at the split, so the Gram of each lobe is
     a diagonal block G_ll of G and ||G||^2 = ||G_11||^2 + ||G_22||^2 +
-    2 ||G_12||^2: one pass gives all three purities. With no split, W is
-    turned by a transposed view so that its rows are the smaller side. One
-    block of G is held at a time, never the whole.
+    2 ||G_12||^2: one pass gives all three purities. With no split, the
+    amplitude is turned by a transposed view so that its rows are the
+    smaller side. One block of G is held at a time, never the whole.
+
+    The weights are separable, W = diag(r) A diag(c), so only one block is
+    ever weighted, in one reused buffer: W_b = A_b r_b c gives G_bb =
+    W_b W_b^H (a symmetric rank-k update when A is real); scaled by c once
+    more, it gives each G_ba, a < b, as (W_b c) A_a^H with its columns
+    scaled by r_a. For a complex A the buffer is conjugated instead, which
+    leaves ||G_ba|| as it is and A_a^T a view.
     """
     grid = jsa.grid
-    weighted = (jsa.amplitude[rows]
-                * np.sqrt(grid.signal_weights[rows])[:, np.newaxis])
-    weighted *= np.sqrt(grid.idler_weights)
-    if split is None and weighted.shape[0] > weighted.shape[1]:
-        # W^T conj(W) = conj(W^H W): the same norm and trace
-        weighted = weighted.T
-    k, n = split or 0, weighted.shape[0]
+    amplitude = jsa.amplitude[rows]
+    row_root = np.sqrt(grid.signal_weights[rows])
+    col_root = np.sqrt(grid.idler_weights)
+    if split is None and amplitude.shape[0] > amplitude.shape[1]:
+        # W^T conj(W) = conj(W^H W): the same norm and trace; the weights
+        # swap with the axes
+        amplitude, row_root, col_root = amplitude.T, col_root, row_root
+    k, n = split or 0, amplitude.shape[0]
     blocks = [(lobe, slice(r, min(r + _GRAM_BLOCK, end)))
               for lobe, start, end in (("f2", 0, k), ("f1", k, n))
               for r in range(start, end, _GRAM_BLOCK)]
+    buffer = np.empty((min(n, _GRAM_BLOCK), amplitude.shape[1]),
+                      dtype=amplitude.dtype)
     sums = {"G": [0.0, 0.0], "f1": [0.0, 0.0], "f2": [0.0, 0.0]}  # tr, ||.||^2
     for b, (lobe, cols) in enumerate(blocks):
-        adjoint = weighted[cols].conj().T  # a view when W is real
-        for a, (other, block) in enumerate(blocks[:b + 1]):
-            gram = weighted[block] @ adjoint
-            term = float(np.vdot(gram, gram).real) * (1.0 if a == b else 2.0)
-            trace = float(np.trace(gram).real) if a == b else 0.0
+        weighted = buffer[:cols.stop - cols.start]
+        np.multiply(amplitude[cols], row_root[cols, np.newaxis], out=weighted)
+        weighted *= col_root
+        gram = weighted @ weighted.conj().T  # .conj() is a view when real
+        trace = float(np.trace(gram).real)
+        square = float(np.vdot(gram, gram).real)
+        weighted *= col_root
+        if np.iscomplexobj(weighted):
+            np.conjugate(weighted, out=weighted)
+        for other, block in blocks[:b]:
+            gram = weighted @ amplitude[block].T
+            gram *= row_root[block]
+            term = 2.0 * float(np.vdot(gram, gram).real)
             for name in ("G", lobe) if other == lobe else ("G",):
-                sums[name][0] += trace
                 sums[name][1] += term
+        for name in ("G", lobe):
+            sums[name][0] += trace
+            sums[name][1] += square
 
     def purity(name: str, error: str) -> float:
         trace, squared_sum = sums[name]

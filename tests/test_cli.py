@@ -120,11 +120,19 @@ class TestSimulateJsa:
         assert not np.any(loaded.imag)
 
     def test_holds_about_two_grids(self, tmp_path, peak_grids):
-        # the amplitude and, at most, one transient grid at a time: no
-        # intensity, whole Gram or complex copy beside it
+        # the amplitude and a fraction of a grid beside it: no intensity,
+        # weighted copy, whole Gram or complex copy
         out = tmp_path / "sim"
         assert peak_grids(lambda: main(["simulate-jsa",
-                                        "--out", str(out)])) <= 2.5
+                                        "--out", str(out)])) <= 1.5
+        assert (out / "jsa.npy").is_file()
+
+    def test_holds_about_one_grid_at_1024(self, tmp_path, peak_grids):
+        # 1.5 of its own 1024^2 grid, which is four 512^2 grids: the
+        # footprint scales as one grid
+        out = tmp_path / "sim"
+        assert peak_grids(lambda: main(["simulate-jsa", "--samples", "1024",
+                                        "--out", str(out)])) <= 6.0
         assert (out / "jsa.npy").is_file()
 
     def test_config_file_respected(self, tmp_path):
@@ -589,12 +597,17 @@ def test_exit_2_creates_no_output_directory(tmp_path, capsys, argv):
     # found after the fit, which once wrote rho.json first
     (["tomography", "--records", "dark.csv"],
      "fixed analyzer sits on a dark state"),
+    # finite values whose weighted total overflowed into a RuntimeWarning
+    # and then an "all-zero JSA" error
+    (["analyze-jsi", "huge_jsi.csv"],
+     "the JSI's weighted total overflows the float range"),
 ], ids=["malformed-state", "state-dir", "records-dir", "records-binary",
         "records-inf-scale", "jsi-dir", "config-dir", "artifact-dir",
         "simulate-jsa-oversized", "state-basis-int", "state-int-past-floats",
         "records-subnormal-scale", "records-huge-counts", "records-huge-scale",
         "n-per-setting-huge", "powers-huge", "state-huge-entries",
-        "records-int-counts", "config-huge-window", "records-dark-analyzer"])
+        "records-int-counts", "config-huge-window", "records-dark-analyzer",
+        "jsi-huge-total"])
 def test_unreadable_input_exits_2(tmp_path, capsys, argv, named):
     (tmp_path / "bad.json").write_text('{"matrix": [[')
     (tmp_path / "basis.json").write_text('{"matrix": [[[1, 0]]], "basis": 5}')
@@ -620,6 +633,9 @@ def test_unreadable_input_exits_2(tmp_path, capsys, argv, named):
             f"{s.label},{10 ** 9 if s.label == 'HH' else 0},1\n"
             for s in standard_16_settings()))
     (tmp_path / "dirruns" / "tomography" / "report.json").mkdir(parents=True)
+    coarse = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 3)
+    save_jsi_csv(tmp_path / "huge_jsi.csv",
+                 JsiGrid(grid=coarse, intensity=np.full(coarse.shape, 1e300)))
     out = tmp_path / "out"
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err

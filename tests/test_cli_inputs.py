@@ -20,10 +20,10 @@ from hypothesis import strategies as st
 
 from spdc_studio.cli import main
 from spdc_studio.config import load_run_config, make_grid
-from spdc_studio.grid_io import save_jsi_csv
+from spdc_studio.grid_io import load_jsi_csv, save_jsi_csv
 from spdc_studio.optics import CrystalSpec, PumpSpec, compute_jsa
 from spdc_studio.polarization import werner_state
-from spdc_studio.spectral import jsi_of
+from spdc_studio.spectral import JsiGrid, jsi_of
 from spdc_studio.tomography import standard_16_settings
 
 _LIMIT_S = 10.0  # per command; each takes milliseconds
@@ -171,6 +171,21 @@ def test_simulate_jsa_samples(samples):
 @given(cut=st.one_of(st.floats(), st.floats(1450, 1670)))
 def test_analyze_jsi_cut(small_jsi, cut):
     _check(["analyze-jsi", str(small_jsi), f"--cut-nm={cut!r}"])
+
+
+@_PROPERTY
+@given(peak=st.one_of(st.sampled_from([0.0, 5e-324, 1e300]),
+                      st.floats(0, 1e308)))
+def test_analyze_jsi_scaled(small_jsi, peak):
+    # the small JSI rescaled to the drawn peak value: all-zero, subnormal,
+    # or past where its weighted total overflows
+    jsi = load_jsi_csv(small_jsi)
+    scaled = jsi.intensity / jsi.intensity.max()
+    scaled *= peak
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scaled.csv"
+        save_jsi_csv(path, JsiGrid(grid=jsi.grid, intensity=scaled))
+        _check(["analyze-jsi", str(path)])
 
 
 @_PROPERTY

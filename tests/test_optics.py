@@ -514,11 +514,19 @@ class TestComputeJsa:
 
     def test_from_domains_holds_no_mismatch_grid(self, default_crystal,
                                                  default_pump, peak_grids):
-        # the mismatch is taken block by block, for its range and for Phi
+        # the mismatch is taken block by block, for its range and for Phi;
+        # the complex amplitude alone is two grids
         grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 512)
         assert peak_grids(lambda: compute_jsa(
             grid, default_crystal, default_pump,
-            pmf_mode=PmfMode.FROM_DOMAINS)) <= 4.25
+            pmf_mode=PmfMode.FROM_DOMAINS)) <= 3.0
+
+    def test_analytic_holds_about_one_grid(self, default_crystal,
+                                           default_pump, peak_grids):
+        # the amplitude and one row block's temporaries
+        grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 512)
+        assert peak_grids(lambda: compute_jsa(
+            grid, default_crystal, default_pump)) <= 1.25
 
 
 class TestJsaGridDtype:

@@ -245,6 +245,21 @@ class TestSchmidt:
             assert single_lobe_purity(lobes, which) == pytest.approx(
                 _svd_purity(_padded_lobe(lobes, which)), abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_svd_oracle_on_tall_complex_jsas(self, seed):
+        # more rows than columns, so the Gram is taken over a transposed
+        # view, and more columns than one block, so the off-diagonal
+        # blocks of that view are weighted too; unequal non-uniform axes
+        # and a complex, unnormalized amplitude
+        rng = np.random.default_rng(seed)
+        grid = FrequencyGrid(
+            signal_axis=np.cumsum(rng.uniform(0.5, 2.0, 300)),
+            idler_axis=np.cumsum(rng.uniform(0.5, 2.0, 140)))
+        amp = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+        jsa = JsaGrid(grid=grid, amplitude=amp)
+        assert schmidt(jsa).purity == pytest.approx(_svd_purity(jsa),
+                                                    abs=1e-12)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_matches_svd_oracle_on_random_jsas(self, seed):
@@ -260,6 +275,38 @@ class TestSchmidt:
         jsa = JsaGrid(grid=grid, amplitude=amp)
         assert schmidt(jsa).purity == pytest.approx(_svd_purity(jsa),
                                                     abs=1e-12)
+
+
+class TestExchangeChunks:
+    """The exchange sums run a chunk of rows at a time."""
+
+    @pytest.mark.parametrize("complex_valued", [False, True])
+    def test_chunked_equals_whole_block_vdot(self, complex_valued):
+        # a split and a far side that are not whole numbers of chunks
+        rng = np.random.default_rng(3)
+        grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 300)
+        base = _random_amplitude(rng, grid.shape, complex_valued, 0)
+        f = base + 0.5 * base.T
+        w_s, w_i = grid.signal_weights, grid.idler_weights
+        split = 2 * spectral._EXCHANGE_CHUNK + 37
+        before, after = slice(None, split), slice(split, None)
+        for rows, cols in ((before, before), (after, after), (after, before),
+                           (before, after)):
+            weighted = f[rows, cols] * w_s[rows, np.newaxis]
+            weighted *= w_i[cols]
+            whole = complex(np.vdot(f[cols, rows].T, weighted))
+            got = spectral._exchange_block(f, w_s, w_i, rows, cols)
+            assert abs(got - whole) <= 1e-13 * abs(whole)
+
+    @pytest.mark.parametrize("call", [
+        overlap_integral,
+        lambda jsa: lobe_overlap_matrix(split_lobes(jsa, 1560e-9)),
+    ], ids=["overlap_integral", "lobe_overlap_matrix"])
+    def test_holds_a_fraction_of_a_grid(self, default_jsa, peak_grids, call):
+        # one chunk of weighted rows and vdot's copy of one chunk of the
+        # mirror; a whole weighted block at the middle split is 0.25 grids,
+        # and with its mirror's copy 0.5
+        assert peak_grids(lambda: call(default_jsa)) <= 0.25
 
 
 class TestKernelsAgainstDirectFormulas:
@@ -400,8 +447,9 @@ class TestSchmidtBranches:
         assert purity == pytest.approx(_gram_purity(jsa), rel=1e-12)
 
     def test_holds_no_whole_gram(self, default_jsa, peak_grids):
-        # the weighted amplitude and one block; a whole Gram is one more grid
-        assert peak_grids(lambda: schmidt(default_jsa)) <= 1.25
+        # one weighted row block and one Gram block; a weighted copy of the
+        # amplitude is one more grid, and a whole Gram another
+        assert peak_grids(lambda: schmidt(default_jsa)) <= 0.5
 
 
 def _design_cut(crystal, pump):
