@@ -351,9 +351,11 @@ def _middle(axis, n):
 # every grid's cell sums sit on the pump-frequency lattice: its rows are
 # a run of samples of its column axis
 _BLOCK_GRIDS = {
+    # edges of one and two block heights, and fixed heights about 64 rows,
+    # a whole number of blocks for any power-of-two block up to 32768 points
     **{f"{n}x512": (_middle(_AXIS_512, n), _AXIS_512)
-       for n in (2, _HEIGHT_512 - 1, _HEIGHT_512, _HEIGHT_512 + 1,
-                 2 * _HEIGHT_512 + 2, 512)},
+       for n in sorted({2, _HEIGHT_512 - 1, _HEIGHT_512, _HEIGHT_512 + 1,
+                        2 * _HEIGHT_512 + 2, 63, 64, 65, 130, 512})},
     "3x(1+block)": (_middle(_AXIS_WIDE, 3), _AXIS_WIDE),
     # equal steps over different ranges
     "rows100-299x512": (_AXIS_512[100:300], _AXIS_512),
