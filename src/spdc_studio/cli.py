@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fixtures, grid_io, reference
-from .config import load_run_config, make_grid
+from .config import COMMAND_SAMPLES, load_run_config, make_grid
 from .errors import ConfigError, ConvergenceError, read_json
 from .measurement import (DetectorSpec, FiberSpec, RateRecord,
                           estimate_squeezing, multipair_visibility,
@@ -534,7 +534,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", default=None,
                            help="JSON source configuration")
             p.add_argument("--samples", type=int, default=None,
-                           help="grid samples per axis (override)")
+                           help="grid samples per axis; overrides the "
+                                "config's grid.samples (default "
+                                f"{COMMAND_SAMPLES})")
         # with a config, an explicit --seed beats the config's "seed",
         # which beats 0
         p.add_argument("--seed", type=int, default=None if needs_config else 0,

@@ -23,11 +23,18 @@ __all__ = [
     "RunConfig",
     "load_run_config",
     "make_grid",
+    "COMMAND_SAMPLES",
     "DEFAULT_SAMPLES",
     "DEFAULT_WINDOW_NM",
 ]
 
+# RunConfig's grid, the size library sweeps analyse at
 DEFAULT_SAMPLES = 512
+# load_run_config's grid, which simulate-jsa runs on unless --samples or
+# grid.samples sets one: every float of its two-lobe summary lies within
+# about 2.5x of its 512^2 error from the 2048^2 value, and the report
+# prints the same digits (tests/test_cli.py checks both)
+COMMAND_SAMPLES = 256
 DEFAULT_WINDOW_NM = (1500.0, 1620.0)
 MIN_SAMPLES = 64
 # 4096^2 float64 is 128 MiB per grid; a larger request would fail to
@@ -129,7 +136,8 @@ def load_run_config(path: str | Path | None = None,
                     output_dir: str | None = None) -> RunConfig:
     """Build a RunConfig from an optional JSON file plus CLI overrides.
 
-    Overrides win over file values, which win over defaults.
+    Overrides win over file values, which win over defaults. The grid
+    defaults to ``COMMAND_SAMPLES``, not RunConfig's ``DEFAULT_SAMPLES``.
     """
     doc: dict = {}
     if path is not None:
@@ -145,7 +153,7 @@ def load_run_config(path: str | Path | None = None,
     if not isinstance(grid_section, dict):
         raise ConfigError("'grid' must be a JSON object")
     _reject_unknown(grid_section, _GRID_FIELDS, "'grid'")
-    cfg_samples = grid_section.get("samples", DEFAULT_SAMPLES)
+    cfg_samples = grid_section.get("samples", COMMAND_SAMPLES)
     window_nm = grid_section.get("window_nm", list(DEFAULT_WINDOW_NM))
     if (not isinstance(window_nm, (list, tuple)) or len(window_nm) != 2
             or not all(isinstance(v, (int, float)) for v in window_nm)):

@@ -121,9 +121,10 @@ class TestSimulateJsa:
 
     def test_holds_about_two_grids(self, tmp_path, peak_grids):
         # the amplitude and a fraction of a grid beside it: no intensity,
-        # weighted copy, whole Gram or complex copy
+        # weighted copy, whole Gram or complex copy; at 512^2, since the
+        # bound is in 512^2 grids and a 256^2 run would pass it anyway
         out = tmp_path / "sim"
-        assert peak_grids(lambda: main(["simulate-jsa",
+        assert peak_grids(lambda: main(["simulate-jsa", "--samples", "512",
                                         "--out", str(out)])) <= 1.5
         assert (out / "jsa.npy").is_file()
 
@@ -134,6 +135,49 @@ class TestSimulateJsa:
         assert peak_grids(lambda: main(["simulate-jsa", "--samples", "1024",
                                         "--out", str(out)])) <= 6.0
         assert (out / "jsa.npy").is_file()
+
+    def test_default_grid_converged(self, tmp_path):
+        # the largest gap from the 2048^2 summary that each float may show
+        # at the command's default grid; at 256^2 the gaps are at most half
+        # these (the lobe FWHM's 0.26 nm aside), 512^2 passes every one, and
+        # 128^2 fails f_mn, the lobe FWHM and centre, the single-lobe
+        # purities and the state metrics
+        tolerance = {"overlap_integral": 1e-6, "schmidt_purity": 1e-6,
+                     "schmidt_number": 4e-6, "peak_nm": 5e-4,
+                     "center_nm": 0.05, "fwhm_nm": 0.5, "f11": 2e-3,
+                     "f22": 2e-3, "f12": 1e-4, "single_lobe_purity": 3e-3,
+                     "state": 2e-4}
+        out = tmp_path / "sim"
+        assert main(["simulate-jsa", "--out", str(out)]) == 0
+        summary = _read_json(out / "summary.json")
+        assert summary["grid"]["samples"] == config.COMMAND_SAMPLES
+        cfg = load_run_config(samples=2048)
+        fine = json.loads(json.dumps(
+            _two_lobe_summary(compute_jsa(make_grid(cfg), cfg.crystal,
+                                          cfg.pump),
+                              summary["cut_nm"] * 1e-9),
+            default=lambda obj: obj.tolist()))
+
+        def gaps(default, reference, path):
+            if isinstance(default, dict):
+                for key in default:
+                    yield from gaps(default[key], reference[key],
+                                    path + (key,))
+            elif isinstance(default, list):
+                for value, ref in zip(default, reference, strict=True):
+                    yield from gaps(value, ref, path)
+            else:
+                yield path, abs(default - reference)
+
+        checked = 0
+        for path, gap in gaps({k: summary[k] for k in TWO_LOBE_KEYS}, fine,
+                              ()):
+            # the innermost named key; the state metrics have none
+            key = next((k for k in reversed(path) if k in tolerance),
+                       "state")
+            assert gap <= tolerance[key], (path, gap)
+            checked += 1
+        assert checked == 24
 
     def test_config_file_respected(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -790,6 +834,13 @@ class TestFullPipeline:
         report = (runs / "report" / "report.md").read_text()
         assert report.splitlines()[-1] == \
             "Totals: 28 pass, 0 fail, 0 not run."
+
+    def test_report_matches_golden_copy(self, runs):
+        # the seed-0 report as committed: a change of grid, kernel or
+        # summation order must leave every printed digit as it was
+        golden = Path(__file__).parent / "golden" / "report_seed0.md"
+        assert (runs / "report" / "report.md").read_bytes() == \
+            golden.read_bytes()
 
     @pytest.mark.parametrize("env, compared", [
         ({}, None),

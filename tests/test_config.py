@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from spdc_studio.config import (DEFAULT_SAMPLES, DEFAULT_WINDOW_NM,
-                                MAX_SAMPLES, RunConfig, load_run_config,
-                                make_grid)
+from spdc_studio.config import (COMMAND_SAMPLES, DEFAULT_SAMPLES,
+                                DEFAULT_WINDOW_NM, MAX_SAMPLES, RunConfig,
+                                load_run_config, make_grid)
 from spdc_studio.errors import ConfigError
 from spdc_studio.optics import PulseShape, design_lobe_wavelengths
 
@@ -18,7 +18,7 @@ def _write(tmp_path, doc):
 class TestDefaults:
     def test_no_file_gives_defaults(self):
         cfg = load_run_config()
-        assert cfg.samples == DEFAULT_SAMPLES
+        assert cfg.samples == COMMAND_SAMPLES == 256
         assert cfg.window_nm == DEFAULT_WINDOW_NM
         assert cfg.seed == 0
         assert cfg.output_dir is None
@@ -27,8 +27,12 @@ class TestDefaults:
     def test_grid_matches_config(self):
         cfg = load_run_config()
         grid = make_grid(cfg)
-        assert grid.shape == (DEFAULT_SAMPLES, DEFAULT_SAMPLES)
+        assert grid.shape == (COMMAND_SAMPLES, COMMAND_SAMPLES)
         assert grid.axes_identical
+        # the library default stays 512^2: the benchmark's spectra
+        # workload sizes its sweep from RunConfig()
+        assert make_grid(RunConfig()).shape == (DEFAULT_SAMPLES,
+                                                DEFAULT_SAMPLES) == (512, 512)
 
     def test_design_lobes_are_the_checked_pair(self):
         # solved once, to check the window; not an option
