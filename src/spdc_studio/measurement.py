@@ -219,23 +219,54 @@ def _tof_response(axis: np.ndarray, widths: np.ndarray, fiber: FiberSpec,
     return edges, response
 
 
+_TOF_BLOCK = 64  # amplitude rows per step of the bin-probability sum
+
+
 def _tof_bin_probabilities(jsa: JsaGrid, fiber: FiberSpec, det: DetectorSpec
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Signal edges, idler edges and the exact probability P of each
     (signal, idler) time bin. Given a grid cell the arms are independent,
-    so P = R_s^T prob R_i with prob the normalized cell-weighted |f|^2."""
-    g = jsa.grid
-    # built in one buffer, in the operand order of |f|^2 * w / total
-    prob = np.abs(jsa.amplitude)
-    prob **= 2
-    prob *= np.outer(g.signal_weights, g.idler_weights)
-    total = prob.sum()
-    if total <= 0:
+    so P = R_s^T prob R_i with prob the normalized cell-weighted |f|^2.
+
+    P is summed over ``_TOF_BLOCK`` rows b of the amplitude A at a time,
+    as (w_s R_s)[b]^T (|A_b|^2 (w_i R_i)), and divided by the total
+    w_s^T |A|^2 w_i summed alongside, so no whole |f|^2 grid is built.
+    P does not depend on the JSA's scale, so each block is divided by the
+    largest real or imaginary magnitude first: |A_b|^2 neither overflows
+    nor underflows to zero for any finite nonzero JSA."""
+    g, amp = jsa.grid, jsa.amplitude
+    w_s, w_i = g.signal_weights, g.idler_weights
+    parts = (amp.real, amp.imag) if np.iscomplexobj(amp) else (amp,)
+    peak = max(max(p.max(), -p.min()) for p in parts)
+    if peak == 0:
         raise ConfigError("cannot sample from an all-zero JSA")
+
+    def weighted_response(axis, widths):
+        edges, response = _tof_response(axis, widths, fiber, det)
+        response *= widths[:, None]
+        return edges, response
+
+    edges_s, r_s = weighted_response(g.signal_axis, w_s)
+    # identical axes have identical weighted responses
+    edges_i, r_i = ((edges_s, r_s) if g.axes_identical else
+                    weighted_response(g.idler_axis, w_i))
+    prob = np.zeros((r_s.shape[1], r_i.shape[1]))
+    total = 0.0
+    # |A_b|^2 / peak^2 is built in one buffer reused across blocks
+    cells = np.empty((min(amp.shape[0], _TOF_BLOCK), amp.shape[1]))
+    for r in range(0, amp.shape[0], _TOF_BLOCK):
+        stop = min(r + _TOF_BLOCK, amp.shape[0])
+        rows, block = slice(r, stop), cells[:stop - r]
+        np.divide(parts[0][rows], peak, out=block)
+        block *= block
+        for part in parts[1:]:
+            square = part[rows] / peak
+            square *= square
+            block += square
+        total += w_s[rows] @ (block @ w_i)
+        prob += r_s[rows].T @ (block @ r_i)
     prob /= total
-    edges_s, r_s = _tof_response(g.signal_axis, g.signal_weights, fiber, det)
-    edges_i, r_i = _tof_response(g.idler_axis, g.idler_weights, fiber, det)
-    return edges_s, edges_i, r_s.T @ prob @ r_i
+    return edges_s, edges_i, prob
 
 
 def tof_simulate(jsa: JsaGrid, fiber: FiberSpec, det: DetectorSpec,
@@ -290,7 +321,7 @@ def tof_reconstruct(hist: ArrivalHistogram, fiber: FiberSpec,
         omega_i = omega_i[::-1]
         counts = counts[:, ::-1]
     grid = FrequencyGrid(signal_axis=omega_s, idler_axis=omega_i)
-    density = counts / np.outer(grid.signal_weights, grid.idler_weights)
+    density = counts / (grid.signal_weights[:, None] * grid.idler_weights)
     return JsiGrid(grid=grid, intensity=density)
 
 

@@ -18,8 +18,9 @@ from spdc_studio.measurement import (_SETTING_MAX, _SETTING_MIN,
                                      rates_summary, tof_reconstruct,
                                      tof_resolution, tof_simulate,
                                      visibility_scan)
-from spdc_studio.optics import (_FWHM_SIGMA, TWO_PI_C, FrequencyGrid,
-                                JsaGrid)
+from spdc_studio.optics import (_FWHM_SIGMA, TWO_PI_C, CrystalSpec,
+                                FrequencyGrid, JsaGrid, PmfMode, PumpSpec,
+                                compute_jsa)
 from spdc_studio.polarization import (BellKind, analyzer_projector,
                                       bell_state, predicted_visibility,
                                       werner_state)
@@ -138,6 +139,18 @@ def _dense_tof_response(axis: np.ndarray, widths: np.ndarray,
         t = slope * (TWO_PI_C / (axis + 0.5 * x * widths) - lam_ref)
         cdf += 0.5 * w * ndtr((edges - t[:, None]) / sigma)
     return edges, np.diff(cdf, axis=1)
+
+
+def _dense_tof_bin_probabilities(jsa: JsaGrid, fiber: FiberSpec,
+                                 det: DetectorSpec) -> np.ndarray:
+    """Bin probabilities by the whole-grid formula R_s^T prob R_i, with
+    prob the normalized cell-weighted |f|^2 and R the dense responses."""
+    g = jsa.grid
+    _, r_s = _dense_tof_response(g.signal_axis, g.signal_weights, fiber, det)
+    _, r_i = _dense_tof_response(g.idler_axis, g.idler_weights, fiber, det)
+    prob = np.abs(jsa.amplitude) ** 2 * np.outer(g.signal_weights,
+                                                 g.idler_weights)
+    return r_s.T @ (prob / prob.sum()) @ r_i
 
 
 def _pooled_p_value(observed, expected) -> float:
@@ -303,8 +316,9 @@ class TestExactTofModel:
 
 
 class TestTofResponseBand:
-    """_tof_response evaluates the CDF on each row's band only; R and the
-    draws must have the bits of the dense formula."""
+    """_tof_response evaluates the CDF on each row's band only; R must have
+    the bits of the dense formula, and the bin probabilities and draws
+    must follow it."""
 
     @pytest.mark.parametrize("jitter", [20e-12, 150e-12, 400e-12])
     @pytest.mark.parametrize("uniform", [True, False],
@@ -326,22 +340,96 @@ class TestTofResponseBand:
 
     @pytest.mark.parametrize("jsa_name", ["default_jsa", "three_cell_jsa"])
     def test_seeded_histogram_equals_dense_draw(self, request, jsa_name):
+        # the blocked sum rounds differently from the whole-grid formula;
+        # the seeded histogram is the draw from the blocked P itself
         jsa = request.getfixturevalue(jsa_name)
         fiber, det = FiberSpec(), DetectorSpec()
-        g = jsa.grid
-        _, r_s = _dense_tof_response(g.signal_axis, g.signal_weights,
-                                     fiber, det)
-        _, r_i = _dense_tof_response(g.idler_axis, g.idler_weights, fiber, det)
-        prob = np.abs(jsa.amplitude) ** 2 * np.outer(g.signal_weights,
-                                                     g.idler_weights)
-        prob = r_s.T @ (prob / prob.sum()) @ r_i
-        assert np.array_equal(_tof_bin_probabilities(jsa, fiber, det)[2],
-                              prob)
+        prob = _tof_bin_probabilities(jsa, fiber, det)[2]
+        dense = _dense_tof_bin_probabilities(jsa, fiber, det)
+        assert np.max(np.abs(prob - dense)) <= 1e-15 * dense.max()
         n_pairs = 1_000_000
         draw = substream(0, "tof.sampling").multinomial(
             n_pairs, np.append(prob.ravel(), max(1.0 - prob.sum(), 0.0)))
         hist = tof_simulate(jsa, fiber, det, n_pairs, seed=0)
         assert np.array_equal(hist.counts, draw[:-1].reshape(prob.shape))
+
+
+def _tof_block_jsa(rows: int, kind: str) -> JsaGrid:
+    """A JSA of ``rows`` signal rows, the middle of the default 512-point
+    axis: real or complex (domain-built) against the whole axis, or the
+    real ``rows``-square amplitude placed on identical non-uniform axes."""
+    axis = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 512).signal_axis
+    signal = axis[(axis.size - rows) // 2:][:rows]
+    if kind == "non-uniform":
+        amplitude = compute_jsa(FrequencyGrid(signal_axis=signal,
+                                              idler_axis=signal.copy()),
+                                CrystalSpec(), PumpSpec()).amplitude
+        u = np.sort(np.random.default_rng(rows).random(rows))
+        signal = signal[0] + (signal[-1] - signal[0]) * u
+        return JsaGrid(grid=FrequencyGrid(signal_axis=signal,
+                                          idler_axis=signal.copy()),
+                       amplitude=amplitude)
+    mode = PmfMode.FROM_DOMAINS if kind == "complex" else PmfMode.ANALYTIC
+    return compute_jsa(FrequencyGrid(signal_axis=signal, idler_axis=axis),
+                       CrystalSpec(), PumpSpec(), pmf_mode=mode)
+
+
+class TestTofBlocks:
+    """_tof_bin_probabilities sums ``_TOF_BLOCK`` amplitude rows at a
+    time, scaled to the JSA's largest component."""
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "non-uniform"])
+    @pytest.mark.parametrize("rows", [63, 64, 65, 130])
+    def test_equals_dense_formula(self, rows, kind):
+        jsa = _tof_block_jsa(rows, kind)
+        assert measurement._TOF_BLOCK == 64
+        assert np.iscomplexobj(jsa.amplitude) == (kind == "complex")
+        assert jsa.grid.axes_identical == (kind == "non-uniform")
+        fiber, det = FiberSpec(), DetectorSpec()
+        prob = _tof_bin_probabilities(jsa, fiber, det)[2]
+        dense = _dense_tof_bin_probabilities(jsa, fiber, det)
+        assert prob.shape == dense.shape
+        assert np.max(np.abs(prob - dense)) <= 1e-15 * dense.max()
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_any_finite_scale_samples(self, scale, kind):
+        # |f|^2 of 1e160 overflows and of 1e-170 underflows to zero; P
+        # does not depend on the scale
+        jsa = _tof_block_jsa(65, kind)
+        scaled = JsaGrid(grid=jsa.grid, amplitude=jsa.amplitude * scale)
+        fiber, det = FiberSpec(), DetectorSpec()
+        prob = _tof_bin_probabilities(jsa, fiber, det)[2]
+        scaled_prob = _tof_bin_probabilities(scaled, fiber, det)[2]
+        assert np.max(np.abs(scaled_prob - prob)) <= 1e-15 * prob.max()
+        hist = tof_simulate(scaled, fiber, det, n_pairs=20000, seed=0)
+        assert hist.total == 20000
+
+    def test_all_zero_jsa_rejected(self, default_jsa):
+        zero = JsaGrid(grid=default_jsa.grid,
+                       amplitude=np.zeros(default_jsa.grid.shape))
+        with pytest.raises(ConfigError,
+                           match="cannot sample from an all-zero JSA"):
+            tof_simulate(zero, FiberSpec(), DetectorSpec(), n_pairs=10,
+                         seed=0)
+
+    @pytest.mark.parametrize("axes, bound", [("identical", 0.75),
+                                             ("unequal", 1.1)])
+    def test_holds_about_one_grid(self, default_jsa, peak_grids, axes,
+                                  bound):
+        # two 512 x 156 weighted responses (one when the axes are
+        # identical), one 64-row block and the 156^2 sum: no |f|^2 or
+        # weight grid is built
+        jsa = default_jsa
+        if axes == "unequal":
+            axis = jsa.grid.signal_axis
+            step = axis[1] - axis[0]
+            grid = FrequencyGrid(signal_axis=axis,
+                                 idler_axis=axis + 32 * step)
+            jsa = compute_jsa(grid, CrystalSpec(), PumpSpec())
+        fiber, det = FiberSpec(), DetectorSpec()
+        assert peak_grids(lambda: tof_simulate(jsa, fiber, det, n_pairs=1000,
+                                               seed=0)) <= bound
 
 
 class TestArrivalHistogram:
