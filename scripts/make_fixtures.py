@@ -37,8 +37,7 @@ from spdc_studio.grid_io import save_jsi_csv
 from spdc_studio.optics import TWO_PI_C, FrequencyGrid
 from spdc_studio.polarization import (TwoQubitState, metric_report,
                                       predicted_visibility)
-from spdc_studio.spectral import (JsiGrid, jsa_from_jsi, lobe_overlap_matrix,
-                                  overlap_integral, schmidt, split_lobes)
+from spdc_studio.spectral import JsiGrid, jsa_from_jsi, two_lobe_summary
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "spdc_studio" / "data"
 
@@ -133,16 +132,11 @@ def synth_jsi(p: float, w2: float, a2: float) -> JsiGrid:
 
 
 def pipeline_metrics(jsi: JsiGrid) -> dict:
-    jsa = jsa_from_jsi(jsi)
-    lobes = split_lobes(jsa, CUT_NM * 1e-9)
-    f_mn = lobe_overlap_matrix(lobes)
-    return {
-        "purity": schmidt(jsa).purity,
-        "f11": float(np.real(f_mn[0, 0])),
-        "f22": float(np.real(f_mn[1, 1])),
-        "f12": float(np.real(f_mn[0, 1])),
-        "eta": overlap_integral(jsa),
-    }
+    summary = two_lobe_summary(jsa_from_jsi(jsi), CUT_NM * 1e-9)
+    f_mn = summary["f_mn"].real
+    return {"purity": summary["schmidt_purity"], "f11": f_mn[0, 0],
+            "f22": f_mn[1, 1], "f12": f_mn[0, 1],
+            "eta": summary["overlap_integral"]}
 
 
 def tune_jsi() -> tuple[JsiGrid, dict]:

@@ -46,8 +46,7 @@ from .polarization import (BellKind, TwoQubitState, bell_state,
                            metric_report, predicted_visibility,
                            rho_from_lobes, trace_distance, werner_state)
 from .rng import check_seed
-from .spectral import (_exchange_overlap, _gram_purities, jsa_from_jsi,
-                       lobe_metrics, lobe_overlap_matrix, split_lobes)
+from .spectral import jsa_from_jsi, two_lobe_summary
 from .tomography import (load_records, mle_reconstruct, save_records,
                          simulate_counts, standard_16_settings)
 
@@ -102,26 +101,18 @@ def _state_metrics(state: TwoQubitState) -> dict:
 
 
 def _two_lobe_summary(jsa: JsaGrid, cut: float) -> dict:
-    """The two-lobe analysis shared by ``simulate-jsa`` and ``analyze-jsi``.
-
-    Splits ``jsa`` at the signal cut wavelength ``cut`` (m) and returns its
-    spectral metrics, the lobe positions, the lobe overlaps f_mn and the
-    polarization state they imply. One Gram pass split at the lobes gives
-    all three purities, and the overlap reuses f_mn's f12 and its norm.
+    """The two-lobe analysis shared by ``simulate-jsa`` and ``analyze-jsi``:
+    ``spectral.two_lobe_summary`` of ``jsa`` at the signal cut wavelength
+    ``cut`` (m) as JSON, with the polarization state its f_mn implies.
     """
-    lobes = split_lobes(jsa, cut)
-    f_mn = lobe_overlap_matrix(lobes)
-    purity, single_lobe = _gram_purities(jsa, split=lobes.split)
+    summary = two_lobe_summary(jsa, cut)
+    f_mn = summary["f_mn"]
     rho = rho_from_lobes(f_mn)
     f11, f22 = float(f_mn[0, 0].real), float(f_mn[1, 1].real)
     return {
-        "overlap_integral": _exchange_overlap(jsa, lobes.split, f_mn),
-        "schmidt_purity": purity,
-        "schmidt_number": 1.0 / purity,
-        "lobes": lobe_metrics(jsa, cut),
+        **summary,
         "f_mn": {"f11": f11, "f22": f22,
                  "f12": _complex_pair(f_mn[0, 1])},
-        "single_lobe_purity": single_lobe,
         "concurrence_bound": 2.0 * math.sqrt(max(f11 * f22, 0.0)),
         **_state_metrics(rho),
         "visibility": {b: predicted_visibility(rho, b)

@@ -16,8 +16,9 @@ made either. The exchange sums run a chunk of rows at a time, so each
 kernel holds its input and a fraction of a grid.
 
 A lobe pair is its parent JSA split at one signal row, as the dichroic
-splitter routes each photon by wavelength. It holds only the parent and
-the split, and a Gram pass whose blocks break there gives every purity.
+splitter routes each photon by wavelength. It holds the parent, the split
+and the parent's signal marginal; ``two_lobe_summary`` runs the whole
+analysis of one cut on it, with one Gram pass whose blocks break there.
 
 ``JsaGrid`` stores a real amplitude (the analytic JSA and ``jsa_from_jsi``)
 as float64 and only one with a nonzero imaginary part (the
@@ -51,6 +52,7 @@ __all__ = [
     "lobe_overlap_matrix",
     "single_lobe_purity",
     "lobe_metrics",
+    "two_lobe_summary",
 ]
 
 
@@ -84,16 +86,16 @@ class JsiGrid:
 class LobePair:
     """The JSA split at a cut frequency into its two lobes.
 
-    ``split`` is the first signal row above ``cut_frequency``. f1, the
+    ``split`` is the first signal row above the cut frequency. f1, the
     lower-right lobe (omega_s above the cut, signal wavelength below it),
     is the parent's rows from ``split`` on and f2 the rows before it, so
-    the two lobes reassemble the parent exactly. Only the parent ``jsa``
-    and the split are held.
+    the two lobes reassemble the parent exactly. Only the parent ``jsa``,
+    the split and the parent's ``signal_marginal`` are held.
     """
 
     jsa: JsaGrid
     split: int
-    cut_frequency: float
+    marginal: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -153,31 +155,22 @@ def _exchange_block(f: np.ndarray, w_s: np.ndarray, w_i: np.ndarray,
     return complex(total)
 
 
-def _exchange_overlap(jsa: JsaGrid, split: int,
-                      f_mn: np.ndarray | None = None) -> float:
-    """``overlap_integral`` summed over the blocks of a split at signal row
-    ``split``. Swapping ws and wi turns the block of rows before the split
-    by columns after it into the conjugate of f12, the block after by
-    before: the inner product is real, the same-side blocks plus 2 Re f12.
-    A lobe matrix ``f_mn`` of the split gives f12 and the norm f11 + f22.
-    Each block is weighted a chunk of rows at a time, so no full-grid copy
-    is made.
-    """
-    if not jsa.grid.axes_identical:
-        raise ConfigError("overlap integral needs identical signal/idler axes")
-    norm_squared = (jsa.norm_squared if f_mn is None
-                    else float(f_mn[0, 0].real + f_mn[1, 1].real))
+def _exchange_overlap(jsa: JsaGrid, split: int, f_mn: np.ndarray) -> float:
+    """``overlap_integral`` over the blocks of a split at signal row
+    ``split`` with lobe matrix ``f_mn``. Under ws <-> wi the block of rows
+    before the split by columns after it is the conjugate of f12, the
+    block after by before, so the inner product is the same-side blocks
+    plus 2 Re f12, and the norm is f11 + f22."""
+    norm_squared = float(f_mn[0, 0].real + f_mn[1, 1].real)
     if not 0 < norm_squared < math.inf:
         raise ConfigError(f"cannot take the overlap integral of a JSA of "
                           f"norm {norm_squared}; it is all-zero or overflows")
     f = jsa.amplitude
     w_s, w_i = jsa.grid.signal_weights, jsa.grid.idler_weights
     before, after = slice(None, split), slice(split, None)
-    f12 = (_exchange_block(f, w_s, w_i, after, before) if f_mn is None
-           else f_mn[0, 1])
     inner = (_exchange_block(f, w_s, w_i, before, before).real
              + _exchange_block(f, w_s, w_i, after, after).real
-             + 2.0 * f12.real)
+             + 2.0 * f_mn[0, 1].real)
     return float((inner / norm_squared) ** 2)
 
 
@@ -190,7 +183,8 @@ def overlap_integral(jsa: JsaGrid) -> float:
     the polarization entanglement the source can reach. A JSA of zero or
     non-finite norm raises ConfigError. The sum is split at the middle row.
     """
-    return _exchange_overlap(jsa, jsa.amplitude.shape[0] // 2)
+    lobes = LobePair(jsa, jsa.amplitude.shape[0] // 2, jsa.signal_marginal)
+    return _exchange_overlap(jsa, lobes.split, lobe_overlap_matrix(lobes))
 
 
 _GRAM_BLOCK = 128  # rows of the weighted amplitude per Gram block
@@ -287,9 +281,8 @@ def schmidt(jsa: JsaGrid) -> SchmidtResult:
     return SchmidtResult(purity=purity, schmidt_number=1.0 / purity)
 
 
-def _suggest_cut(jsa: JsaGrid) -> float:
-    """Wavelength of the signal-marginal minimum between the two lobes."""
-    omega, density = jsa.grid.signal_axis, jsa.signal_marginal
+def _suggest_cut(omega: np.ndarray, density: np.ndarray) -> float:
+    """Wavelength of the valley of the marginal ``density`` between lobes."""
     peak = int(np.argmax(density))
     # second peak: best sample at least one lobe-width away on the other side
     mask = np.abs(omega - omega[peak]) > 0.2 * (omega[-1] - omega[0])
@@ -320,14 +313,15 @@ def split_lobes(jsa: JsaGrid, cut_wavelength: float) -> LobePair:
     cut_omega = TWO_PI_C / cut_wavelength
     lam_s = TWO_PI_C / grid.signal_axis
 
-    row_intensity = jsa.signal_marginal * grid.signal_weights
+    marginal = jsa.signal_marginal
+    row_intensity = marginal * grid.signal_weights
     total = float(np.sum(row_intensity))
     if total <= 0:
         raise ConfigError("cannot split an all-zero JSA")
     strip = np.abs(lam_s - cut_wavelength) <= _STRIP_HALFWIDTH
     strip_fraction = float(np.sum(row_intensity[strip])) / total
     if strip_fraction > _MAX_CUT_FRACTION:
-        suggestion = _suggest_cut(jsa)
+        suggestion = _suggest_cut(grid.signal_axis, marginal)
         raise ConfigError(
             f"cut at {cut_wavelength * 1e9:.2f} nm lies inside a lobe "
             f"({100 * strip_fraction:.1f}% of intensity within "
@@ -337,7 +331,7 @@ def split_lobes(jsa: JsaGrid, cut_wavelength: float) -> LobePair:
 
     # the signal axis ascends strictly, so f1 = rows with omega_s > cut
     split = int(np.searchsorted(grid.signal_axis, cut_omega, side="right"))
-    return LobePair(jsa=jsa, split=split, cut_frequency=cut_omega)
+    return LobePair(jsa=jsa, split=split, marginal=marginal)
 
 
 def lobe_overlap_matrix(lobes: LobePair) -> np.ndarray:
@@ -356,9 +350,9 @@ def lobe_overlap_matrix(lobes: LobePair) -> np.ndarray:
     """
     grid = lobes.jsa.grid
     if not grid.axes_identical:
-        raise ConfigError("lobe overlaps need identical signal/idler axes")
+        raise ConfigError("overlaps need identical signal/idler axes")
     w_s, w_i = grid.signal_weights, grid.idler_weights
-    a, k, m = lobes.jsa.amplitude, lobes.split, lobes.jsa.signal_marginal
+    a, k, m = lobes.jsa.amplitude, lobes.split, lobes.marginal
     f11, f22 = float(w_s[k:] @ m[k:]), float(w_s[:k] @ m[:k])
     f12 = _exchange_block(a, w_s, w_i, slice(k, None), slice(None, k))
     # the lobes are not normalized (f11 ~ 3e25 on a window in rad/s), so
@@ -420,7 +414,13 @@ def lobe_metrics(spectrum: JsaGrid | JsiGrid, cut_wavelength: float) -> dict:
     robust against noise but pulled by asymmetric tails; the refined peak
     is what lobe positions are usually quoted as.
     """
-    omega, density = spectrum.grid.signal_axis, spectrum.signal_marginal
+    return _lobe_positions(spectrum.grid.signal_axis,
+                           spectrum.signal_marginal, cut_wavelength)
+
+
+def _lobe_positions(omega: np.ndarray, density: np.ndarray,
+                    cut_wavelength: float) -> dict:
+    """``lobe_metrics`` of the signal marginal ``density`` on ``omega``."""
     lam = TWO_PI_C / omega
     # express the marginal as a density in wavelength so centroids and
     # widths read directly in nm
@@ -441,3 +441,30 @@ def lobe_metrics(spectrum: JsaGrid | JsiGrid, cut_wavelength: float) -> dict:
             "fwhm_nm": _fwhm_of(lam_m, dens_m) * 1e9,
         }
     return out
+
+
+def two_lobe_summary(jsa: JsaGrid, cut_wavelength: float) -> dict:
+    """The ``overlap_integral``, ``schmidt_purity``, ``schmidt_number``,
+    ``single_lobe_purity`` {"f1", "f2"}, ``lobes`` (``lobe_metrics``) and
+    ``f_mn`` (``lobe_overlap_matrix``) of ``jsa`` split at a signal cut
+    wavelength (m), from one marginal sum, by ``split_lobes``, and one Gram
+    pass. A cut that leaves a lobe without intensity raises ConfigError.
+    """
+    lobes = split_lobes(jsa, cut_wavelength)
+    omega = jsa.grid.signal_axis
+    f_mn = lobe_overlap_matrix(lobes)
+    for side, weight in zip(("short", "long"), f_mn.diagonal().real):
+        if weight <= 0:
+            raise ConfigError(
+                f"cut at {cut_wavelength * 1e9:.6g} nm leaves no intensity on "
+                f"the {side}-wavelength side; try a cut near "
+                f"{_suggest_cut(omega, lobes.marginal) * 1e9:.1f} nm")
+    purity, single_lobe = _gram_purities(jsa, split=lobes.split)
+    return {
+        "overlap_integral": _exchange_overlap(jsa, lobes.split, f_mn),
+        "schmidt_purity": purity,
+        "schmidt_number": 1.0 / purity,
+        "single_lobe_purity": single_lobe,
+        "lobes": _lobe_positions(omega, lobes.marginal, cut_wavelength),
+        "f_mn": f_mn,
+    }

@@ -19,7 +19,7 @@ from spdc_studio.optics import (TWO_PI_C, CrystalSpec, FrequencyGrid,
                                 JsaGrid, PumpSpec, compute_jsa,
                                 design_lobe_wavelengths)
 from spdc_studio.polarization import TwoQubitState
-from spdc_studio.spectral import JsiGrid, jsi_of
+from spdc_studio.spectral import JsiGrid, jsi_of, two_lobe_summary
 from spdc_studio.tomography import standard_16_settings
 
 
@@ -101,6 +101,25 @@ class TestSimulateJsa:
         assert json.loads(json.dumps(
             again, default=lambda obj: obj.tolist())) == \
             {k: summary[k] for k in TWO_LOBE_KEYS}
+
+    def test_readme_session_reads_the_saved_jsa(self):
+        # the README's library session: jsa.npy on the default grid block
+        # (nm * 1e-9, as the command builds it: 1620e-9 is 1 ulp off); at
+        # the design cut the library call gives back every spectral key of
+        # the summary, f_mn as its 2x2 matrix
+        assert main(["simulate-jsa"]) == 0
+        summary = _read_json(Path("runs/simulate-jsa/summary.json"))
+        saved = JsaGrid(
+            grid=FrequencyGrid.wavelength_window(1500 * 1e-9, 1620 * 1e-9,
+                                                 256),
+            amplitude=np.load("runs/simulate-jsa/jsa.npy"))
+        spectral = two_lobe_summary(saved, summary["cut_nm"] * 1e-9)
+        assert set(spectral) < TWO_LOBE_KEYS
+        f = summary["f_mn"]
+        f12 = complex(*f["f12"])
+        assert np.array_equal(spectral.pop("f_mn"),
+                              [[f["f11"], f12], [f12.conjugate(), f["f22"]]])
+        assert spectral == {k: summary[k] for k in spectral}
 
     @pytest.mark.parametrize("samples", [512, 301])
     def test_jsa_npy_has_the_bytes_of_np_save(self, tmp_path, samples):
@@ -322,6 +341,19 @@ class TestAnalyzeJsi:
         jsi_path = str(fixtures.measured_jsi_path())
         assert main(["analyze-jsi", jsi_path, "--cut-nm", "1548"]) == 2
         assert "try a cut near" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut, side", [("1490", "short"),
+                                           ("1630", "long"),
+                                           ("1e300", "long")])
+    def test_cut_outside_the_spectrum_exits_2(self, tmp_path, capsys, cut,
+                                              side):
+        out = tmp_path / "an"
+        assert main(["analyze-jsi", str(fixtures.measured_jsi_path()),
+                     "--cut-nm", cut, "--out", str(out)]) == 2
+        assert (f"error: cut at {float(cut):g} nm leaves no intensity on "
+                f"the {side}-wavelength side; try a cut near 1559.4 nm") \
+            in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("lines, named", [
         (["# signal_nm: 1510,1500", "# idler_nm: 1510,1500", "1,2", "3,x"],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdc_studio import cli, spectral
+from spdc_studio import spectral
 from spdc_studio.errors import ConfigError, ConvergenceError
 from spdc_studio.optics import (TWO_PI_C, FrequencyGrid, JsaGrid, PmfMode,
                                 compute_jsa, design_lobe_wavelengths)
@@ -14,7 +14,8 @@ from spdc_studio.polarization import concurrence, predicted_visibility, purity, 
 from spdc_studio.spectral import (JsiGrid, LobePair, jsa_from_jsi, jsi_of,
                                   lobe_metrics, lobe_overlap_matrix,
                                   overlap_integral, schmidt,
-                                  single_lobe_purity, split_lobes)
+                                  single_lobe_purity, split_lobes,
+                                  two_lobe_summary)
 
 
 def _gaussian_blob(grid, center_s_nm, center_i_nm, width_nm):
@@ -74,7 +75,7 @@ def _lobes_at(jsa, cut):
     """The lobe pair split_lobes makes at the signal frequency ``cut``,
     built directly, without its strip check."""
     split = int(np.sum(jsa.grid.signal_axis <= cut))
-    return LobePair(jsa=jsa, split=split, cut_frequency=cut)
+    return LobePair(jsa=jsa, split=split, marginal=jsa.signal_marginal)
 
 
 def _random_amplitude(rng, shape, complex_valued, zero_lines):
@@ -458,9 +459,9 @@ def _design_cut(crystal, pump):
 
 
 class TestTwoLobeSummary:
-    """The CLI's two-lobe summary takes the Schmidt purity and both
-    single-lobe purities from one Gram pass split at the lobes, and the
-    overlap from one exchange sum that reuses f12."""
+    """two_lobe_summary takes the Schmidt purity and both single-lobe
+    purities from one Gram pass split at the lobes, the overlap from one
+    exchange sum that reuses f12, and every |f|^2 sum from one marginal."""
 
     @pytest.fixture(params=["design", "measured", "domains",
                             "random-complex"])
@@ -488,7 +489,7 @@ class TestTwoLobeSummary:
 
     def test_matches_the_kernels_and_the_oracles(self, jsa_and_cut):
         jsa, cut = jsa_and_cut
-        summary = cli._two_lobe_summary(jsa, cut)
+        summary = two_lobe_summary(jsa, cut)
         lobes = split_lobes(jsa, cut)
         assert lobes.split % spectral._GRAM_BLOCK != 0
         purity = summary["schmidt_purity"]
@@ -507,13 +508,30 @@ class TestTwoLobeSummary:
         assert overlap == pytest.approx(overlap_integral(jsa), rel=1e-12)
         assert overlap == pytest.approx(
             abs(_exchange_sum(f, f, jsa.grid)) ** 2, rel=1e-12)
+        assert summary["lobes"] == lobe_metrics(jsa, cut)
+        assert np.array_equal(summary["f_mn"], lobe_overlap_matrix(lobes))
+
+    def test_sums_the_marginal_once(self, default_jsa, default_crystal,
+                                    default_pump, monkeypatch):
+        # split_lobes sums it; f11, f22 and the lobe positions reuse it
+        reads = []
+        marginal = JsaGrid.signal_marginal
+
+        def counted(jsa):
+            reads.append(jsa)
+            return marginal.fget(jsa)
+
+        monkeypatch.setattr(JsaGrid, "signal_marginal", property(counted))
+        two_lobe_summary(default_jsa,
+                         _design_cut(default_crystal, default_pump))
+        assert len(reads) == 1
 
     def test_tiles_the_gram_once(self, default_jsa, default_crystal,
                                  default_pump, numpy_spy):
         # not the whole Gram and then each lobe's Gram again
         cut = _design_cut(default_crystal, default_pump)
         split = split_lobes(default_jsa, cut).split
-        cli._two_lobe_summary(default_jsa, cut)
+        two_lobe_summary(default_jsa, cut)
         _assert_blocks_tile(numpy_spy.vdot_args, 512, np.float64, split)
 
 
@@ -575,16 +593,18 @@ class TestSplitLobes:
         lobes = split_lobes(default_jsa, 1560e-9)
         assert lobes.jsa is default_jsa
         assert [f.name for f in fields(LobePair)] == ["jsa", "split",
-                                                      "cut_frequency"]
+                                                      "marginal"]
         assert 0 < lobes.split < default_jsa.grid.shape[0]
+        assert lobes.marginal.tobytes() == \
+            default_jsa.signal_marginal.tobytes()
 
     def test_lobes_are_disjoint(self, default_jsa):
         # f1 holds exactly the rows above the cut, f2 the rest
         lobes = split_lobes(default_jsa, 1560e-9)
         axis = default_jsa.grid.signal_axis
-        assert lobes.cut_frequency == TWO_PI_C / 1560e-9
-        assert np.all(axis[lobes.split:] > lobes.cut_frequency)
-        assert np.all(axis[:lobes.split] <= lobes.cut_frequency)
+        cut = TWO_PI_C / 1560e-9
+        assert np.all(axis[lobes.split:] > cut)
+        assert np.all(axis[:lobes.split] <= cut)
         assert 0 < lobes.split < axis.size
 
     def test_cut_on_a_grid_frequency_goes_to_f2(self, default_jsa):
@@ -593,9 +613,7 @@ class TestSplitLobes:
         # a row whose frequency survives the wavelength round trip exactly
         row = next(k for k in range(near, near + 10)
                    if TWO_PI_C / (TWO_PI_C / axis[k]) == axis[k])
-        lobes = split_lobes(default_jsa, TWO_PI_C / axis[row])
-        assert lobes.cut_frequency == axis[row]
-        assert lobes.split == row + 1
+        assert split_lobes(default_jsa, TWO_PI_C / axis[row]).split == row + 1
 
     @pytest.mark.parametrize("cut_nm, empty", [(1490.0, "f1"),
                                                (1630.0, "f2")])
@@ -612,9 +630,12 @@ class TestSplitLobes:
             schmidt(default_jsa).purity, rel=1e-12)
         with pytest.raises(ConfigError, match=f"lobe {empty} is identically"):
             single_lobe_purity(lobes, empty)
-        # so does the split pass behind the two-lobe summary
-        with pytest.raises(ConfigError, match=f"lobe {empty} is identically"):
-            cli._two_lobe_summary(default_jsa, cut_nm * 1e-9)
+        # the two-lobe summary names the cut and the empty side
+        side = "short" if empty == "f1" else "long"
+        with pytest.raises(ConfigError, match=(
+                f"cut at {cut_nm:g} nm leaves no intensity on the "
+                f"{side}-wavelength side; try a cut near 15")):
+            two_lobe_summary(default_jsa, cut_nm * 1e-9)
 
     def test_cut_inside_lobe_suggests_valley(self, default_jsa):
         with pytest.raises(ConfigError, match="try a cut near"):
