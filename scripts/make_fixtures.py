@@ -90,10 +90,10 @@ def write_reference_state() -> None:
 
     rep = metric_report(state)
     print(f"wrote {path}")
-    print(f"  purity      {rep.purity:.4f} (ref {reference.QST_PURITY})")
-    print(f"  concurrence {rep.concurrence:.4f} (ref {reference.QST_CONCURRENCE})")
-    print(f"  fidelity    {rep.fidelity_to_target:.4f} (ref {reference.QST_FIDELITY})")
-    print(f"  CHSH S      {rep.chsh_s:.4f} (ref {reference.QST_CHSH})")
+    print(f"  purity      {rep['purity']:.4f} (ref {reference.QST_PURITY})")
+    print(f"  concurrence {rep['concurrence']:.4f} (ref {reference.QST_CONCURRENCE})")
+    print(f"  fidelity    {rep['fidelity_psi_minus']:.4f} (ref {reference.QST_FIDELITY})")
+    print(f"  CHSH S      {rep['chsh_s']:.4f} (ref {reference.QST_CHSH})")
     for basis in ("H", "V", "D", "A"):
         v = predicted_visibility(state, basis)
         print(f"  V_{basis}         {v:.4f} (ref {reference.VISIBILITY[basis]})")

@@ -85,20 +85,7 @@ def _out_dir(path: str | None, command: str) -> Path:
     return out
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 # ---------------------------------------------------------------- commands
-
-def _state_metrics(state: TwoQubitState) -> dict:
-    """The headline metrics of a polarization state, under the keys every
-    artifact gives them."""
-    metrics = metric_report(state)
-    return {"purity": metrics.purity, "concurrence": metrics.concurrence,
-            "fidelity_psi_minus": metrics.fidelity_to_target,
-            "chsh_s": metrics.chsh_s}
-
 
 def _two_lobe_summary(jsa: JsaGrid, cut: float) -> dict:
     """The two-lobe analysis shared by ``simulate-jsa`` and ``analyze-jsi``:
@@ -108,13 +95,13 @@ def _two_lobe_summary(jsa: JsaGrid, cut: float) -> dict:
     summary = two_lobe_summary(jsa, cut)
     f_mn = summary["f_mn"]
     rho = rho_from_lobes(f_mn)
-    f11, f22 = float(f_mn[0, 0].real), float(f_mn[1, 1].real)
+    f11, f22, f12 = float(f_mn[0, 0].real), float(f_mn[1, 1].real), f_mn[0, 1]
     return {
         **summary,
         "f_mn": {"f11": f11, "f22": f22,
-                 "f12": _complex_pair(f_mn[0, 1])},
+                 "f12": [float(f12.real), float(f12.imag)]},
         "concurrence_bound": 2.0 * math.sqrt(max(f11 * f22, 0.0)),
-        **_state_metrics(rho),
+        **metric_report(rho),
         "visibility": {b: predicted_visibility(rho, b)
                        for b in ("H", "V", "D", "A")},
     }
@@ -246,13 +233,13 @@ def cmd_tomography(args: argparse.Namespace) -> int:
         "converged": result.converged,
         "iterations": result.iterations,
         "deviance": result.deviance,
-        **_state_metrics(result.state),
+        **metric_report(result.state),
         "visibility": {b: predicted_visibility(result.state, b)
                        for b in ("H", "V", "D", "A")},
     }
     if truth is not None:
         report["truth"] = {
-            **_state_metrics(truth),
+            **metric_report(truth),
             "trace_distance_to_reconstruction":
                 trace_distance(result.state, truth),
         }

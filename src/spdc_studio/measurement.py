@@ -148,7 +148,6 @@ class RateRecord:
     singles_1: float
     singles_2: float
     coincidences: float
-    pump_power: float = 0.0
 
     def __post_init__(self) -> None:
         if min(self.singles_1, self.singles_2, self.coincidences) < 0:

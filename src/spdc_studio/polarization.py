@@ -22,7 +22,6 @@ __all__ = [
     "PAULI_PRODUCTS",
     "BellKind",
     "TwoQubitState",
-    "MetricReport",
     "bell_state",
     "werner_state",
     "rho_from_lobes",
@@ -272,21 +271,12 @@ def trace_distance(rho: TwoQubitState, sigma: TwoQubitState) -> float:
     return float(0.5 * np.sum(np.abs(eigvals)))
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    """The headline entanglement metrics of one state."""
-
-    purity: float
-    concurrence: float
-    fidelity_to_target: float
-    chsh_s: float
-
-
-def metric_report(rho: TwoQubitState) -> MetricReport:
-    """Bundle purity, concurrence, fidelity to psi-minus and CHSH S."""
-    return MetricReport(
-        purity=purity(rho),
-        concurrence=concurrence(rho),
-        fidelity_to_target=fidelity(rho, bell_state(BellKind.PSI_MINUS)),
-        chsh_s=chsh_max(rho),
-    )
+def metric_report(rho: TwoQubitState) -> dict:
+    """The headline metrics of a state, under the keys every artifact gives
+    them: purity, concurrence, fidelity to psi-minus and CHSH S."""
+    return {
+        "purity": purity(rho),
+        "concurrence": concurrence(rho),
+        "fidelity_psi_minus": fidelity(rho, bell_state(BellKind.PSI_MINUS)),
+        "chsh_s": chsh_max(rho),
+    }

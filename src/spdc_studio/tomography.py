@@ -57,6 +57,10 @@ KETS = {
     "L": np.array([1.0, -1.0j], dtype=complex) / _SQRT2,
 }
 
+# the most counts a record may hold: the fit reads them as floats, whose
+# integers are exact up to here
+_MAX_COUNTS = 2**53
+
 # Canonical informationally complete sequence from the standard
 # sixteen-measurement recipe.
 _SETTING_LABELS = (
@@ -69,20 +73,15 @@ _SETTING_LABELS = (
 
 @dataclass(frozen=True)
 class ProjectorSetting:
-    """One coincidence setting: a pure analysis ket per arm."""
+    """One coincidence setting, named by its two analysis kets: ``label``
+    is two letters over ``KETS``, arm 1 first."""
 
     label: str
-    arm1: np.ndarray
-    arm2: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("arm1", "arm2"):
-            ket = np.asarray(getattr(self, name), dtype=complex)
-            if ket.shape != (2,):
-                raise ConfigError(f"{name} must be a 2-component ket")
-            if abs(np.vdot(ket, ket).real - 1.0) > 1e-9:
-                raise ConfigError(f"{name} must be unit-norm")
-            object.__setattr__(self, name, ket)
+        if not (isinstance(self.label, str) and len(self.label) == 2
+                and set(self.label) <= KETS.keys()):
+            raise ConfigError(f"unknown setting label {self.label!r}")
 
     @property
     def operator(self) -> np.ndarray:
@@ -93,7 +92,8 @@ class ProjectorSetting:
 def _projectors(settings: list[ProjectorSetting]) -> np.ndarray:
     """The settings' projectors P1 x P2 = |a1 a2><a1 a2|, one (n, 4, 4)
     stack built in one pass."""
-    arms = np.array([(s.arm1, s.arm2) for s in settings]).reshape(-1, 2, 2)
+    arms = np.array([[KETS[c] for c in s.label] for s in settings])
+    arms = arms.reshape(-1, 2, 2)
     kets = (arms[:, 0, :, None] * arms[:, 1, None, :]).reshape(-1, 4)
     return kets[:, :, None] * kets[:, None, :].conj()
 
@@ -128,17 +128,7 @@ class MleResult:
 
 def standard_16_settings() -> list[ProjectorSetting]:
     """The canonical sixteen settings, in acquisition order."""
-    return [
-        ProjectorSetting(label=lab, arm1=KETS[lab[0]], arm2=KETS[lab[1]])
-        for lab in _SETTING_LABELS
-    ]
-
-
-def setting_from_label(label: str) -> ProjectorSetting:
-    """Setting for any two-letter combination of H, V, D, A, R, L."""
-    if len(label) != 2 or label[0] not in KETS or label[1] not in KETS:
-        raise ConfigError(f"unknown setting label {label!r}")
-    return ProjectorSetting(label=label, arm1=KETS[label[0]], arm2=KETS[label[1]])
+    return [ProjectorSetting(lab) for lab in _SETTING_LABELS]
 
 
 def expected_probability(rho: TwoQubitState, setting: ProjectorSetting) -> float:
@@ -156,6 +146,10 @@ def simulate_counts(rho: TwoQubitState, settings: list[ProjectorSetting],
     ops = _projectors(settings)
     means = pairs_per_setting * np.clip(_expectations(rho.matrix, ops), 0, 1)
     counts = substream(seed, "tomography.counts").poisson(means)
+    if np.any(counts > _MAX_COUNTS):  # load_records would refuse them
+        raise ConfigError(f"{pairs_per_setting:g} pairs per setting drew a "
+                          f"count of {counts.max()}, which exceeds 2**53, "
+                          f"the most a record holds")
     return [TomographyRecord(setting=setting, counts=int(n),
                              acquisition_scale=pairs_per_setting)
             for setting, n in zip(settings, counts)]
@@ -372,12 +366,11 @@ def load_records(path: str | Path) -> list[TomographyRecord]:
         for row in reader:
             try:
                 records.append(TomographyRecord(
-                    setting=setting_from_label(row["label"]),
+                    setting=ProjectorSetting(row["label"]),
                     counts=int(row["counts"]),
                     acquisition_scale=float(row["acquisition_scale"]),
                 ))
-                # the fit reads counts as floats, exact to 2**53
-                if records[-1].counts > 2**53:
+                if records[-1].counts > _MAX_COUNTS:
                     raise ValueError(f"counts must be at most 2**53, got "
                                      f"{records[-1].counts}")
             except (TypeError, ValueError, OverflowError) as exc:

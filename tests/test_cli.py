@@ -435,6 +435,26 @@ class TestTomography:
         assert b["chsh_s"] == pytest.approx(a["chsh_s"], abs=1e-9)
         assert "truth" not in b
 
+    def test_records_at_1e15_pairs_read_back_to_the_same_state(self,
+                                                                tmp_path):
+        first = tmp_path / "first"
+        assert main(["tomography", "--n-per-setting", "1e15",
+                     "--out", str(first)]) == 0
+        second = tmp_path / "second"
+        assert main(["tomography", "--records", str(first / "records.csv"),
+                     "--out", str(second)]) == 0
+        assert (second / "rho.json").read_bytes() == \
+            (first / "rho.json").read_bytes()
+
+    def test_counts_that_would_not_read_back_exit_2(self, tmp_path, capsys):
+        # 1e17 pairs draw counts near 5e16, past the 2**53 that
+        # load_records accepts; the run once wrote them and exited 0
+        out = tmp_path / "tomo"
+        assert main(["tomography", "--n-per-setting", "1e17",
+                     "--out", str(out)]) == 2
+        assert "exceeds 2**53" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_records_report_their_own_scale(self, tmp_path):
         first = tmp_path / "first"
         assert main(["tomography", "--n-per-setting", "1000",

@@ -313,8 +313,10 @@ class TestMetricReport:
     def test_bundles_the_four_metrics(self):
         rho = werner_state(0.9)
         report = metric_report(rho)
-        assert report.purity == pytest.approx(purity(rho))
-        assert report.concurrence == pytest.approx(concurrence(rho))
-        assert report.fidelity_to_target == pytest.approx(
+        assert list(report) == ["purity", "concurrence",
+                                "fidelity_psi_minus", "chsh_s"]
+        assert report["purity"] == pytest.approx(purity(rho))
+        assert report["concurrence"] == pytest.approx(concurrence(rho))
+        assert report["fidelity_psi_minus"] == pytest.approx(
             fidelity(rho, bell_state(BellKind.PSI_MINUS)))
-        assert report.chsh_s == pytest.approx(chsh_max(rho))
+        assert report["chsh_s"] == pytest.approx(chsh_max(rho))

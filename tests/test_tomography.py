@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -13,8 +15,8 @@ from spdc_studio.rng import substream
 from spdc_studio.tomography import (KETS, ProjectorSetting, TomographyRecord,
                                     expected_probability, linear_inversion,
                                     load_records, mle_reconstruct,
-                                    save_records, setting_from_label,
-                                    simulate_counts, standard_16_settings)
+                                    save_records, simulate_counts,
+                                    standard_16_settings)
 
 EXPECTED_ORDER = ["HH", "HV", "VV", "VH", "RH", "RV", "DV", "DH",
                   "DR", "DD", "RD", "HD", "VD", "VL", "HL", "RL"]
@@ -29,7 +31,7 @@ def _noiseless_records(rho, pairs=1e6):
     ]
 
 
-class TestSimulateCounts:
+class TestSimulateCountsOracle:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_per_setting_draws(self, seed):
         rho = load_reference_state()
@@ -59,23 +61,34 @@ class TestSettings:
         assert trace_distance(linear_inversion(records), rho) < 1e-3
 
     def test_setting_from_label_validates(self):
-        setting = setting_from_label("DR")
+        setting = ProjectorSetting("DR")
         assert setting.label == "DR"
         with pytest.raises(ConfigError, match="unknown setting"):
-            setting_from_label("HX")
+            ProjectorSetting("HX")
         with pytest.raises(ConfigError, match="unknown setting"):
-            setting_from_label("HHH")
+            ProjectorSetting("HHH")
 
-    def test_non_unit_ket_rejected(self):
-        with pytest.raises(ConfigError, match="unit-norm"):
-            ProjectorSetting(label="??", arm1=np.array([1.0, 1.0]),
-                             arm2=KETS["H"])
+    def test_a_setting_is_its_label(self):
+        # the label is all a records.csv keeps, so it is all a setting
+        # holds: two kets given beside it could disagree with it
+        assert [f.name for f in dataclasses.fields(ProjectorSetting)] == \
+            ["label"]
+        with pytest.raises(TypeError):
+            ProjectorSetting("HH", KETS["D"], KETS["D"])
+        with pytest.raises(ConfigError, match="unknown setting"):
+            ProjectorSetting(None)
+        for a in KETS:
+            for b in KETS:
+                ket = np.kron(KETS[a], KETS[b])
+                np.testing.assert_array_equal(
+                    ProjectorSetting(a + b).operator,
+                    ket[:, None] * ket[None, :].conj())
 
 
 class TestExpectedProbability:
     def test_psi_minus_coincidence_pattern(self):
         rho = bell_state(BellKind.PSI_MINUS)
-        p = {lab: expected_probability(rho, setting_from_label(lab))
+        p = {lab: expected_probability(rho, ProjectorSetting(lab))
              for lab in ("HH", "HV", "VH", "VV", "DD", "DA", "RL", "RR")}
         assert p["HH"] == pytest.approx(0.0, abs=1e-12)
         assert p["HV"] == pytest.approx(0.5, abs=1e-12)
@@ -109,6 +122,15 @@ class TestSimulateCounts:
         with pytest.raises(ConfigError, match="positive"):
             simulate_counts(rho, standard_16_settings(), 0.0, seed=1)
 
+    def test_counts_past_2_53_rejected(self):
+        # a count above 2**53 would be written to records.csv and then
+        # refused by load_records
+        rho = bell_state(BellKind.PSI_MINUS)
+        records = simulate_counts(rho, standard_16_settings(), 1e15, seed=0)
+        assert max(r.counts for r in records) <= 2**53
+        with pytest.raises(ConfigError, match=r"exceeds 2\*\*53"):
+            simulate_counts(rho, standard_16_settings(), 1e17, seed=0)
+
 
 class TestLinearInversion:
     def test_noiseless_recovery(self):
@@ -130,7 +152,7 @@ class TestLinearInversion:
             linear_inversion(records)
 
     def test_degenerate_design_rejected(self):
-        setting = setting_from_label("HH")
+        setting = ProjectorSetting("HH")
         records = [TomographyRecord(setting=setting, counts=100,
                                     acquisition_scale=1e3)] * 16
         with pytest.raises(ConfigError, match="informationally"):
@@ -413,7 +435,7 @@ class TestRecordsIo:
         # 3 / 1e-320 is infinite, a frequency no fit can start from
         for scale in (np.inf, np.nan, 0.0, 1e-320):
             with pytest.raises(ConfigError, match="positive and finite"):
-                TomographyRecord(setting=setting_from_label("HH"), counts=3,
+                TomographyRecord(setting=ProjectorSetting("HH"), counts=3,
                                  acquisition_scale=scale)
         path = tmp_path / "inf.csv"
         path.write_text("label,counts,acquisition_scale\nHH,3,inf\n")
@@ -422,5 +444,5 @@ class TestRecordsIo:
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ConfigError, match="non-negative"):
-            TomographyRecord(setting=setting_from_label("HH"), counts=-1,
+            TomographyRecord(setting=ProjectorSetting("HH"), counts=-1,
                              acquisition_scale=1e4)
