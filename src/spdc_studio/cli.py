@@ -3,8 +3,8 @@
 Five subcommands cover the standard workflow:
 
 * ``simulate-jsa``  build the designed joint spectral amplitude, save it
-  exactly as ``jsa.npy`` and run the two-lobe analysis on it at the design
-  cut.
+  with ``np.save`` as ``jsa.npy`` (float64, since the design is real) and
+  run the two-lobe analysis on it at the design cut.
 * ``analyze-jsi``   the same two-lobe analysis, down to the polarization
   density matrix it implies, of a joint spectral intensity CSV file.
 * ``tomography``    sixteen-setting coincidence tomography, either on
@@ -16,7 +16,8 @@ Five subcommands cover the standard workflow:
 
 All outputs are deterministic for a given config and seed: JSON is
 written with sorted keys, no timestamps are recorded, and every random
-draw goes through named substreams of the run seed.
+draw goes through named substreams of the run seed, which comes from
+``--seed`` alone; a config file holds only pump, crystal and grid.
 
 Exit codes: 0 success, 2 invalid input or configuration, 3 numerical
 convergence failure.
@@ -47,8 +48,8 @@ from .polarization import (BellKind, TwoQubitState, bell_state,
                            rho_from_lobes, trace_distance, werner_state)
 from .rng import check_seed
 from .spectral import jsa_from_jsi, two_lobe_summary
-from .tomography import (load_records, mle_reconstruct, save_records,
-                         simulate_counts, standard_16_settings)
+from .tomography import (check_pairs, load_records, mle_reconstruct,
+                         save_records, simulate_counts, standard_16_settings)
 
 SCHEMA_VERSION = 1
 _N_TRIALS = 200_000
@@ -107,32 +108,14 @@ def _two_lobe_summary(jsa: JsaGrid, cut: float) -> dict:
     }
 
 
-_NPY_BLOCK = 64  # rows per block written to jsa.npy
-
-
-def _save_complex_npy(path: Path, amplitude: np.ndarray) -> None:
-    """Store ``amplitude`` exactly, as complex128 whatever its in-memory
-    dtype, with the bytes of ``np.save(path, amplitude.astype(complex))``:
-    the format's version 1.0 header, then one block of rows at a time, so
-    no whole complex copy is made. The summary's "grid" block rebuilds its
-    axes."""
-    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(complex)),
-              "fortran_order": False, "shape": amplitude.shape}
-    with open(path, "wb") as fh:
-        np.lib.format.write_array_header_1_0(fh, header)
-        for start in range(0, amplitude.shape[0], _NPY_BLOCK):
-            fh.write(amplitude[start:start + _NPY_BLOCK].astype(complex))
-
-
 def cmd_simulate_jsa(args: argparse.Namespace) -> int:
-    cfg = load_run_config(args.config, samples=args.samples, seed=args.seed,
-                          output_dir=args.out)
+    cfg = load_run_config(args.config, samples=args.samples)
     jsa = compute_jsa(make_grid(cfg), cfg.crystal, cfg.pump)
     lam1, lam2 = cfg.design_lobes
     cut = 0.5 * (lam1 + lam2)
     summary = {
         "command": "simulate-jsa",
-        "seed": cfg.seed,
+        "seed": args.seed,
         "grid": {"samples": cfg.samples,
                  "window_nm": list(cfg.window_nm)},
         "design_lobe_centers_nm": [lam1 * 1e9, lam2 * 1e9],
@@ -143,8 +126,8 @@ def cmd_simulate_jsa(args: argparse.Namespace) -> int:
         },
         **_two_lobe_summary(jsa, cut),
     }
-    out = _out_dir(cfg.output_dir, "simulate-jsa")
-    _save_complex_npy(out / "jsa.npy", jsa.amplitude)
+    out = _out_dir(args.out, "simulate-jsa")
+    np.save(out / "jsa.npy", jsa.amplitude)
     _write_json(out / _ARTIFACTS["simulate-jsa"], summary)
     print(f"simulate-jsa: overlap {summary['overlap_integral']:.6f}, "
           f"Schmidt purity {summary['schmidt_purity']:.6f} -> {out}")
@@ -188,10 +171,8 @@ def _simulated_state(label: str):
 
 def cmd_tomography(args: argparse.Namespace) -> int:
     n = args.n_per_setting
-    # numpy's Poisson sampler takes means up to about 9.2e18
-    if n is not None and not 0 < n <= 1e18:
-        raise ConfigError(f"--n-per-setting must be positive and finite, "
-                          f"at most 1e18, got {n}")
+    if n is not None:
+        check_pairs(n, "--n-per-setting")
 
     truth = None
     if args.records is not None:
@@ -515,9 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="grid samples per axis; overrides the "
                                 "config's grid.samples (default "
                                 f"{COMMAND_SAMPLES})")
-        # with a config, an explicit --seed beats the config's "seed",
-        # which beats 0
-        p.add_argument("--seed", type=int, default=None if needs_config else 0,
+        p.add_argument("--seed", type=int, default=0,
                        help="run seed; all randomness derives from it")
         p.add_argument("--out", default=None,
                        help="output directory (default runs/<command>)")
@@ -565,7 +544,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "seed", None) is not None:
+        if hasattr(args, "seed"):  # report takes no seed
             check_seed(args.seed)
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ConfigError as exc:

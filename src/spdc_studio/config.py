@@ -1,10 +1,10 @@
 """Run configuration: JSON ingestion, defaults, validation.
 
 A source document is JSON with top-level keys ``pump``, ``crystal`` and
-``grid`` (plus optional ``seed`` and ``output_dir``). All quantities are
-SI except ``grid.window_nm``, which is a two-element wavelength window in
-nanometres. Unknown keys are rejected rather than ignored so typos fail
-loudly.
+``grid``; the seed and the output directory come from the command line
+alone. All quantities are SI except ``grid.window_nm``, which is a
+two-element wavelength window in nanometres. Unknown keys are rejected
+rather than ignored so typos fail loudly.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from pathlib import Path
 from .errors import ConfigError, read_json
 from .optics import (CrystalSpec, FrequencyGrid, PulseShape, PumpSpec,
                      design_lobe_wavelengths)
-from .rng import check_seed
 from .sellmeier import VALID_RANGE_UM
 
 __all__ = [
@@ -44,7 +43,7 @@ MAX_SAMPLES = 4096
 _PUMP_FIELDS = {f.name for f in dataclasses.fields(PumpSpec)}
 _CRYSTAL_FIELDS = {f.name for f in dataclasses.fields(CrystalSpec)}
 _GRID_FIELDS = {"samples", "window_nm"}
-_TOP_FIELDS = {"pump", "crystal", "grid", "seed", "output_dir"}
+_TOP_FIELDS = {"pump", "crystal", "grid"}
 
 _PULSE_SHAPES = {"sech2": PulseShape.SECH2, "gaussian": PulseShape.GAUSSIAN}
 
@@ -57,8 +56,6 @@ class RunConfig:
     crystal: CrystalSpec = CrystalSpec()
     samples: int = DEFAULT_SAMPLES
     window: tuple[float, float] = tuple(v * 1e-9 for v in DEFAULT_WINDOW_NM)
-    seed: int = 0
-    output_dir: str | None = None
     # (shorter, longer) designed lobe wavelengths in m, solved once to
     # check them against the window
     design_lobes: tuple[float, float] = field(init=False, repr=False,
@@ -81,7 +78,6 @@ class RunConfig:
             raise ConfigError(f"window [{lo * 1e9:g}, {hi * 1e9:g}] nm must "
                               f"lie within the KTP Sellmeier range "
                               f"[{lo_um}, {hi_um}] um")
-        object.__setattr__(self, "seed", check_seed(self.seed))
         try:
             lam1, lam2 = design_lobe_wavelengths(self.crystal, self.pump,
                                                  window=self.window)
@@ -131,13 +127,11 @@ def _build_crystal(section: dict) -> CrystalSpec:
 
 
 def load_run_config(path: str | Path | None = None,
-                    samples: int | None = None,
-                    seed: int | None = None,
-                    output_dir: str | None = None) -> RunConfig:
-    """Build a RunConfig from an optional JSON file plus CLI overrides.
+                    samples: int | None = None) -> RunConfig:
+    """Build a RunConfig from an optional JSON file and ``--samples``.
 
-    Overrides win over file values, which win over defaults. The grid
-    defaults to ``COMMAND_SAMPLES``, not RunConfig's ``DEFAULT_SAMPLES``.
+    ``samples`` wins over ``grid.samples``, which wins over
+    ``COMMAND_SAMPLES`` (not RunConfig's ``DEFAULT_SAMPLES``).
     """
     doc: dict = {}
     if path is not None:
@@ -153,25 +147,16 @@ def load_run_config(path: str | Path | None = None,
     if not isinstance(grid_section, dict):
         raise ConfigError("'grid' must be a JSON object")
     _reject_unknown(grid_section, _GRID_FIELDS, "'grid'")
-    cfg_samples = grid_section.get("samples", COMMAND_SAMPLES)
+    if samples is None:
+        samples = grid_section.get("samples", COMMAND_SAMPLES)
     window_nm = grid_section.get("window_nm", list(DEFAULT_WINDOW_NM))
     if (not isinstance(window_nm, (list, tuple)) or len(window_nm) != 2
             or not all(isinstance(v, (int, float)) for v in window_nm)):
         raise ConfigError("grid.window_nm must be [min_nm, max_nm]")
 
-    if samples is not None:
-        cfg_samples = samples
-    cfg_seed = doc.get("seed", 0)
-    if seed is not None:
-        cfg_seed = seed
-    cfg_out = doc.get("output_dir")
-    if output_dir is not None:
-        cfg_out = output_dir
-
-    return RunConfig(pump=pump, crystal=crystal, samples=cfg_samples,
+    return RunConfig(pump=pump, crystal=crystal, samples=samples,
                      window=(float(window_nm[0]) * 1e-9,
-                             float(window_nm[1]) * 1e-9),
-                     seed=cfg_seed, output_dir=cfg_out)
+                             float(window_nm[1]) * 1e-9))
 
 
 def make_grid(config: RunConfig) -> FrequencyGrid:

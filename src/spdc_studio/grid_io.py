@@ -2,8 +2,9 @@
 
 This is the text interchange format for measured spectra: ``analyze-jsi``
 reads a JSI in it, and ``scripts/make_fixtures.py`` writes the bundled
-measured fixture with it. Complex amplitudes are not written here;
-``simulate-jsa`` stores its JSA exactly with ``numpy.save`` as ``jsa.npy``.
+measured fixture with it. Amplitudes are not written here:
+``simulate-jsa`` saves its JSA with ``numpy.save`` as ``jsa.npy``, in the
+dtype ``JsaGrid`` holds it.
 
 Layout: two header comment lines carrying the axes in nanometres,
 

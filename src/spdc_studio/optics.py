@@ -270,11 +270,11 @@ class FrequencyGrid:
 class JsaGrid:
     """Joint spectral amplitude sampled on a FrequencyGrid.
 
-    The amplitude is stored as float64 when its imaginary part is exactly
-    zero (real or integer input, or complex input such as a loaded
-    ``jsa.npy`` whose ``.imag`` is all zero) and as complex128 otherwise,
-    so the dtype says whether the amplitude is real. The analytic JSA and
-    ``spectral.jsa_from_jsi`` are real; the domain-sampled JSA is complex.
+    The amplitude keeps the kind it is given: complex input is stored as
+    complex128 and anything else as float64, so the dtype picks real or
+    complex arithmetic. The analytic JSA and ``spectral.jsa_from_jsi`` are
+    float64, as is the ``jsa.npy`` that ``simulate-jsa`` saves; the
+    domain-sampled JSA is complex128.
     """
 
     grid: FrequencyGrid
@@ -282,12 +282,8 @@ class JsaGrid:
 
     def __post_init__(self) -> None:
         amp = np.asarray(self.amplitude)
-        if not np.iscomplexobj(amp):
-            amp = amp.astype(float, copy=False)
-        elif np.any(amp.imag):
-            amp = amp.astype(complex, copy=False)
-        else:
-            amp = np.ascontiguousarray(amp.real, dtype=float)
+        amp = amp.astype(complex if np.iscomplexobj(amp) else float,
+                         copy=False)
         if amp.shape != self.grid.shape:
             raise ConfigError(
                 f"amplitude shape {amp.shape} does not match grid {self.grid.shape}"

@@ -20,10 +20,10 @@ splitter routes each photon by wavelength. It holds the parent, the split
 and the parent's signal marginal; ``two_lobe_summary`` runs the whole
 analysis of one cut on it, with one Gram pass whose blocks break there.
 
-``JsaGrid`` stores a real amplitude (the analytic JSA and ``jsa_from_jsi``)
-as float64 and only one with a nonzero imaginary part (the
-domain-sampled JSA) as complex128, so every kernel here takes real or
-complex arithmetic by the stored dtype alone.
+``JsaGrid`` keeps the kind of amplitude it is given: the analytic JSA,
+``jsa_from_jsi`` and a saved ``jsa.npy`` are float64, the domain-sampled
+JSA is complex128, and every kernel here takes real or complex arithmetic
+by the stored dtype alone.
 
 The quadrature weights are separable, w(ws, wi) = w_s(ws) w_i(wi), so every
 weighted sum here scales rows by w_s and columns by w_i, and every |f|^2 sum
@@ -271,11 +271,10 @@ def schmidt(jsa: JsaGrid) -> SchmidtResult:
     is ||G||_F^2 / (tr G)^2 exactly. The ratio does not depend on the
     normalization of the JSA. Of A^H A and A A^H, which share ||G||_F^2
     and tr G, the smaller is taken, and summed by row blocks without
-    being formed whole. A real amplitude, which ``JsaGrid`` stores as
-    float64 (the analytic JSA and ``jsa_from_jsi``), takes real
-    arithmetic, where each diagonal block runs as a symmetric rank-k
-    update; only a complex128 amplitude, one with a nonzero imaginary
-    part, takes complex arithmetic.
+    being formed whole. A float64 amplitude (the analytic JSA and
+    ``jsa_from_jsi``) takes real arithmetic, where each diagonal block
+    runs as a symmetric rank-k update; only a complex128 amplitude takes
+    complex arithmetic.
     """
     purity, _ = _gram_purities(jsa)
     return SchmidtResult(purity=purity, schmidt_number=1.0 / purity)

@@ -39,6 +39,7 @@ __all__ = [
     "MleResult",
     "standard_16_settings",
     "expected_probability",
+    "check_pairs",
     "simulate_counts",
     "linear_inversion",
     "mle_reconstruct",
@@ -60,6 +61,10 @@ KETS = {
 # the most counts a record may hold: the fit reads them as floats, whose
 # integers are exact up to here
 _MAX_COUNTS = 2**53
+# the most pairs per setting: numpy's Poisson sampler takes means up to
+# about 9.2e18, and the fit's deviance overflows past about 1e154
+MAX_PAIRS = 1e18
+_MAX_PAIRS_SHOWN = f"{MAX_PAIRS:.0e}".replace("+", "")  # "1e18"
 
 # Canonical informationally complete sequence from the standard
 # sixteen-measurement recipe.
@@ -110,12 +115,11 @@ class TomographyRecord:
         if self.counts < 0:
             raise ConfigError("counts must be non-negative")
         scale = self.acquisition_scale
-        # the frequency counts / scale seeds the fit; past about 1e154 pairs
-        # the deviance overflows, so scales share --n-per-setting's cap
-        if not (0 < scale <= 1e18 and math.isfinite(self.counts / scale)):
+        # the frequency counts / scale seeds the fit
+        if not (0 < scale <= MAX_PAIRS and math.isfinite(self.counts / scale)):
             raise ConfigError(f"acquisition_scale must be positive and "
-                              f"finite, at most 1e18, with counts / "
-                              f"acquisition_scale finite, got {scale}")
+                              f"finite, at most {_MAX_PAIRS_SHOWN}, with "
+                              f"counts / acquisition_scale finite, got {scale}")
 
 
 @dataclass(frozen=True)
@@ -137,12 +141,18 @@ def expected_probability(rho: TwoQubitState, setting: ProjectorSetting) -> float
     return float(np.clip(p, 0.0, 1.0))
 
 
+def check_pairs(pairs: float, name: str) -> None:
+    """ConfigError naming ``name`` unless 0 < ``pairs`` <= MAX_PAIRS."""
+    if not 0 < pairs <= MAX_PAIRS:
+        raise ConfigError(f"{name} must be positive and finite, at most "
+                          f"{_MAX_PAIRS_SHOWN}, got {pairs}")
+
+
 def simulate_counts(rho: TwoQubitState, settings: list[ProjectorSetting],
                     pairs_per_setting: float, seed: int
                     ) -> list[TomographyRecord]:
     """Poisson coincidence counts for each setting, deterministic per seed."""
-    if not pairs_per_setting > 0:
-        raise ConfigError("pairs_per_setting must be positive")
+    check_pairs(pairs_per_setting, "pairs_per_setting")
     ops = _projectors(settings)
     means = pairs_per_setting * np.clip(_expectations(rho.matrix, ops), 0, 1)
     counts = substream(seed, "tomography.counts").poisson(means)

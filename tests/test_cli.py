@@ -47,11 +47,10 @@ class TestSimulateJsa:
         cfg = load_run_config()
         expected = compute_jsa(make_grid(cfg), cfg.crystal, cfg.pump)
         amplitude = np.load(out / "jsa.npy")
-        assert amplitude.dtype == np.complex128
+        # the designed amplitude is real, held and saved as float64
+        assert amplitude.dtype == np.float64
         assert amplitude.shape == (cfg.samples, cfg.samples)
-        # a real amplitude is held as float64 in memory and saved complex
-        assert amplitude.tobytes() == \
-            expected.amplitude.astype(complex).tobytes()
+        assert amplitude.tobytes() == expected.amplitude.tobytes()
         summary = _read_json(out / "summary.json")
         assert summary["schema_version"] == 1
         assert summary["overlap_integral"] >= 0.995
@@ -121,22 +120,20 @@ class TestSimulateJsa:
                               [[f["f11"], f12], [f12.conjugate(), f["f22"]]])
         assert spectral == {k: summary[k] for k in spectral}
 
-    @pytest.mark.parametrize("samples", [512, 301])
+    @pytest.mark.parametrize("samples", [256, 512, 301])
     def test_jsa_npy_has_the_bytes_of_np_save(self, tmp_path, samples):
-        # written a block of rows at a time; 301 rows are not a whole
-        # number of blocks
+        # jsa.npy is np.save of the amplitude as JsaGrid holds it
         out = tmp_path / "sim"
         assert main(["simulate-jsa", "--samples", str(samples),
                      "--out", str(out)]) == 0
         cfg = load_run_config(samples=samples)
         expected = compute_jsa(make_grid(cfg), cfg.crystal, cfg.pump)
         reference = tmp_path / "reference.npy"
-        np.save(reference, expected.amplitude.astype(complex))
+        np.save(reference, expected.amplitude)
         assert (out / "jsa.npy").read_bytes() == reference.read_bytes()
         loaded = np.load(out / "jsa.npy")
-        assert loaded.dtype == np.complex128
-        assert loaded.real.tobytes() == expected.amplitude.tobytes()
-        assert not np.any(loaded.imag)
+        assert loaded.dtype == np.float64
+        assert loaded.tobytes() == expected.amplitude.tobytes()
 
     def test_holds_about_two_grids(self, tmp_path, peak_grids):
         # the amplitude and a fraction of a grid beside it: no intensity,
@@ -207,18 +204,31 @@ class TestSimulateJsa:
         summary = _read_json(out / "summary.json")
         assert summary["grid"]["samples"] == 96
 
-    def test_config_output_dir_and_out_precedence(self, tmp_path):
-        # --out beats the config's "output_dir", which beats runs/
+    @pytest.mark.parametrize("keys", [("seed",), ("output_dir",),
+                                      ("output_dir", "seed")],
+                             ids=["seed", "output_dir", "both"])
+    def test_config_seed_or_output_dir_exits_2(self, tmp_path, capsys,
+                                               keys):
+        # --seed and --out are the one source of each; a config holds
+        # only pump, crystal and grid
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"grid": {"samples": 96},
-                                   "output_dir": "cfgout"}))
+                                   **{key: 9 if key == "seed" else "cfgout"
+                                      for key in keys}}))
+        out = tmp_path / "sim"
         assert main(["simulate-jsa", "--config", str(cfg),
-                     "--out", "flag"]) == 0
-        assert (tmp_path / "flag" / "summary.json").is_file()
-        assert not (tmp_path / "cfgout").exists()
-        assert main(["simulate-jsa", "--config", str(cfg)]) == 0
-        assert (tmp_path / "cfgout" / "summary.json").is_file()
-        assert not (tmp_path / "runs").exists()
+                     "--out", str(out)]) == 2
+        assert f"unknown key(s) in {cfg}: {', '.join(keys)} (allowed: " \
+            "crystal, grid, pump)" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+    def test_seed_comes_from_the_flag(self, tmp_path):
+        # simulate-jsa draws no random number; its summary echoes --seed
+        for extra, expected in (([], 0), (["--seed", "4"], 4)):
+            out = tmp_path / f"sim{expected}"
+            assert main(["simulate-jsa", "--samples", "96", *extra,
+                         "--out", str(out)]) == 0
+            assert _read_json(out / "summary.json")["seed"] == expected
 
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -242,20 +252,6 @@ class TestSimulateJsa:
         lam1, lam2 = design_lobe_wavelengths(CrystalSpec(), PumpSpec())
         assert _read_json(out / "summary.json")["design_lobe_centers_nm"] \
             == [lam1 * 1e9, lam2 * 1e9]
-
-    def test_seed_precedence(self, tmp_path):
-        # an explicit --seed wins, then the config's "seed", then 0
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"grid": {"samples": 96}, "seed": 9}))
-        for extra, expected in (([], 9), (["--seed", "4"], 4),
-                                (["--seed", "0"], 0)):
-            out = tmp_path / f"sim{len(extra)}{expected}"
-            assert main(["simulate-jsa", "--config", str(cfg), *extra,
-                         "--out", str(out)]) == 0
-            assert _read_json(out / "summary.json")["seed"] == expected
-        out = tmp_path / "no-config"
-        assert main(["simulate-jsa", "--samples", "96", "--out", str(out)]) == 0
-        assert _read_json(out / "summary.json")["seed"] == 0
 
     def test_string_config_value_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"

@@ -66,7 +66,6 @@ _CONFIGS = st.one_of(_JSON, st.fixed_dictionaries({}, optional={
             st.lists(st.one_of(_NUMBERS, st.floats(1300, 1800)),
                      min_size=2, max_size=2), _JSON),
         "samples": _JSON}),
-    "seed": st.one_of(st.integers(0, 2 ** 32), _JSON),
 }), st.sampled_from(["pump", "crystal", "grid"]).flatmap(
     lambda key: st.fixed_dictionaries({key: _JSON})))
 

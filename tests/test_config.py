@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 
 import pytest
@@ -20,8 +22,6 @@ class TestDefaults:
         cfg = load_run_config()
         assert cfg.samples == COMMAND_SAMPLES == 256
         assert cfg.window_nm == DEFAULT_WINDOW_NM
-        assert cfg.seed == 0
-        assert cfg.output_dir is None
         assert cfg.pump.pulse_shape is PulseShape.SECH2
 
     def test_grid_matches_config(self):
@@ -33,6 +33,13 @@ class TestDefaults:
         # workload sizes its sweep from RunConfig()
         assert make_grid(RunConfig()).shape == (DEFAULT_SAMPLES,
                                                 DEFAULT_SAMPLES) == (512, 512)
+
+    def test_fields_and_loader_parameters(self):
+        # what builds the JSA and nothing else: no seed, no output directory
+        assert [f.name for f in dataclasses.fields(RunConfig)] == [
+            "pump", "crystal", "samples", "window", "design_lobes"]
+        assert list(inspect.signature(load_run_config).parameters) == [
+            "path", "samples"]
 
     def test_design_lobes_are_the_checked_pair(self):
         # solved once, to check the window; not an option
@@ -48,23 +55,16 @@ class TestFileLoading:
         path = _write(tmp_path, {
             "pump": {"pulse_shape": "gaussian"},
             "grid": {"samples": 128, "window_nm": [1490, 1630]},
-            "seed": 9,
-            "output_dir": "out",
         })
         cfg = load_run_config(path)
         assert cfg.pump.pulse_shape is PulseShape.GAUSSIAN
         assert cfg.samples == 128
         assert cfg.window_nm == (1490.0, 1630.0)
-        assert cfg.seed == 9
-        assert cfg.output_dir == "out"
 
     def test_overrides_beat_file(self, tmp_path):
-        path = _write(tmp_path, {"grid": {"samples": 128}, "seed": 9})
-        cfg = load_run_config(path, samples=256, seed=1,
-                              output_dir="elsewhere")
+        path = _write(tmp_path, {"grid": {"samples": 128}})
+        cfg = load_run_config(path, samples=256)
         assert cfg.samples == 256
-        assert cfg.seed == 1
-        assert cfg.output_dir == "elsewhere"
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="no such config"):
@@ -116,15 +116,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"to {MAX_SAMPLES}, got"):
             RunConfig(samples=MAX_SAMPLES + 1)
 
-    def test_non_integer_seed(self):
-        with pytest.raises(ConfigError, match="seed"):
-            RunConfig(seed=0.5)
-
-    def test_negative_seed(self, tmp_path):
-        with pytest.raises(ConfigError, match="seed must be a non-negative "
-                                              "integer, got -3"):
-            load_run_config(_write(tmp_path, {"seed": -3}))
-
     @pytest.mark.parametrize("section, key, value", [
         ("crystal", "length", float("inf")),
         ("pump", "average_power", float("nan")),
@@ -157,7 +148,9 @@ class TestValidation:
                                      {"grid": {"samples": "512"}},
                                      {"grid": {"samples": float("inf")}}])
     def test_non_integer_seed_or_samples_rejected(self, tmp_path, doc):
-        with pytest.raises(ConfigError, match="must be"):
+        # the seed comes from --seed alone: any "seed" is an unknown key
+        with pytest.raises(ConfigError, match="unknown key.*: seed \\("
+                           if "seed" in doc else "must be"):
             load_run_config(_write(tmp_path, doc))
 
     def test_inverted_window(self):

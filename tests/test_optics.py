@@ -532,23 +532,31 @@ class TestComputeJsa:
 
 
 class TestJsaGridDtype:
-    """A JsaGrid stores float64 when the imaginary part is exactly zero
-    and complex128 otherwise."""
+    """A JsaGrid keeps the kind of amplitude it is given: complex input is
+    stored as complex128, anything else as float64."""
 
     GRID = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 16)
 
     @pytest.mark.parametrize("amplitude", [
         np.arange(256.0).reshape(16, 16),
         np.arange(256).reshape(16, 16),
-        np.arange(256.0).reshape(16, 16).astype(complex),
-        np.arange(256.0).reshape(16, 16).astype(np.complex64),
-        np.arange(256.0).reshape(16, 16).astype(complex).T,
-    ], ids=["float", "int", "complex-zero-imag", "complex64-zero-imag",
-            "complex-zero-imag-view"])
+    ], ids=["float", "int"])
     def test_zero_imaginary_part_is_stored_real(self, amplitude):
         jsa = JsaGrid(grid=self.GRID, amplitude=amplitude)
         assert jsa.amplitude.dtype == np.float64
-        assert np.array_equal(jsa.amplitude, np.real(amplitude))
+        assert np.array_equal(jsa.amplitude, amplitude)
+
+    @pytest.mark.parametrize("amplitude", [
+        np.arange(256.0).reshape(16, 16).astype(complex),
+        np.arange(256.0).reshape(16, 16).astype(np.complex64),
+        np.arange(256.0).reshape(16, 16).astype(complex).T,
+    ], ids=["complex-zero-imag", "complex64-zero-imag",
+            "complex-zero-imag-view"])
+    def test_complex_input_is_stored_complex(self, amplitude):
+        # even with an all-zero imaginary part: the dtype is the one given
+        jsa = JsaGrid(grid=self.GRID, amplitude=amplitude)
+        assert jsa.amplitude.dtype == np.complex128
+        assert np.array_equal(jsa.amplitude, amplitude)
 
     @pytest.mark.parametrize("where", [(0, 0), (7, 11), (15, 15)])
     def test_any_nonzero_imaginary_part_is_stored_complex(self, where):

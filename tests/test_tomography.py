@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from spdc_studio.polarization import (PAULI, BellKind, TwoQubitState,
                                       bell_state, concurrence,
                                       trace_distance, werner_state)
 from spdc_studio.rng import substream
-from spdc_studio.tomography import (KETS, ProjectorSetting, TomographyRecord,
+from spdc_studio.tomography import (KETS, MAX_PAIRS, ProjectorSetting,
+                                    TomographyRecord, check_pairs,
                                     expected_probability, linear_inversion,
                                     load_records, mle_reconstruct,
                                     save_records, simulate_counts,
@@ -130,6 +132,30 @@ class TestSimulateCounts:
         assert max(r.counts for r in records) <= 2**53
         with pytest.raises(ConfigError, match=r"exceeds 2\*\*53"):
             simulate_counts(rho, standard_16_settings(), 1e17, seed=0)
+
+    @pytest.mark.parametrize("pairs", [1e20, float("inf")])
+    @pytest.mark.parametrize("state", ["werner", "psi-minus"])
+    def test_pairs_past_the_cap_rejected(self, state, pairs):
+        # numpy's Poisson sampler refuses means past about 9.2e18, and
+        # inf pairs times a zero probability is nan
+        rho = (werner_state(0.5) if state == "werner"
+               else bell_state(BellKind.PSI_MINUS))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"pairs_per_setting must be positive and finite, at most "
+                f"1e18, got {pairs}")):
+            simulate_counts(rho, standard_16_settings(), pairs, seed=0)
+
+    def test_one_cap_for_records_and_simulations(self):
+        setting = standard_16_settings()[0]
+        assert TomographyRecord(setting, 0, MAX_PAIRS).acquisition_scale \
+            == MAX_PAIRS == 1e18
+        check_pairs(MAX_PAIRS, "pairs")
+        above = np.nextafter(MAX_PAIRS, np.inf)
+        with pytest.raises(ConfigError, match="acquisition_scale .* at most "
+                                              "1e18"):
+            TomographyRecord(setting, 0, above)
+        with pytest.raises(ConfigError, match="pairs must .* at most 1e18"):
+            check_pairs(above, "pairs")
 
 
 class TestLinearInversion:
