@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, read_json
-from .optics import (CrystalSpec, FrequencyGrid, PulseShape, PumpSpec,
-                     design_lobe_wavelengths)
+from .optics import (MAX_SAMPLES, CrystalSpec, FrequencyGrid, PulseShape,
+                     PumpSpec, design_lobe_wavelengths)
 from .sellmeier import VALID_RANGE_UM
 
 __all__ = [
@@ -36,9 +36,6 @@ DEFAULT_SAMPLES = 512
 COMMAND_SAMPLES = 256
 DEFAULT_WINDOW_NM = (1500.0, 1620.0)
 MIN_SAMPLES = 64
-# 4096^2 float64 is 128 MiB per grid; a larger request would fail to
-# allocate long after validation
-MAX_SAMPLES = 4096
 
 _PUMP_FIELDS = {f.name for f in dataclasses.fields(PumpSpec)}
 _CRYSTAL_FIELDS = {f.name for f in dataclasses.fields(CrystalSpec)}

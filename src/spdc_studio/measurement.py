@@ -48,8 +48,8 @@ __all__ = [
 class FiberSpec:
     """Dispersive delay line for time-of-flight spectroscopy.
 
-    ``dispersion_ps_nm_km`` keeps the catalog units; SI conversions hang
-    off properties.
+    ``dispersion_ps_nm_km`` keeps the catalog units; the SI group-delay
+    slope is ``delay_per_wavelength``.
     """
 
     length: float = 10e3
@@ -66,14 +66,10 @@ class FiberSpec:
             raise ConfigError("reference_wavelength must be positive")
 
     @property
-    def dispersion_si(self) -> float:
-        """Dispersion in s/m^2."""
-        return self.dispersion_ps_nm_km * 1e-6
-
-    @property
     def delay_per_wavelength(self) -> float:
-        """Group-delay slope D * L in s/m (0.18 s/m at the defaults)."""
-        return self.dispersion_si * self.length
+        """Group-delay slope D * L in s/m (0.18 s/m at the defaults); 1
+        ps/(nm km) is 1e-6 s/m^2."""
+        return self.dispersion_ps_nm_km * 1e-6 * self.length
 
 
 @dataclass(frozen=True)
@@ -116,10 +112,6 @@ class ArrivalHistogram:
         object.__setattr__(self, "signal_edges", edges[0])
         object.__setattr__(self, "idler_edges", edges[1])
         object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
 
 
 @dataclass(frozen=True)

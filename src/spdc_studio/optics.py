@@ -70,6 +70,9 @@ TWO_PI_C = 2.0 * math.pi * C_LIGHT
 DESIGN_WIDTH_SCALE = 6.0
 
 MIN_SAMPLES_PER_FWHM = 8
+# the most samples per grid axis: 4096^2 float64 is 128 MiB per grid; a
+# larger request would fail to allocate long after validation
+MAX_SAMPLES = 4096
 
 # Points per sinc fringe 2 pi/L of the 1-D mismatch sample that
 # compute_jsa(FROM_DOMAINS) interpolates from; the sample spans the grid's
@@ -535,7 +538,8 @@ def compute_jsa(grid: FrequencyGrid, crystal: CrystalSpec, pump: PumpSpec,
     land symmetrically at the designed +-a, and sigma is widened by
     ``DESIGN_WIDTH_SCALE``. For a poling pattern nu is the bare mismatch
     (FROM_DOMAINS always works in physical coordinates; ``pattern``
-    defaults to the uniform grating implied by the crystal; its Phi is
+    defaults to the uniform grating implied by the crystal, and any other
+    mode with a ``pattern`` raises ConfigError; its Phi is
     interpolated from a 1-D sample taken as one product of two phase
     tables, see ``_sampled_domain_pmf`` and ``_lattice_domain_pmf``). The
     grid is rejected if the narrowest expected spectral feature (pump
@@ -564,6 +568,8 @@ def compute_jsa(grid: FrequencyGrid, crystal: CrystalSpec, pump: PumpSpec,
     not depend on position, so the result has the bits of the same chain
     evaluated on the whole grid at once.
     """
+    if pattern is not None and pmf_mode is not PmfMode.FROM_DOMAINS:
+        raise ConfigError("a poling pattern needs PmfMode.FROM_DOMAINS")
     if pmf_mode is PmfMode.ANALYTIC:
         sigma_eff = crystal.pmf_sigma * DESIGN_WIDTH_SCALE
         pmf_fwhm = _FWHM_SIGMA * sigma_eff
@@ -581,7 +587,6 @@ def compute_jsa(grid: FrequencyGrid, crystal: CrystalSpec, pump: PumpSpec,
         step = float(np.max(np.diff(axis)))
         got = narrow / step
         if got < MIN_SAMPLES_PER_FWHM:
-            from .config import MAX_SAMPLES  # config imports this module
             need = math.ceil((axis[-1] - axis[0]) / narrow * MIN_SAMPLES_PER_FWHM) + 1
             advice = (f"use at least {need} samples over this window"
                       if need <= MAX_SAMPLES else

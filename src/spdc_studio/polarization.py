@@ -153,28 +153,19 @@ def rho_from_lobes(f_mn: np.ndarray) -> TwoQubitState:
         rho[VH, HV] = f12   rho[VH, VH] = f22
 
     For the ideal antisymmetric spectrum (f12 = -1/2) this is exactly the
-    psi-minus projector.
+    psi-minus projector. ``TwoQubitState`` validates the result, so
+    overlaps that break f11 + f22 = 1, f12 = conj(f21) with real f11 and
+    f22, or |f12| <= sqrt(f11 f22) raise its trace, Hermiticity or
+    positivity ConfigError.
     """
     f_mn = np.asarray(f_mn, dtype=complex)
     if f_mn.shape != (2, 2):
         raise ConfigError("lobe-overlap matrix must be 2x2")
-    f11, f12 = f_mn[0, 0], f_mn[0, 1]
-    f21, f22 = f_mn[1, 0], f_mn[1, 1]
-    if abs(f11.imag) > 1e-9 or abs(f22.imag) > 1e-9:
-        raise ConfigError("diagonal lobe overlaps must be real")
-    if abs(f11 + f22 - 1.0) > 1e-6:
-        raise ConfigError("lobe overlaps must satisfy f11 + f22 = 1")
-    if abs(f12 - np.conj(f21)) > 1e-9:
-        raise ConfigError("lobe overlaps must satisfy f12 = conj(f21)")
-    if abs(f12) > math.sqrt(max(f11.real * f22.real, 0.0)) + 1e-9:
-        raise ConfigError(
-            "inconsistent lobe overlaps: |f12| exceeds sqrt(f11 f22)"
-        )
     rho = np.zeros((4, 4), dtype=complex)
-    rho[1, 1] = f11
-    rho[1, 2] = f21
-    rho[2, 1] = f12
-    rho[2, 2] = f22
+    rho[1, 1] = f_mn[0, 0]
+    rho[1, 2] = f_mn[1, 0]
+    rho[2, 1] = f_mn[0, 1]
+    rho[2, 2] = f_mn[1, 1]
     return TwoQubitState(matrix=rho)
 
 

@@ -38,10 +38,8 @@ __all__ = [
     "TomographyRecord",
     "MleResult",
     "standard_16_settings",
-    "expected_probability",
     "check_pairs",
     "simulate_counts",
-    "linear_inversion",
     "mle_reconstruct",
     "save_records",
     "load_records",
@@ -88,11 +86,6 @@ class ProjectorSetting:
                 and set(self.label) <= KETS.keys()):
             raise ConfigError(f"unknown setting label {self.label!r}")
 
-    @property
-    def operator(self) -> np.ndarray:
-        """Rank-1 coincidence projector P1 x P2."""
-        return _projectors([self])[0]
-
 
 def _projectors(settings: list[ProjectorSetting]) -> np.ndarray:
     """The settings' projectors P1 x P2 = |a1 a2><a1 a2|, one (n, 4, 4)
@@ -135,12 +128,6 @@ def standard_16_settings() -> list[ProjectorSetting]:
     return [ProjectorSetting(lab) for lab in _SETTING_LABELS]
 
 
-def expected_probability(rho: TwoQubitState, setting: ProjectorSetting) -> float:
-    """Born-rule coincidence probability Tr(rho P1 x P2)."""
-    p = _expectations(rho.matrix, setting.operator[None])[0]
-    return float(np.clip(p, 0.0, 1.0))
-
-
 def check_pairs(pairs: float, name: str) -> None:
     """ConfigError naming ``name`` unless 0 < ``pairs`` <= MAX_PAIRS."""
     if not 0 < pairs <= MAX_PAIRS:
@@ -165,22 +152,10 @@ def simulate_counts(rho: TwoQubitState, settings: list[ProjectorSetting],
             for setting, n in zip(settings, counts)]
 
 
-def linear_inversion(records: list[TomographyRecord]) -> TwoQubitState:
-    """Least-squares Stokes inversion of measured frequencies,
-    projected onto the physical (PSD, unit-trace) set."""
-    freqs = np.array([rec.counts / rec.acquisition_scale for rec in records])
-    return TwoQubitState(matrix=_stokes_inversion(_operators(records), freqs))
-
-
-def _operators(records: list[TomographyRecord]) -> np.ndarray:
-    """The records' coincidence projectors, one (n, 4, 4) stack."""
-    if len(records) < 16:
-        raise ConfigError(f"need at least 16 records, got {len(records)}")
-    return _projectors([rec.setting for rec in records])
-
-
 def _stokes_inversion(ops: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """``linear_inversion``'s density matrix from the projector stack."""
+    """Least-squares Stokes inversion of the frequencies measured with the
+    projector stack ``ops``, projected onto the physical (PSD, unit-trace)
+    set: the density matrix ``mle_reconstruct`` starts from."""
     design = _expectations(ops, PAULI_PRODUCTS) / 4.0
     coeffs, _, _, singular = np.linalg.lstsq(design, freqs, rcond=None)
     if np.count_nonzero(singular > 1e-8) < 16:
@@ -335,7 +310,9 @@ def mle_reconstruct(records: list[TomographyRecord]) -> MleResult:
     Non-convergence within 100 iterations is reported through the
     ``converged`` flag rather than an exception.
     """
-    ops = _operators(records)
+    if len(records) < 16:
+        raise ConfigError(f"need at least 16 records, got {len(records)}")
+    ops = _projectors([rec.setting for rec in records])
     counts = np.array([rec.counts for rec in records], dtype=float)
     scales = np.array([rec.acquisition_scale for rec in records], dtype=float)
     init = _stokes_inversion(ops, counts / scales)  # validates the design

@@ -514,6 +514,14 @@ class TestComputeJsa:
                           pmf_mode=PmfMode.FROM_DOMAINS)
         assert jsa.norm_squared == pytest.approx(1.0, abs=1e-9)
 
+    def test_pattern_needs_from_domains(self, default_crystal, default_pump):
+        # the analytic PMF reads no domain, so a pattern given beside it
+        # would be dropped without a word
+        grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 64)
+        pattern = uniform_grating(4e-3, 46.46e-6)
+        with pytest.raises(ConfigError, match="PmfMode.FROM_DOMAINS"):
+            compute_jsa(grid, default_crystal, default_pump, pattern=pattern)
+
     def test_from_domains_holds_no_mismatch_grid(self, default_crystal,
                                                  default_pump, peak_grids):
         # the mismatch is taken block by block, for its range and for Phi;

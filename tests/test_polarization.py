@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from spdc_studio.polarization import (BASIS_LABELS, PAULI, PAULI_PRODUCTS,
                                       predicted_visibility, purity,
                                       rho_from_lobes, trace_distance,
                                       werner_state)
-from spdc_studio.tomography import standard_16_settings
+from spdc_studio.tomography import KETS, standard_16_settings
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -50,7 +51,9 @@ class TestExpectations:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_trace_loop(self, stack, seed):
         if stack == "settings":
-            ops = np.array([s.operator for s in standard_16_settings()])
+            kets = [np.kron(KETS[s.label[0]], KETS[s.label[1]])
+                    for s in standard_16_settings()]
+            ops = np.array([np.outer(k, k.conj()) for k in kets])
         elif stack == "pauli":
             ops = PAULI_PRODUCTS
         else:
@@ -174,17 +177,23 @@ class TestRhoFromLobes:
 
     def test_trace_constraint_enforced(self):
         f = np.array([[0.6, -0.4], [-0.4, 0.6]])
-        with pytest.raises(ConfigError, match="f11 \\+ f22"):
+        with pytest.raises(ConfigError, match=re.escape(
+                "density matrix trace is 1.2, expected 1")):
             rho_from_lobes(f)
 
     def test_hermiticity_constraint_enforced(self):
-        f = np.array([[0.5, -0.4], [0.4, 0.5]])
-        with pytest.raises(ConfigError, match="conj"):
-            rho_from_lobes(f)
+        # f12 != conj(f21), then an imaginary f11
+        for f in ([[0.5, -0.4], [0.4, 0.5]],
+                  [[0.5 + 1e-3j, -0.4], [-0.4, 0.5]]):
+            with pytest.raises(ConfigError,
+                               match="density matrix is not Hermitian"):
+                rho_from_lobes(np.array(f))
 
     def test_cauchy_schwarz_enforced(self):
         f = np.array([[0.5, -0.6], [-0.6, 0.5]])
-        with pytest.raises(ConfigError, match="exceeds"):
+        with pytest.raises(ConfigError, match=re.escape(
+                "density matrix has eigenvalue -1.000e-01 below the -1e-09 "
+                "positivity tolerance")):
             rho_from_lobes(f)
 
     def test_shape_enforced(self):

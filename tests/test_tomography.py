@@ -15,7 +15,6 @@ from spdc_studio.polarization import (PAULI, BellKind, TwoQubitState,
 from spdc_studio.rng import substream
 from spdc_studio.tomography import (KETS, MAX_PAIRS, ProjectorSetting,
                                     TomographyRecord, check_pairs,
-                                    expected_probability, linear_inversion,
                                     load_records, mle_reconstruct,
                                     save_records, simulate_counts,
                                     standard_16_settings)
@@ -24,10 +23,22 @@ EXPECTED_ORDER = ["HH", "HV", "VV", "VH", "RH", "RV", "DV", "DH",
                   "DR", "DD", "RD", "HD", "VD", "VL", "HL", "RL"]
 
 
+def _projector(label):
+    """|ab><ab| for the setting ``label``, built from ``KETS`` alone."""
+    ket = np.kron(KETS[label[0]], KETS[label[1]])
+    return np.outer(ket, ket.conj())
+
+
+def _probability(rho, setting):
+    """Tr(rho |ab><ab|): the Born rule written out, the oracle for the
+    module's one path through ``_projectors`` and ``_expectations``."""
+    return float(np.trace(rho.matrix @ _projector(setting.label)).real)
+
+
 def _noiseless_records(rho, pairs=1e6):
     return [
         TomographyRecord(setting=s,
-                         counts=int(round(pairs * expected_probability(rho, s))),
+                         counts=int(round(pairs * _probability(rho, s))),
                          acquisition_scale=pairs)
         for s in standard_16_settings()
     ]
@@ -39,7 +50,7 @@ class TestSimulateCountsOracle:
         rho = load_reference_state()
         settings = standard_16_settings()
         rng = substream(seed, "tomography.counts")
-        oracle = [int(rng.poisson(1e5 * expected_probability(rho, s)))
+        oracle = [int(rng.poisson(1e5 * max(_probability(rho, s), 0.0)))
                   for s in settings]
         records = simulate_counts(rho, settings, 1e5, seed)
         assert [rec.counts for rec in records] == oracle
@@ -60,7 +71,7 @@ class TestSettings:
         # rank-16 design: the linear inversion is well-posed
         rho = werner_state(0.5)
         records = _noiseless_records(rho)
-        assert trace_distance(linear_inversion(records), rho) < 1e-3
+        assert trace_distance(mle_reconstruct(records).state, rho) < 1e-3
 
     def test_setting_from_label_validates(self):
         setting = ProjectorSetting("DR")
@@ -79,18 +90,16 @@ class TestSettings:
             ProjectorSetting("HH", KETS["D"], KETS["D"])
         with pytest.raises(ConfigError, match="unknown setting"):
             ProjectorSetting(None)
-        for a in KETS:
-            for b in KETS:
-                ket = np.kron(KETS[a], KETS[b])
-                np.testing.assert_array_equal(
-                    ProjectorSetting(a + b).operator,
-                    ket[:, None] * ket[None, :].conj())
+        labels = [a + b for a in KETS for b in KETS]
+        np.testing.assert_array_equal(
+            tomography._projectors([ProjectorSetting(lab) for lab in labels]),
+            [_projector(lab) for lab in labels])
 
 
 class TestExpectedProbability:
     def test_psi_minus_coincidence_pattern(self):
         rho = bell_state(BellKind.PSI_MINUS)
-        p = {lab: expected_probability(rho, ProjectorSetting(lab))
+        p = {lab: _probability(rho, ProjectorSetting(lab))
              for lab in ("HH", "HV", "VH", "VV", "DD", "DA", "RL", "RR")}
         assert p["HH"] == pytest.approx(0.0, abs=1e-12)
         assert p["HV"] == pytest.approx(0.5, abs=1e-12)
@@ -159,15 +168,18 @@ class TestSimulateCounts:
 
 
 class TestLinearInversion:
+    """The Stokes inversion that ``mle_reconstruct`` starts from, held to
+    its bounds through the fit."""
+
     def test_noiseless_recovery(self):
         for rho in (bell_state(BellKind.PSI_MINUS), werner_state(0.7)):
-            est = linear_inversion(_noiseless_records(rho))
+            est = mle_reconstruct(_noiseless_records(rho)).state
             assert trace_distance(est, rho) < 2e-3
 
     def test_output_is_physical(self):
         rho = werner_state(0.95)
         records = simulate_counts(rho, standard_16_settings(), 500, seed=11)
-        est = linear_inversion(records)
+        est = mle_reconstruct(records).state
         eigvals = np.linalg.eigvalsh(est.matrix)
         assert eigvals[0] >= -1e-12
         assert np.trace(est.matrix).real == pytest.approx(1.0, abs=1e-9)
@@ -175,18 +187,18 @@ class TestLinearInversion:
     def test_too_few_records_rejected(self):
         records = _noiseless_records(werner_state(0.5))[:12]
         with pytest.raises(ConfigError, match="at least 16"):
-            linear_inversion(records)
+            mle_reconstruct(records)
 
     def test_degenerate_design_rejected(self):
         setting = ProjectorSetting("HH")
         records = [TomographyRecord(setting=setting, counts=100,
                                     acquisition_scale=1e3)] * 16
         with pytest.raises(ConfigError, match="informationally"):
-            linear_inversion(records)
+            mle_reconstruct(records)
 
 
 def _arrays(records):
-    return (np.array([r.setting.operator for r in records]),
+    return (np.array([_projector(r.setting.label) for r in records]),
             np.array([r.counts for r in records], dtype=float),
             np.array([r.acquisition_scale for r in records]))
 
@@ -358,10 +370,8 @@ class TestMleReconstruct:
         records = [TomographyRecord(setting=s, counts=counts,
                                     acquisition_scale=scale)
                    for s in standard_16_settings()]
-        ops = tomography._operators(records)
         x = (np.eye(4, dtype=complex) / 2).ravel().view(float)
-        value, grad = tomography._deviance(x, ops, np.full(16, counts * 1.0),
-                                           np.full(16, scale))
+        value, grad = tomography._deviance(x, *_arrays(records))
         # each projector has trace 1, so p = 1/4 at rho = 1/4
         m = max(scale / 4, 1e-12)
         expected = 16 * (m - counts - counts * np.log(m / counts))
