@@ -113,8 +113,8 @@ def synth_jsi(p: float, w2: float, a2: float) -> JsiGrid:
     """Two-lobe intensity: exponent p, lobe-2 width scale w2, amplitude a2."""
     grid = FrequencyGrid.wavelength_window(WINDOW_NM[0] * 1e-9,
                                            WINDOW_NM[1] * 1e-9, GRID_SAMPLES)
-    lam_s = TWO_PI_C / grid.signal_axis[:, None] * 1e9
-    lam_i = TWO_PI_C / grid.idler_axis[None, :] * 1e9
+    lam = TWO_PI_C / grid.axis * 1e9
+    lam_s, lam_i = lam[:, None], lam[None, :]
     c1, c2 = CENTERS_NM
     half = 0.5 * LOBE_FWHM_NM / (np.log(2.0) / 2.0) ** (1.0 / (2.0 * p))
 

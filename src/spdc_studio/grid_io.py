@@ -6,10 +6,11 @@ measured fixture with it. Amplitudes are not written here:
 ``simulate-jsa`` saves its JSA with ``numpy.save`` as ``jsa.npy``, in the
 dtype ``JsaGrid`` holds it.
 
-Layout: two header comment lines carrying the axes in nanometres,
+Layout: two header comment lines carrying the grid's one axis in
+nanometres, once for each photon; a reader requires them equal,
 
     # signal_nm: <comma-separated values>
-    # idler_nm: <comma-separated values>
+    # idler_nm: <the same values>
 
 followed by the matrix rows (one signal row per line, idler varying along
 the row). Values are written with 17 significant digits so every float
@@ -69,8 +70,8 @@ def save_matrix_csv(path: str | Path, grid: FrequencyGrid,
                 raise ConfigError(f"comment line {extra!r} would read as an "
                                   f"axis header")
             headers.append(line)
-    headers.append(f"{_SIGNAL_KEY} {_format_axis(grid.signal_axis)}")
-    headers.append(f"{_IDLER_KEY} {_format_axis(grid.idler_axis)}")
+    axis = _format_axis(grid.axis)
+    headers += [f"{_SIGNAL_KEY} {axis}", f"{_IDLER_KEY} {axis}"]
     with open(path, "w", encoding="utf-8") as fh:
         for line in headers:
             fh.write(line + "\n")
@@ -152,8 +153,9 @@ def load_matrix_csv(path: str | Path) -> tuple[FrequencyGrid, np.ndarray]:
     ``float`` does; about one grid is held. Each
     header is parsed by the same call, so headers and data accept the same
     numbers. The first fault wins by kind: undecodable text, a bad axis
-    header in line order, a missing header or data, then a bad value
-    (``path:lineno``) or ragged rows. So a failed parse reads the rest of
+    header in line order, a missing header or data, a bad value
+    (``path:lineno``) or ragged rows, then headers that differ: signal
+    and idler share one axis. So a failed parse reads the rest of
     the file through the classifier, and only then streams the file again
     to name its first bad row.
     """
@@ -179,9 +181,12 @@ def load_matrix_csv(path: str | Path) -> tuple[FrequencyGrid, np.ndarray]:
         raise ConfigError(f"{path}: no matrix rows found")
     if values is None:
         _bad_row(path)
+    # equal_nan leaves a NaN in both headers to FrequencyGrid's own check
+    if not np.array_equal(axes["signal"], axes["idler"], equal_nan=True):
+        raise ConfigError(f"{path}: the '{_SIGNAL_KEY}' and '{_IDLER_KEY}' "
+                          f"headers differ; signal and idler need one axis")
     try:
-        grid = FrequencyGrid(signal_axis=axes["signal"],
-                             idler_axis=axes["idler"])
+        grid = FrequencyGrid(axis=axes["signal"])
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if values.shape != grid.shape:

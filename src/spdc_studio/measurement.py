@@ -15,6 +15,7 @@ form to translate visibility into squeezing.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,28 +90,24 @@ class DetectorSpec:
 
 @dataclass(frozen=True)
 class ArrivalHistogram:
-    """2-D coincidence histogram over (signal, idler) arrival times."""
+    """2-D coincidence histogram over (signal, idler) arrival times, binned
+    by one set of time ``edges`` in both arms."""
 
-    signal_edges: np.ndarray
-    idler_edges: np.ndarray
+    edges: np.ndarray
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        edges = [np.asarray(e, dtype=float)
-                 for e in (self.signal_edges, self.idler_edges)]
+        edges = np.asarray(self.edges, dtype=float)
         counts = np.asarray(self.counts)
-        for name, e in zip(("signal_edges", "idler_edges"), edges):
-            if e.ndim != 1 or e.size < 2 or not np.all(np.diff(e) > 0):
-                raise ConfigError(f"{name} must be 1-D and strictly "
-                                  f"increasing")
-        shape = (edges[0].size - 1, edges[1].size - 1)
+        if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
+            raise ConfigError("edges must be 1-D and strictly increasing")
+        shape = (edges.size - 1, edges.size - 1)
         if counts.shape != shape:
             raise ConfigError(f"counts has shape {counts.shape}; the edges "
                               f"need {shape}")
         if np.any(counts < 0):
             raise ConfigError("counts must be non-negative")
-        object.__setattr__(self, "signal_edges", edges[0])
-        object.__setattr__(self, "idler_edges", edges[1])
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "counts", counts)
 
 
@@ -211,37 +208,32 @@ def _tof_response(axis: np.ndarray, widths: np.ndarray, fiber: FiberSpec,
 
 
 _TOF_BLOCK = 64  # amplitude rows per step of the bin-probability sum
+# the most pairs numpy's multinomial takes: its count is a C long
+_MAX_TOF_PAIRS = 2**63 - 1
 
 
 def _tof_bin_probabilities(jsa: JsaGrid, fiber: FiberSpec, det: DetectorSpec
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signal edges, idler edges and the exact probability P of each
-    (signal, idler) time bin. Given a grid cell the arms are independent,
-    so P = R_s^T prob R_i with prob the normalized cell-weighted |f|^2.
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """The time-bin edges of both arms and the exact probability P of each
+    (signal, idler) time bin. Both arms share the grid's one axis, so they
+    share one response R. Given a grid cell the arms are independent, so
+    P = R^T prob R with prob the normalized cell-weighted |f|^2.
 
     P is summed over ``_TOF_BLOCK`` rows b of the amplitude A at a time,
-    as (w_s R_s)[b]^T (|A_b|^2 (w_i R_i)), and divided by the total
-    w_s^T |A|^2 w_i summed alongside, so no whole |f|^2 grid is built.
+    as (w R)[b]^T (|A_b|^2 (w R)), and divided by the total w^T |A|^2 w
+    summed alongside, so no whole |f|^2 grid is built.
     P does not depend on the JSA's scale, so each block is divided by the
     largest real or imaginary magnitude first: |A_b|^2 neither overflows
     nor underflows to zero for any finite nonzero JSA."""
-    g, amp = jsa.grid, jsa.amplitude
-    w_s, w_i = g.signal_weights, g.idler_weights
+    amp, w = jsa.amplitude, jsa.grid.weights
     parts = (amp.real, amp.imag) if np.iscomplexobj(amp) else (amp,)
     peak = max(max(p.max(), -p.min()) for p in parts)
     if peak == 0:
         raise ConfigError("cannot sample from an all-zero JSA")
 
-    def weighted_response(axis, widths):
-        edges, response = _tof_response(axis, widths, fiber, det)
-        response *= widths[:, None]
-        return edges, response
-
-    edges_s, r_s = weighted_response(g.signal_axis, w_s)
-    # identical axes have identical weighted responses
-    edges_i, r_i = ((edges_s, r_s) if g.axes_identical else
-                    weighted_response(g.idler_axis, w_i))
-    prob = np.zeros((r_s.shape[1], r_i.shape[1]))
+    edges, response = _tof_response(jsa.grid.axis, w, fiber, det)
+    response *= w[:, None]
+    prob = np.zeros((response.shape[1], response.shape[1]))
     total = 0.0
     # |A_b|^2 / peak^2 is built in one buffer reused across blocks
     cells = np.empty((min(amp.shape[0], _TOF_BLOCK), amp.shape[1]))
@@ -254,10 +246,10 @@ def _tof_bin_probabilities(jsa: JsaGrid, fiber: FiberSpec, det: DetectorSpec
             square = part[rows] / peak
             square *= square
             block += square
-        total += w_s[rows] @ (block @ w_i)
-        prob += r_s[rows].T @ (block @ r_i)
+        total += w[rows] @ (block @ w)
+        prob += response[rows].T @ (block @ response)
     prob /= total
-    return edges_s, edges_i, prob
+    return edges, prob
 
 
 def tof_simulate(jsa: JsaGrid, fiber: FiberSpec, det: DetectorSpec,
@@ -265,16 +257,19 @@ def tof_simulate(jsa: JsaGrid, fiber: FiberSpec, det: DetectorSpec,
     """Arrival-time histogram of ``n_pairs`` pairs from |f|^2, dithered
     within their cell, timed per arm and jittered: one multinomial draw
     from that model's exact bin probabilities, dropping pairs outside the
-    window. Needs a positive jitter. Deterministic for a fixed seed."""
-    if n_pairs <= 0:
-        raise ConfigError("n_pairs must be positive")
+    window. ``n_pairs`` is an integer from 1 to 2**63 - 1, the most that
+    numpy's multinomial draws. Needs a positive jitter. Deterministic for a
+    fixed seed."""
+    if (isinstance(n_pairs, bool) or not isinstance(n_pairs, numbers.Integral)
+            or not 0 < n_pairs <= _MAX_TOF_PAIRS):
+        raise ConfigError(f"n_pairs must be an integer from 1 to 2**63 - 1, "
+                          f"got {n_pairs!r}")
     if det.jitter_fwhm <= 0:
         raise ConfigError("tof_simulate needs a positive jitter_fwhm")
-    edges_s, edges_i, prob = _tof_bin_probabilities(jsa, fiber, det)
+    edges, prob = _tof_bin_probabilities(jsa, fiber, det)
     draw = substream(seed, "tof.sampling").multinomial(
         n_pairs, np.append(prob.ravel(), max(1.0 - prob.sum(), 0.0)))
-    return ArrivalHistogram(signal_edges=edges_s, idler_edges=edges_i,
-                            counts=draw[:-1].reshape(prob.shape))
+    return ArrivalHistogram(edges=edges, counts=draw[:-1].reshape(prob.shape))
 
 
 def tof_reconstruct(hist: ArrivalHistogram, fiber: FiberSpec,
@@ -292,27 +287,17 @@ def tof_reconstruct(hist: ArrivalHistogram, fiber: FiberSpec,
     """
     if hist.counts.sum() <= 0:
         raise ConfigError("cannot reconstruct from an empty histogram")
-    slope = fiber.delay_per_wavelength
-
-    def omega_axis(edges: np.ndarray) -> np.ndarray:
-        centers = 0.5 * (edges[1:] + edges[:-1])
-        lam = fiber.reference_wavelength + centers / slope
-        if np.any(lam <= 0):
-            raise ConfigError("histogram extends to non-physical wavelengths")
-        return TWO_PI_C / lam
-
-    omega_s = omega_axis(hist.signal_edges)
-    omega_i = omega_axis(hist.idler_edges)
-    counts = hist.counts
-    # ascending omega means descending time axis
-    if omega_s[0] > omega_s[-1]:
-        omega_s = omega_s[::-1]
-        counts = counts[::-1, :]
-    if omega_i[0] > omega_i[-1]:
-        omega_i = omega_i[::-1]
-        counts = counts[:, ::-1]
-    grid = FrequencyGrid(signal_axis=omega_s, idler_axis=omega_i)
-    density = counts / (grid.signal_weights[:, None] * grid.idler_weights)
+    centers = 0.5 * (hist.edges[1:] + hist.edges[:-1])
+    lam = fiber.reference_wavelength + centers / fiber.delay_per_wavelength
+    if np.any(lam <= 0):
+        raise ConfigError("histogram extends to non-physical wavelengths")
+    omega, counts = TWO_PI_C / lam, hist.counts
+    # ascending omega means descending time axis, in both arms at once
+    if omega[0] > omega[-1]:
+        omega, counts = omega[::-1], counts[::-1, ::-1]
+    grid = FrequencyGrid(axis=omega)
+    w = grid.weights
+    density = counts / (w[:, None] * w)
     return JsiGrid(grid=grid, intensity=density)
 
 

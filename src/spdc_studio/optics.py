@@ -21,7 +21,7 @@ import enum
 import math
 import numbers
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -189,25 +189,30 @@ class PolingPattern:
     first_sign: int = 1
 
     def __post_init__(self) -> None:
-        if self.length <= 0:
-            raise ConfigError("poling pattern length must be positive")
+        if not 0 < self.length < math.inf:
+            raise ConfigError(f"poling pattern length must be positive and "
+                              f"finite, got {self.length}")
         if self.first_sign not in (1, -1):
             raise ConfigError("first_sign must be +1 or -1")
         bounds = tuple(float(b) for b in self.boundaries)
         object.__setattr__(self, "boundaries", bounds)
-        if any(b < 0 or b > self.length for b in bounds):
-            raise ConfigError("domain boundaries must lie within [0, length]")
+        # written so that a NaN boundary fails too
+        if not all(0 <= b <= self.length for b in bounds):
+            raise ConfigError("domain boundaries must be finite and lie "
+                              "within [0, length]")
         if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
             raise ConfigError("domain boundaries must be strictly increasing")
 
 
 def uniform_grating(length: float, period: float, first_sign: int = 1) -> PolingPattern:
     """Pattern with sign flips every half period, the standard QPM grating."""
-    if period <= 0:
-        raise ConfigError("grating period must be positive")
+    if not 0 < period < math.inf:
+        raise ConfigError(f"grating period must be positive and finite, got "
+                          f"{period}")
+    # the bare pattern checks the length before arange counts out to it
+    pattern = PolingPattern(length=length, first_sign=first_sign)
     boundaries = np.arange(period / 2.0, length, period / 2.0)
-    return PolingPattern(length=length, boundaries=tuple(boundaries),
-                         first_sign=first_sign)
+    return replace(pattern, boundaries=tuple(boundaries))
 
 
 def _cell_widths(axis: np.ndarray) -> np.ndarray:
@@ -221,52 +226,48 @@ def _cell_widths(axis: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Rectangular (signal x idler) grid of angular frequencies, ascending."""
+    """Square grid of angular frequencies: one ascending axis that indexes
+    the signal (rows) and the idler (columns) alike, so exchanging the
+    photons transposes the grid."""
 
-    signal_axis: np.ndarray
-    idler_axis: np.ndarray
+    axis: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("signal_axis", "idler_axis"):
-            axis = np.asarray(getattr(self, name), dtype=float)
-            if axis.ndim != 1 or axis.size < 2:
-                raise ConfigError(f"{name} must be a 1-D array with >= 2 samples")
-            if not np.all(np.isfinite(axis)):
-                raise ConfigError(f"{name} must be finite")
-            if np.any(np.diff(axis) <= 0):
-                raise ConfigError(f"{name} must be strictly increasing")
-            if axis[0] <= 0:
-                raise ConfigError(f"{name} must contain positive frequencies")
-            object.__setattr__(self, name, axis)
+        axis = np.asarray(self.axis, dtype=float)
+        if axis.ndim != 1 or axis.size < 2:
+            raise ConfigError("axis must be a 1-D array with >= 2 samples")
+        if not np.all(np.isfinite(axis)):
+            raise ConfigError("axis must be finite")
+        if np.any(np.diff(axis) <= 0):
+            raise ConfigError("axis must be strictly increasing")
+        if axis[0] <= 0:
+            raise ConfigError("axis must contain positive frequencies")
+        object.__setattr__(self, "axis", axis)
 
     @classmethod
     def wavelength_window(cls, lambda_min: float, lambda_max: float,
                           samples: int) -> "FrequencyGrid":
-        """Identical signal/idler axes, uniform in angular frequency,
-        spanning [lambda_min, lambda_max]."""
+        """An axis uniform in angular frequency, spanning [lambda_min,
+        lambda_max]."""
+        for name, wavelength in (("lambda_min", lambda_min),
+                                 ("lambda_max", lambda_max)):
+            if not 0 < wavelength < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got "
+                                  f"{wavelength}")
         if not lambda_min < lambda_max:
             raise ConfigError("need lambda_min < lambda_max")
         if samples < 2:
             raise ConfigError("need at least 2 samples per axis")
-        axis = np.linspace(TWO_PI_C / lambda_max, TWO_PI_C / lambda_min, samples)
-        return cls(signal_axis=axis, idler_axis=axis.copy())
+        return cls(axis=np.linspace(TWO_PI_C / lambda_max,
+                                    TWO_PI_C / lambda_min, samples))
 
     @property
-    def signal_weights(self) -> np.ndarray:
-        return _cell_widths(self.signal_axis)
-
-    @property
-    def idler_weights(self) -> np.ndarray:
-        return _cell_widths(self.idler_axis)
-
-    @property
-    def axes_identical(self) -> bool:
-        return (self.signal_axis.size == self.idler_axis.size
-                and bool(np.array_equal(self.signal_axis, self.idler_axis)))
+    def weights(self) -> np.ndarray:
+        return _cell_widths(self.axis)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.signal_axis.size, self.idler_axis.size)
+        return (self.axis.size, self.axis.size)
 
 
 @dataclass(frozen=True)
@@ -298,13 +299,13 @@ class JsaGrid:
     @property
     def signal_marginal(self) -> np.ndarray:
         """sum_i |f_ji|^2 w_i for each signal row j; no |f|^2 grid is built."""
-        amp, w_i = self.amplitude, self.grid.idler_weights
+        amp, w = self.amplitude, self.grid.weights
         parts = (amp.real, amp.imag) if np.iscomplexobj(amp) else (amp,)
-        return sum(np.einsum("ij,ij,j->i", p, p, w_i) for p in parts)
+        return sum(np.einsum("ij,ij,j->i", p, p, w) for p in parts)
 
     @property
     def norm_squared(self) -> float:
-        return float(self.grid.signal_weights @ self.signal_marginal)
+        return float(self.grid.weights @ self.signal_marginal)
 
     def _unit_scale(self) -> float:
         """1 / ||f||; a zero or overflowing norm raises ConfigError."""
@@ -424,32 +425,33 @@ def pmf_from_domains(pattern: PolingPattern, dk_without_qpm):
     return complex(total[0]) if scalar else total
 
 
-def _row_blocks(shape: tuple[int, int]) -> list[slice]:
-    """Row slices of about ``_BLOCK_POINTS`` grid points each."""
-    rows = max(1, _BLOCK_POINTS // shape[1])
-    return [slice(r, r + rows) for r in range(0, shape[0], rows)]
+def _row_blocks(n: int) -> list[slice]:
+    """Row slices of an n x n grid, of about ``_BLOCK_POINTS`` points each."""
+    rows = max(1, _BLOCK_POINTS // n)
+    return [slice(r, r + rows) for r in range(0, n, rows)]
 
 
-def _pump_lattice(ws: np.ndarray, wi: np.ndarray) -> np.ndarray:
-    """The n_s + n_i - 1 pump frequencies of a grid whose cell sums they are.
+def _pump_lattice(axis: np.ndarray) -> np.ndarray:
+    """The 2n - 1 pump frequencies of a grid whose cell sums they are.
 
-    s = (ws[0] + wi, ws[1:] + wi[-1]) holds every sum ws[i] + wi[j] of a
-    grid whose two axes share one uniform step, at s[i + j]. Returns s when
-    every cell's float sum lies within 2 ulp of its lattice value, checked
-    over the row blocks of ``compute_jsa``; any other grid, such as
-    non-uniform axes or unequal steps, raises ConfigError.
+    s = (axis[0] + axis, axis[1:] + axis[-1]) holds every sum axis[i] +
+    axis[j] of a grid whose axis has one uniform step, at s[i + j]. Returns
+    s when every cell's float sum lies within 2 ulp of its lattice value,
+    checked over the row blocks of ``compute_jsa``; a non-uniform axis,
+    such as ``measurement.tof_reconstruct`` makes, raises ConfigError.
     """
-    s = np.concatenate((ws[0] + wi, ws[1:] + wi[-1]))
+    n = axis.size
+    s = np.concatenate((axis[0] + axis, axis[1:] + axis[-1]))
     # read-only Hankel views: [i, j] is s[i + j]
-    lattice = sliding_window_view(s, wi.size)
-    slack = sliding_window_view(2.0 * np.spacing(s), wi.size)
-    for rows in _row_blocks((ws.size, wi.size)):
-        off = np.add(ws[rows, np.newaxis], wi)
+    lattice = sliding_window_view(s, n)
+    slack = sliding_window_view(2.0 * np.spacing(s), n)
+    for rows in _row_blocks(n):
+        off = np.add(axis[rows, np.newaxis], axis)
         off -= lattice[rows]
         if np.any(np.abs(off, out=off) > slack[rows]):
             raise ConfigError(
-                "compute_jsa needs signal and idler axes of one uniform "
-                "step, as FrequencyGrid.wavelength_window makes")
+                "compute_jsa needs an axis of one uniform step, as "
+                "FrequencyGrid.wavelength_window makes")
     return s
 
 
@@ -519,7 +521,8 @@ def _sampled_domain_pmf(pattern: PolingPattern, lo: float, hi: float
 
 
 def _lobe_slopes(crystal: CrystalSpec, pump: PumpSpec) -> tuple[float, float]:
-    """|d(delta_k)/d(omega)| along each grid axis at the degenerate point."""
+    """|d(delta_k)/d(omega)| along the signal and the idler direction of the
+    grid at the degenerate point."""
     lam_p = pump.center_wavelength
     lam_d = 2.0 * lam_p
     ng_p = sellmeier.group_index(lam_p, "y")
@@ -548,13 +551,12 @@ def compute_jsa(grid: FrequencyGrid, crystal: CrystalSpec, pump: PumpSpec,
 
     k_p and the pump envelope depend on the pump frequency ws + wi alone,
     so each is evaluated once per point of the lattice of the grid's
-    n_s + n_i - 1 pump frequencies (``_pump_lattice``) and read through a
+    2n - 1 pump frequencies (``_pump_lattice``) and read through a
     Hankel view; the JSA moves from the per-cell formula by about 3e-12 of
     its peak (1e-11 for FROM_DOMAINS). This needs every cell's sum within
-    2 ulp of its lattice point, as on the equal uniform axes that
-    ``FrequencyGrid.wavelength_window`` (and so ``make_grid``) makes; any
-    other grid, such as non-uniform axes or axes of unequal steps, raises
-    ConfigError after the coarse-grid check.
+    2 ulp of its lattice point, as on the uniform axis that
+    ``FrequencyGrid.wavelength_window`` (and so ``make_grid``) makes; a
+    non-uniform axis raises ConfigError after the coarse-grid check.
 
     The elementwise chain (delta_k in its order of operations, the pump
     factor and the PMF) runs in blocks of whole rows of about
@@ -580,11 +582,10 @@ def compute_jsa(grid: FrequencyGrid, crystal: CrystalSpec, pump: PumpSpec,
     else:
         raise ConfigError(f"unknown pmf mode {pmf_mode!r}")
 
-    slope_s, slope_i = _lobe_slopes(crystal, pump)
-    for name, axis, slope in (("signal", grid.signal_axis, slope_s),
-                              ("idler", grid.idler_axis, slope_i)):
+    axis = grid.axis
+    step = float(np.max(np.diff(axis)))
+    for name, slope in zip(("signal", "idler"), _lobe_slopes(crystal, pump)):
         narrow = min(pump.bandwidth_omega, pmf_fwhm / slope)
-        step = float(np.max(np.diff(axis)))
         got = narrow / step
         if got < MIN_SAMPLES_PER_FWHM:
             need = math.ceil((axis[-1] - axis[0]) / narrow * MIN_SAMPLES_PER_FWHM) + 1
@@ -598,14 +599,13 @@ def compute_jsa(grid: FrequencyGrid, crystal: CrystalSpec, pump: PumpSpec,
                 f"({advice})"
             )
 
-    ws, wi = grid.signal_axis, grid.idler_axis
-    s = _pump_lattice(ws, wi)
-    k_p = sliding_window_view(wavevector(s, "y"), wi.size)
-    envelope = sliding_window_view(pump_envelope(s, pump), wi.size)
-    k_s = wavevector(ws, "y")[:, np.newaxis]
-    k_i = wavevector(wi, "z")
+    s = _pump_lattice(axis)
+    k_p = sliding_window_view(wavevector(s, "y"), axis.size)
+    envelope = sliding_window_view(pump_envelope(s, pump), axis.size)
+    k_s = wavevector(axis, "y")[:, np.newaxis]
+    k_i = wavevector(axis, "z")
     qpm = 2.0 * math.pi / crystal.poling_period
-    blocks = _row_blocks(grid.shape)
+    blocks = _row_blocks(axis.size)
 
     def mismatch(rows: slice) -> np.ndarray:
         # delta_k's order of operations, less ``offset``

@@ -8,9 +8,8 @@ feeds the polarization density matrix.
 
 The Schmidt purity comes from the Gram matrix of the quadrature-weighted
 amplitude, not from a singular-value decomposition, so no Schmidt
-coefficients are computed or returned. The Gram matrix is taken on the
-smaller side, and in real arithmetic when the amplitude is real; it is
-summed one block of rows at a time and never held whole, and only the
+coefficients are computed or returned. The Gram matrix is taken in real
+arithmetic when the amplitude is real; it is summed one block of rows at a time and never held whole, and only the
 block being summed is weighted, so no weighted copy of the amplitude is
 made either. The exchange sums run a chunk of rows at a time, so each
 kernel holds its input and a fraction of a grid.
@@ -25,9 +24,10 @@ analysis of one cut on it, with one Gram pass whose blocks break there.
 JSA is complex128, and every kernel here takes real or complex arithmetic
 by the stored dtype alone.
 
-The quadrature weights are separable, w(ws, wi) = w_s(ws) w_i(wi), so every
-weighted sum here scales rows by w_s and columns by w_i, and every |f|^2 sum
-reads ``signal_marginal``, |f|^2 @ w_i; no 2-D grid of weights is built.
+Signal and idler share one frequency axis, so the quadrature weights are
+w(ws, wi) = w(ws) w(wi): every weighted sum here scales rows and columns by
+the one vector ``grid.weights``, and every |f|^2 sum reads
+``signal_marginal``, |f|^2 @ w; no 2-D grid of weights is built.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class JsiGrid:
     @property
     def signal_marginal(self) -> np.ndarray:
         """The intensity of each signal row integrated over the idler axis."""
-        return self.intensity @ self.grid.idler_weights
+        return self.intensity @ self.grid.weights
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,9 @@ def jsa_from_jsi(jsi: JsiGrid) -> JsaGrid:
     overflows the float range, or is zero, raises ConfigError.
     """
     grid = jsi.grid
+    w = grid.weights
     with np.errstate(over="ignore"):
-        total = float(grid.signal_weights @ jsi.intensity @ grid.idler_weights)
+        total = float(w @ jsi.intensity @ w)
     if not math.isfinite(total):
         raise ConfigError("the JSI's weighted total overflows the float "
                           "range; scale its values down")
@@ -129,17 +130,17 @@ def jsa_from_jsi(jsi: JsiGrid) -> JsaGrid:
     # built in one buffer: the quotient, its root, then the sign
     amplitude = np.divide(jsi.intensity, total)
     np.sqrt(amplitude, out=amplitude)
-    ws = grid.signal_axis[:, np.newaxis]
-    wi = grid.idler_axis[np.newaxis, :]
-    np.negative(amplitude, where=wi > ws, out=amplitude)
+    # omega_i > omega_s: the column's frequency above the row's
+    np.negative(amplitude, where=grid.axis > grid.axis[:, np.newaxis],
+                out=amplitude)
     return JsaGrid(grid=grid, amplitude=amplitude)
 
 
 _EXCHANGE_CHUNK = 64  # rows of a block per step of an exchange sum
 
 
-def _exchange_block(f: np.ndarray, w_s: np.ndarray, w_i: np.ndarray,
-                    rows: slice, cols: slice) -> complex:
+def _exchange_block(f: np.ndarray, w: np.ndarray, rows: slice,
+                    cols: slice) -> complex:
     """sum f(ws, wi) conj(f(wi, ws)) dws dwi over the block of ``rows`` by
     ``cols``: the weighted block against the transpose of its mirror block
     (``cols`` by ``rows``). It is summed ``_EXCHANGE_CHUNK`` rows at a time,
@@ -149,8 +150,8 @@ def _exchange_block(f: np.ndarray, w_s: np.ndarray, w_i: np.ndarray,
     total = 0j
     for r in range(start, stop, _EXCHANGE_CHUNK):
         chunk = slice(r, min(r + _EXCHANGE_CHUNK, stop))
-        weighted = f[chunk, cols] * w_s[chunk, np.newaxis]
-        weighted *= w_i[cols]
+        weighted = f[chunk, cols] * w[chunk, np.newaxis]
+        weighted *= w[cols]
         total += np.vdot(f[cols, chunk].T, weighted)
     return complex(total)
 
@@ -165,11 +166,10 @@ def _exchange_overlap(jsa: JsaGrid, split: int, f_mn: np.ndarray) -> float:
     if not 0 < norm_squared < math.inf:
         raise ConfigError(f"cannot take the overlap integral of a JSA of "
                           f"norm {norm_squared}; it is all-zero or overflows")
-    f = jsa.amplitude
-    w_s, w_i = jsa.grid.signal_weights, jsa.grid.idler_weights
+    f, w = jsa.amplitude, jsa.grid.weights
     before, after = slice(None, split), slice(split, None)
-    inner = (_exchange_block(f, w_s, w_i, before, before).real
-             + _exchange_block(f, w_s, w_i, after, after).real
+    inner = (_exchange_block(f, w, before, before).real
+             + _exchange_block(f, w, after, after).real
              + 2.0 * f_mn[0, 1].real)
     return float((inner / norm_squared) ** 2)
 
@@ -195,8 +195,8 @@ def _gram_purities(jsa: JsaGrid, rows: slice = slice(None),
                    zero_error: str = "cannot take the Schmidt purity of an "
                                      "all-zero JSA") -> tuple[float, dict]:
     """||G||_F^2 / (tr G)^2 for G the Gram matrix of the amplitude's
-    ``rows`` weighted by sqrt(w_s) on its rows and sqrt(w_i) on its columns
-    (see ``schmidt``) and, given a ``split`` row, the same for each lobe:
+    ``rows`` weighted by sqrt(w) on its rows and its columns (see
+    ``schmidt``) and, given a ``split`` row, the same for each lobe:
     {"f1": rows from the split on, "f2": rows before it}, else {}. A G of
     zero trace, from a zero amplitude or no rows, raises ``zero_error``, and
     an empty lobe "lobe f1 (or f2) is identically zero".
@@ -206,25 +206,22 @@ def _gram_purities(jsa: JsaGrid, rows: slice = slice(None),
     of ||G_aa||^2 plus twice each ||G_ab||^2 with a < b, and tr G the sum of
     the tr G_aa. The blocks break at the split, so the Gram of each lobe is
     a diagonal block G_ll of G and ||G||^2 = ||G_11||^2 + ||G_22||^2 +
-    2 ||G_12||^2: one pass gives all three purities. With no split, the
-    amplitude is turned by a transposed view so that its rows are the
-    smaller side. One block of G is held at a time, never the whole.
+    2 ||G_12||^2: one pass gives all three purities. The amplitude is
+    square, so ``rows`` never leaves more rows than columns and G is the
+    smaller Gram matrix. One block of G is held at a time, never the
+    whole.
 
-    The weights are separable, W = diag(r) A diag(c), so only one block is
+    The weights are separable, W = diag(r) A diag(c) with r = c[rows], so
+    only one block is
     ever weighted, in one reused buffer: W_b = A_b r_b c gives G_bb =
     W_b W_b^H (a symmetric rank-k update when A is real); scaled by c once
     more, it gives each G_ba, a < b, as (W_b c) A_a^H with its columns
     scaled by r_a. For a complex A the buffer is conjugated instead, which
     leaves ||G_ba|| as it is and A_a^T a view.
     """
-    grid = jsa.grid
     amplitude = jsa.amplitude[rows]
-    row_root = np.sqrt(grid.signal_weights[rows])
-    col_root = np.sqrt(grid.idler_weights)
-    if split is None and amplitude.shape[0] > amplitude.shape[1]:
-        # W^T conj(W) = conj(W^H W): the same norm and trace; the weights
-        # swap with the axes
-        amplitude, row_root, col_root = amplitude.T, col_root, row_root
+    col_root = np.sqrt(jsa.grid.weights)
+    row_root = col_root[rows]
     k, n = split or 0, amplitude.shape[0]
     blocks = [(lobe, slice(r, min(r + _GRAM_BLOCK, end)))
               for lobe, start, end in (("f2", 0, k), ("f1", k, n))
@@ -269,9 +266,8 @@ def schmidt(jsa: JsaGrid) -> SchmidtResult:
     With A the quadrature-weighted amplitude, the Schmidt weights are the
     eigenvalues of G = A^H A divided by tr G, so the purity sum(lambda_k^2)
     is ||G||_F^2 / (tr G)^2 exactly. The ratio does not depend on the
-    normalization of the JSA. Of A^H A and A A^H, which share ||G||_F^2
-    and tr G, the smaller is taken, and summed by row blocks without
-    being formed whole. A float64 amplitude (the analytic JSA and
+    normalization of the JSA. A A^H, which shares ||G||_F^2 and tr G with
+    A^H A, is summed by row blocks without being formed whole. A float64 amplitude (the analytic JSA and
     ``jsa_from_jsi``) takes real arithmetic, where each diagonal block
     runs as a symmetric rank-k update; only a complex128 amplitude takes
     complex arithmetic.
@@ -310,17 +306,17 @@ def split_lobes(jsa: JsaGrid, cut_wavelength: float) -> LobePair:
         raise ConfigError("cut_wavelength must be positive")
     grid = jsa.grid
     cut_omega = TWO_PI_C / cut_wavelength
-    lam_s = TWO_PI_C / grid.signal_axis
+    lam_s = TWO_PI_C / grid.axis
 
     marginal = jsa.signal_marginal
-    row_intensity = marginal * grid.signal_weights
+    row_intensity = marginal * grid.weights
     total = float(np.sum(row_intensity))
     if total <= 0:
         raise ConfigError("cannot split an all-zero JSA")
     strip = np.abs(lam_s - cut_wavelength) <= _STRIP_HALFWIDTH
     strip_fraction = float(np.sum(row_intensity[strip])) / total
     if strip_fraction > _MAX_CUT_FRACTION:
-        suggestion = _suggest_cut(grid.signal_axis, marginal)
+        suggestion = _suggest_cut(grid.axis, marginal)
         raise ConfigError(
             f"cut at {cut_wavelength * 1e9:.2f} nm lies inside a lobe "
             f"({100 * strip_fraction:.1f}% of intensity within "
@@ -329,7 +325,7 @@ def split_lobes(jsa: JsaGrid, cut_wavelength: float) -> LobePair:
         )
 
     # the signal axis ascends strictly, so f1 = rows with omega_s > cut
-    split = int(np.searchsorted(grid.signal_axis, cut_omega, side="right"))
+    split = int(np.searchsorted(grid.axis, cut_omega, side="right"))
     return LobePair(jsa=jsa, split=split, marginal=marginal)
 
 
@@ -347,13 +343,10 @@ def lobe_overlap_matrix(lobes: LobePair) -> np.ndarray:
     the one block with signal in f1's rows and idler in f2's: a quarter of
     the grid for a split at the middle.
     """
-    grid = lobes.jsa.grid
-    if not grid.axes_identical:
-        raise ConfigError("overlaps need identical signal/idler axes")
-    w_s, w_i = grid.signal_weights, grid.idler_weights
+    w = lobes.jsa.grid.weights
     a, k, m = lobes.jsa.amplitude, lobes.split, lobes.marginal
-    f11, f22 = float(w_s[k:] @ m[k:]), float(w_s[:k] @ m[:k])
-    f12 = _exchange_block(a, w_s, w_i, slice(k, None), slice(None, k))
+    f11, f22 = float(w[k:] @ m[k:]), float(w[:k] @ m[:k])
+    f12 = _exchange_block(a, w, slice(k, None), slice(None, k))
     # the lobes are not normalized (f11 ~ 3e25 on a window in rad/s), so
     # the rounding slack scales with the bound
     if abs(f12) > math.sqrt(f11 * f22) * (1 + 1e-9):
@@ -413,7 +406,7 @@ def lobe_metrics(spectrum: JsaGrid | JsiGrid, cut_wavelength: float) -> dict:
     robust against noise but pulled by asymmetric tails; the refined peak
     is what lobe positions are usually quoted as.
     """
-    return _lobe_positions(spectrum.grid.signal_axis,
+    return _lobe_positions(spectrum.grid.axis,
                            spectrum.signal_marginal, cut_wavelength)
 
 
@@ -450,7 +443,7 @@ def two_lobe_summary(jsa: JsaGrid, cut_wavelength: float) -> dict:
     pass. A cut that leaves a lobe without intensity raises ConfigError.
     """
     lobes = split_lobes(jsa, cut_wavelength)
-    omega = jsa.grid.signal_axis
+    omega = jsa.grid.axis
     f_mn = lobe_overlap_matrix(lobes)
     for side, weight in zip(("short", "long"), f_mn.diagonal().real):
         if weight <= 0:

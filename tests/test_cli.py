@@ -90,8 +90,7 @@ class TestSimulateJsa:
         rebuilt = FrequencyGrid.wavelength_window(
             lo_nm * 1e-9, hi_nm * 1e-9, summary["grid"]["samples"])
         expected = make_grid(load_run_config(cfg_path))
-        assert np.array_equal(rebuilt.signal_axis, expected.signal_axis)
-        assert np.array_equal(rebuilt.idler_axis, expected.idler_axis)
+        assert np.array_equal(rebuilt.axis, expected.axis)
 
         jsa = JsaGrid(grid=rebuilt, amplitude=np.load(out / "jsa.npy"))
         cut = summary["cut_nm"] * 1e-9
@@ -280,8 +279,8 @@ class TestAnalyzeJsi:
 
     def test_ideal_antisymmetric_input(self, tmp_path):
         grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 200)
-        ws = grid.signal_axis[:, np.newaxis]
-        wi = grid.idler_axis[np.newaxis, :]
+        ws = grid.axis[:, np.newaxis]
+        wi = grid.axis[np.newaxis, :]
         cs, ci = TWO_PI_C / 1548e-9, TWO_PI_C / 1572e-9
         sigma = TWO_PI_C / (1560e-9) ** 2 * 4e-9
         blob = np.exp(-((ws - cs) ** 2 + (wi - ci) ** 2) / (2 * sigma**2))
@@ -333,6 +332,24 @@ class TestAnalyzeJsi:
             capsys.readouterr().err
         assert not out.exists()
 
+    def test_headers_that_differ_exit_2_at_load(self, tmp_path, capsys,
+                                                monkeypatch):
+        # the bundled JSI with one idler wavelength moved by 0.001 nm
+        lines = fixtures.measured_jsi_path().read_text().splitlines()
+        row = next(k for k, line in enumerate(lines)
+                   if line.startswith("# idler_nm:"))
+        key, values = lines[row].split(": ", 1)
+        fields = values.split(",")
+        fields[10] = "%.17g" % (float(fields[10]) + 0.001)
+        lines[row] = f"{key}: {','.join(fields)}"
+        (tmp_path / "shifted.csv").write_text("\n".join(lines) + "\n")
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "an"
+        assert main(["analyze-jsi", "shifted.csv", "--out", str(out)]) == 2
+        assert ("error: shifted.csv: the '# signal_nm:' and '# idler_nm:' "
+                "headers differ") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cut_inside_lobe_exits_2(self, tmp_path, capsys):
         jsi_path = str(fixtures.measured_jsi_path())
         assert main(["analyze-jsi", jsi_path, "--cut-nm", "1548"]) == 2
@@ -354,8 +371,8 @@ class TestAnalyzeJsi:
     @pytest.mark.parametrize("lines, named", [
         (["# signal_nm: 1510,1500", "# idler_nm: 1510,1500", "1,2", "3,x"],
          "bad.csv:4: bad value"),
-        (["# signal_nm: 1510,nan", "# idler_nm: 1510,1500", "1,2", "3,4"],
-         "bad.csv: signal_axis must be finite"),
+        (["# signal_nm: 1510,nan", "# idler_nm: 1510,nan", "1,2", "3,4"],
+         "bad.csv: axis must be finite"),
         (["# signal_nm: 1510,1500", "# idler_nm: 1510,1500", "1,2", "3,nan"],
          "bad.csv: JSI contains non-finite entries"),
         (["# signal_nm: 1_510,1500", "# idler_nm: 1510,1500", "1,2", "3,4"],

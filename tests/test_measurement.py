@@ -79,8 +79,8 @@ def _tof_monte_carlo(jsa: JsaGrid, fiber: FiberSpec, det: DetectorSpec,
     bin_width = det.jitter_fwhm if det.jitter_fwhm > 0 else 1e-12
 
     grid = jsa.grid
-    w_s, w_i = grid.signal_weights, grid.idler_weights
-    prob = np.abs(jsa.amplitude) ** 2 * np.outer(w_s, w_i)
+    axis, w = grid.axis, grid.weights
+    prob = np.abs(jsa.amplitude) ** 2 * np.outer(w, w)
     total = prob.sum()
     if total <= 0:
         raise ConfigError("cannot sample from an all-zero JSA")
@@ -90,8 +90,8 @@ def _tof_monte_carlo(jsa: JsaGrid, fiber: FiberSpec, det: DetectorSpec,
     flat = rng.choice(prob.size, size=n_pairs, p=prob)
     rows, cols = np.unravel_index(flat, grid.shape)
 
-    omega_s = grid.signal_axis[rows] + (rng.random(n_pairs) - 0.5) * w_s[rows]
-    omega_i = grid.idler_axis[cols] + (rng.random(n_pairs) - 0.5) * w_i[cols]
+    omega_s = axis[rows] + (rng.random(n_pairs) - 0.5) * w[rows]
+    omega_i = axis[cols] + (rng.random(n_pairs) - 0.5) * w[cols]
 
     slope = fiber.delay_per_wavelength
     t_s = slope * (TWO_PI_C / omega_s - fiber.reference_wavelength)
@@ -101,23 +101,17 @@ def _tof_monte_carlo(jsa: JsaGrid, fiber: FiberSpec, det: DetectorSpec,
         t_s = t_s + rng.normal(0.0, sigma, n_pairs)
         t_i = t_i + rng.normal(0.0, sigma, n_pairs)
 
-    # deterministic edges derived from the grid window, not from the draws
+    # deterministic edges derived from the grid window, not from the draws;
+    # both arms see the one axis, so they share them
     pad = 5.0 * det.jitter_fwhm + bin_width
-    lam_lo = TWO_PI_C / grid.signal_axis[-1]
-    lam_hi = TWO_PI_C / grid.signal_axis[0]
-    lam_lo_i = TWO_PI_C / grid.idler_axis[-1]
-    lam_hi_i = TWO_PI_C / grid.idler_axis[0]
-    bounds = []
-    for lo, hi in ((lam_lo, lam_hi), (lam_lo_i, lam_hi_i)):
-        t_all = slope * (np.array([lo, hi]) - fiber.reference_wavelength)
-        t_min, t_max = min(t_all) - pad, max(t_all) + pad
-        n_bins = int(math.ceil((t_max - t_min) / bin_width))
-        bounds.append(t_min + bin_width * np.arange(n_bins + 1))
-    edges_s, edges_i = bounds
+    lam = TWO_PI_C / axis[[-1, 0]]
+    t_all = slope * (lam - fiber.reference_wavelength)
+    t_min, t_max = min(t_all) - pad, max(t_all) + pad
+    n_bins = int(math.ceil((t_max - t_min) / bin_width))
+    edges = t_min + bin_width * np.arange(n_bins + 1)
 
-    counts, _, _ = np.histogram2d(t_s, t_i, bins=(edges_s, edges_i))
-    return ArrivalHistogram(signal_edges=edges_s, idler_edges=edges_i,
-                            counts=counts)
+    counts, _, _ = np.histogram2d(t_s, t_i, bins=(edges, edges))
+    return ArrivalHistogram(edges=edges, counts=counts)
 
 
 def _dense_tof_response(axis: np.ndarray, widths: np.ndarray,
@@ -143,14 +137,13 @@ def _dense_tof_response(axis: np.ndarray, widths: np.ndarray,
 
 def _dense_tof_bin_probabilities(jsa: JsaGrid, fiber: FiberSpec,
                                  det: DetectorSpec) -> np.ndarray:
-    """Bin probabilities by the whole-grid formula R_s^T prob R_i, with
-    prob the normalized cell-weighted |f|^2 and R the dense responses."""
+    """Bin probabilities by the whole-grid formula R^T prob R, with prob
+    the normalized cell-weighted |f|^2 and R the dense response of the
+    grid's one axis, which both arms share."""
     g = jsa.grid
-    _, r_s = _dense_tof_response(g.signal_axis, g.signal_weights, fiber, det)
-    _, r_i = _dense_tof_response(g.idler_axis, g.idler_weights, fiber, det)
-    prob = np.abs(jsa.amplitude) ** 2 * np.outer(g.signal_weights,
-                                                 g.idler_weights)
-    return r_s.T @ (prob / prob.sum()) @ r_i
+    _, r = _dense_tof_response(g.axis, g.weights, fiber, det)
+    prob = np.abs(jsa.amplitude) ** 2 * np.outer(g.weights, g.weights)
+    return r.T @ (prob / prob.sum()) @ r
 
 
 def _pooled_p_value(observed, expected) -> float:
@@ -241,6 +234,23 @@ class TestTofSimulate:
             tof_simulate(default_jsa, FiberSpec(), DetectorSpec(),
                          n_pairs=0, seed=1)
 
+    @pytest.mark.parametrize("n_pairs", [1.5, 2.0, True, "10", 2**63, 2**70,
+                                         -1])
+    def test_n_pairs_is_an_integer_the_multinomial_takes(self, default_jsa,
+                                                         n_pairs):
+        # 1.5 would draw 1 pair and 2**70 overflow numpy's C long; a float
+        # is refused even when it is whole
+        with pytest.raises(ConfigError, match=r"n_pairs must be an integer "
+                                              r"from 1 to 2\*\*63 - 1"):
+            tof_simulate(default_jsa, FiberSpec(), DetectorSpec(),
+                         n_pairs=n_pairs, seed=1)
+
+    @pytest.mark.parametrize("n_pairs", [np.int64(20000), 2**63 - 1])
+    def test_n_pairs_up_to_the_bound_draws(self, default_jsa, n_pairs):
+        hist = tof_simulate(default_jsa, FiberSpec(), DetectorSpec(),
+                            n_pairs=n_pairs, seed=1)
+        assert 0 < hist.counts.sum() <= n_pairs
+
 
 @pytest.fixture(scope="module")
 def three_cell_jsa(default_jsa):
@@ -269,10 +279,9 @@ class TestExactTofModel:
                                               simulate):
         jsa = request.getfixturevalue(jsa_name)
         fiber, det = FiberSpec(), DetectorSpec()
-        edges_s, edges_i, prob = _tof_bin_probabilities(jsa, fiber, det)
+        edges, prob = _tof_bin_probabilities(jsa, fiber, det)
         hist = simulate(jsa, fiber, det, self.N_PAIRS, 0)
-        assert np.array_equal(hist.signal_edges, edges_s)
-        assert np.array_equal(hist.idler_edges, edges_i)
+        assert np.array_equal(hist.edges, edges)
         assert _tof_fit_p_value(hist, self.N_PAIRS, prob) > 1e-3
 
     def test_gate_rejects_wrong_models(self, three_cell_jsa):
@@ -282,15 +291,13 @@ class TestExactTofModel:
         g = three_cell_jsa.grid
         hist = _tof_monte_carlo(three_cell_jsa, fiber, det, self.N_PAIRS, 0)
         prob = np.abs(three_cell_jsa.amplitude) ** 2 * np.outer(
-            g.signal_weights, g.idler_weights)
+            g.weights, g.weights)
         prob /= prob.sum()
 
         def bin_probabilities(widths_scale, cells):
-            _, r_s = _tof_response(g.signal_axis,
-                                   g.signal_weights * widths_scale, fiber, det)
-            _, r_i = _tof_response(g.idler_axis,
-                                   g.idler_weights * widths_scale, fiber, det)
-            return r_s.T @ cells @ r_i
+            _, r = _tof_response(g.axis, g.weights * widths_scale, fiber,
+                                 det)
+            return r.T @ cells @ r
 
         assert _tof_fit_p_value(hist, self.N_PAIRS,
                                 bin_probabilities(1, prob)) > 1e-3
@@ -302,12 +309,10 @@ class TestExactTofModel:
     def test_response_rows_sum_to_one(self, default_jsa, jitter):
         grid = default_jsa.grid
         fiber, det = FiberSpec(), DetectorSpec(jitter_fwhm=jitter)
-        for axis, widths in ((grid.signal_axis, grid.signal_weights),
-                             (grid.idler_axis, grid.idler_weights)):
-            edges, response = _tof_response(axis, widths, fiber, det)
-            assert response.shape == (axis.size, edges.size - 1)
-            assert np.all(response >= 0)
-            assert np.max(np.abs(response.sum(axis=1) - 1.0)) <= 1e-12
+        edges, response = _tof_response(grid.axis, grid.weights, fiber, det)
+        assert response.shape == (grid.axis.size, edges.size - 1)
+        assert np.all(response >= 0)
+        assert np.max(np.abs(response.sum(axis=1) - 1.0)) <= 1e-12
 
     def test_zero_jitter_rejected(self, default_jsa):
         with pytest.raises(ConfigError, match="jitter"):
@@ -326,14 +331,14 @@ class TestTofResponseBand:
     @pytest.mark.parametrize("samples", [16, 64, 512])
     def test_response_equals_dense_formula(self, samples, uniform, jitter):
         grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, samples)
-        axis = grid.signal_axis
+        axis = grid.axis
         if not uniform:
             u = np.sort(np.random.default_rng(samples).random(samples))
             axis = axis[0] + (axis[-1] - axis[0]) * u
-            grid = FrequencyGrid(signal_axis=axis, idler_axis=axis)
+            grid = FrequencyGrid(axis=axis)
         fiber, det = FiberSpec(), DetectorSpec(jitter_fwhm=jitter)
-        edges, response = _tof_response(axis, grid.signal_weights, fiber, det)
-        dense_edges, dense = _dense_tof_response(axis, grid.signal_weights,
+        edges, response = _tof_response(axis, grid.weights, fiber, det)
+        dense_edges, dense = _dense_tof_response(axis, grid.weights,
                                                  fiber, det)
         assert np.array_equal(edges, dense_edges)
         assert np.array_equal(response, dense)
@@ -344,7 +349,7 @@ class TestTofResponseBand:
         # the seeded histogram is the draw from the blocked P itself
         jsa = request.getfixturevalue(jsa_name)
         fiber, det = FiberSpec(), DetectorSpec()
-        prob = _tof_bin_probabilities(jsa, fiber, det)[2]
+        prob = _tof_bin_probabilities(jsa, fiber, det)[1]
         dense = _dense_tof_bin_probabilities(jsa, fiber, det)
         assert np.max(np.abs(prob - dense)) <= 1e-15 * dense.max()
         n_pairs = 1_000_000
@@ -355,23 +360,19 @@ class TestTofResponseBand:
 
 
 def _tof_block_jsa(rows: int, kind: str) -> JsaGrid:
-    """A JSA of ``rows`` signal rows, the middle of the default 512-point
-    axis: real or complex (domain-built) against the whole axis, or the
-    real ``rows``-square amplitude placed on identical non-uniform axes."""
-    axis = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 512).signal_axis
-    signal = axis[(axis.size - rows) // 2:][:rows]
-    if kind == "non-uniform":
-        amplitude = compute_jsa(FrequencyGrid(signal_axis=signal,
-                                              idler_axis=signal.copy()),
-                                CrystalSpec(), PumpSpec()).amplitude
-        u = np.sort(np.random.default_rng(rows).random(rows))
-        signal = signal[0] + (signal[-1] - signal[0]) * u
-        return JsaGrid(grid=FrequencyGrid(signal_axis=signal,
-                                          idler_axis=signal.copy()),
-                       amplitude=amplitude)
+    """A square JSA on the middle ``rows`` samples of the default
+    512-point axis: real or complex (domain-built), or the real amplitude
+    placed on a non-uniform axis over the same span."""
+    axis = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 512).axis
+    axis = axis[(axis.size - rows) // 2:][:rows]
     mode = PmfMode.FROM_DOMAINS if kind == "complex" else PmfMode.ANALYTIC
-    return compute_jsa(FrequencyGrid(signal_axis=signal, idler_axis=axis),
-                       CrystalSpec(), PumpSpec(), pmf_mode=mode)
+    jsa = compute_jsa(FrequencyGrid(axis=axis), CrystalSpec(), PumpSpec(),
+                      pmf_mode=mode)
+    if kind != "non-uniform":
+        return jsa
+    u = np.sort(np.random.default_rng(rows).random(rows))
+    axis = axis[0] + (axis[-1] - axis[0]) * u
+    return JsaGrid(grid=FrequencyGrid(axis=axis), amplitude=jsa.amplitude)
 
 
 class TestTofBlocks:
@@ -384,9 +385,9 @@ class TestTofBlocks:
         jsa = _tof_block_jsa(rows, kind)
         assert measurement._TOF_BLOCK == 64
         assert np.iscomplexobj(jsa.amplitude) == (kind == "complex")
-        assert jsa.grid.axes_identical == (kind == "non-uniform")
+        assert jsa.grid.shape == (rows, rows)
         fiber, det = FiberSpec(), DetectorSpec()
-        prob = _tof_bin_probabilities(jsa, fiber, det)[2]
+        prob = _tof_bin_probabilities(jsa, fiber, det)[1]
         dense = _dense_tof_bin_probabilities(jsa, fiber, det)
         assert prob.shape == dense.shape
         assert np.max(np.abs(prob - dense)) <= 1e-15 * dense.max()
@@ -399,8 +400,8 @@ class TestTofBlocks:
         jsa = _tof_block_jsa(65, kind)
         scaled = JsaGrid(grid=jsa.grid, amplitude=jsa.amplitude * scale)
         fiber, det = FiberSpec(), DetectorSpec()
-        prob = _tof_bin_probabilities(jsa, fiber, det)[2]
-        scaled_prob = _tof_bin_probabilities(scaled, fiber, det)[2]
+        prob = _tof_bin_probabilities(jsa, fiber, det)[1]
+        scaled_prob = _tof_bin_probabilities(scaled, fiber, det)[1]
         assert np.max(np.abs(scaled_prob - prob)) <= 1e-15 * prob.max()
         hist = tof_simulate(scaled, fiber, det, n_pairs=20000, seed=0)
         assert int(hist.counts.sum()) == 20000
@@ -413,48 +414,38 @@ class TestTofBlocks:
             tof_simulate(zero, FiberSpec(), DetectorSpec(), n_pairs=10,
                          seed=0)
 
-    @pytest.mark.parametrize("axes, bound", [("identical", 0.75),
-                                             ("unequal", 1.1)])
-    def test_holds_about_one_grid(self, default_jsa, peak_grids, axes,
-                                  bound):
-        # two 512 x 156 weighted responses (one when the axes are
-        # identical), one 64-row block and the 156^2 sum: no |f|^2 or
-        # weight grid is built
-        jsa = default_jsa
-        if axes == "unequal":
-            axis = jsa.grid.signal_axis
-            step = axis[1] - axis[0]
-            grid = FrequencyGrid(signal_axis=axis,
-                                 idler_axis=axis + 32 * step)
-            jsa = compute_jsa(grid, CrystalSpec(), PumpSpec())
+    def test_holds_about_one_grid(self, default_jsa, peak_grids):
+        # one 512 x 156 weighted response, which both arms share, one
+        # 64-row block and the 156^2 sum: no |f|^2 or weight grid is built
         fiber, det = FiberSpec(), DetectorSpec()
-        assert peak_grids(lambda: tof_simulate(jsa, fiber, det, n_pairs=1000,
-                                               seed=0)) <= bound
+        assert peak_grids(lambda: tof_simulate(default_jsa, fiber, det,
+                                               n_pairs=1000, seed=0)) <= 0.75
 
 
 class TestArrivalHistogram:
     EDGES = np.linspace(0.0, 1e-9, 11)
 
-    @pytest.mark.parametrize("signal_edges, counts, message", [
+    @pytest.mark.parametrize("edges, counts, message", [
         (EDGES, np.ones((4, 4)), "shape"),
         (EDGES, np.ones((10, 10, 1)), "shape"),
         (EDGES[::-1], np.ones((10, 10)), "increasing"),
-        (np.r_[EDGES[:5], EDGES[4:]], np.ones((11, 10)), "increasing"),
+        (np.r_[EDGES[:5], EDGES[4:]], np.ones((11, 11)), "increasing"),
         (np.r_[EDGES[:5], np.nan, EDGES[6:]], np.ones((10, 10)),
          "increasing"),
         (EDGES[:, None], np.ones((10, 10)), "1-D"),
         (EDGES, -np.ones((10, 10)), "non-negative"),
     ], ids=["too-few-counts", "3-d-counts", "decreasing", "repeated-edge",
             "nan-edge", "2-d-edges", "negative"])
-    def test_rejects_bad_input(self, signal_edges, counts, message):
+    def test_rejects_bad_input(self, edges, counts, message):
         with pytest.raises(ConfigError, match=message):
-            ArrivalHistogram(signal_edges=signal_edges,
-                             idler_edges=self.EDGES, counts=counts)
+            ArrivalHistogram(edges=edges, counts=counts)
 
     def test_accepts_matching_shapes(self):
-        hist = ArrivalHistogram(signal_edges=self.EDGES[:6],
-                                idler_edges=self.EDGES, counts=np.ones((5, 10)))
-        assert int(hist.counts.sum()) == 50
+        # one set of edges bins both arms
+        hist = ArrivalHistogram(edges=self.EDGES[:6], counts=np.ones((5, 5)))
+        assert int(hist.counts.sum()) == 25
+        with pytest.raises(ConfigError, match="shape"):
+            ArrivalHistogram(edges=self.EDGES[:6], counts=np.ones((5, 10)))
 
 
 class TestTofRoundTrip:
@@ -473,8 +464,7 @@ class TestTofRoundTrip:
     def test_empty_histogram_rejected(self, default_jsa):
         fiber, det = FiberSpec(), DetectorSpec()
         hist = tof_simulate(default_jsa, fiber, det, n_pairs=100, seed=0)
-        empty = type(hist)(signal_edges=hist.signal_edges,
-                           idler_edges=hist.idler_edges,
+        empty = type(hist)(edges=hist.edges,
                            counts=np.zeros_like(hist.counts))
         with pytest.raises(ConfigError, match="empty"):
             tof_reconstruct(empty, fiber, det)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spdc_studio import sellmeier
+from spdc_studio import optics, sellmeier
 from spdc_studio.config import MAX_SAMPLES, RunConfig, make_grid
 from spdc_studio.errors import ConfigError
 from spdc_studio.optics import (_BLOCK_POINTS, _LATTICE_WIDTH, C_LIGHT,
@@ -212,8 +213,8 @@ class TestDomainPmfOracle:
                                              default_pump, name):
         pattern = _patterns(default_crystal)[name]
         grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 128)
-        ws = grid.signal_axis[:, np.newaxis]
-        wi = grid.idler_axis[np.newaxis, :]
+        ws = grid.axis[:, np.newaxis]
+        wi = grid.axis[np.newaxis, :]
         bare = (delta_k(ws, wi, default_crystal)
                 - 2 * np.pi / default_crystal.poling_period)
         oracle = JsaGrid(grid=grid, amplitude=pump_envelope(
@@ -291,13 +292,13 @@ def _whole_grid_domain_pmf(pattern, bare):
 
 
 def _pump_lattice_index(grid):
-    """The pump frequencies s = (ws[0] + wi, ws[1:] + wi[-1]) and each
-    cell's index i + j into them, or None when some cell's sum ws[i] + wi[j]
-    lies more than 2 ulp from s[i + j]."""
-    ws, wi = grid.signal_axis, grid.idler_axis
-    s = np.concatenate((ws[0] + wi, ws[1:] + wi[-1]))
-    index = np.add.outer(np.arange(ws.size), np.arange(wi.size))
-    off = np.abs(ws[:, np.newaxis] + wi - s[index])
+    """The pump frequencies s = (w[0] + w, w[1:] + w[-1]) of the grid's
+    axis w and each cell's index i + j into them, or None when some cell's
+    sum w[i] + w[j] lies more than 2 ulp from s[i + j]."""
+    w = grid.axis
+    s = np.concatenate((w[0] + w, w[1:] + w[-1]))
+    index = np.add.outer(np.arange(w.size), np.arange(w.size))
+    off = np.abs(w[:, np.newaxis] + w - s[index])
     return None if np.any(off > 2.0 * np.spacing(s[index])) else (s, index)
 
 
@@ -308,8 +309,8 @@ def _whole_grid_jsa(grid, crystal, pump, pmf_mode, per_cell=False):
     one evaluation per pump frequency, or with ``per_cell`` per cell
     through delta_k, the formula the lattice replaces.
     """
-    ws = grid.signal_axis[:, np.newaxis]
-    wi = grid.idler_axis[np.newaxis, :]
+    ws = grid.axis[:, np.newaxis]
+    wi = grid.axis[np.newaxis, :]
     if per_cell:
         dk = delta_k(ws, wi, crystal)
         envelope = pump_envelope(ws + wi, pump)
@@ -337,10 +338,8 @@ def _warped(lo, hi, n, bend):
     return lo + (hi - lo) * (x + bend * x * (1.0 - x))
 
 
-_AXIS_512 = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 512).signal_axis
+_AXIS_512 = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 512).axis
 _HEIGHT_512 = _BLOCK_POINTS // 512  # rows per block on a 512-column grid
-# more columns than _BLOCK_POINTS, so compute_jsa's blocks are single rows
-_AXIS_WIDE = np.linspace(_AXIS_512[0], _AXIS_512[-1], _BLOCK_POINTS + 1)
 
 
 def _middle(axis, n):
@@ -348,27 +347,37 @@ def _middle(axis, n):
     return axis[start:start + n]
 
 
-# every grid's cell sums sit on the pump-frequency lattice: its rows are
-# a run of samples of its column axis
+# Each case is a square grid on a run of _AXIS_512, so its cell sums sit
+# on the pump-frequency lattice, and the _BLOCK_POINTS that sets its row
+# blocks: "Kx512" is K rows in the _HEIGHT_512-row blocks that compute_jsa
+# takes on 512 columns.
 _BLOCK_GRIDS = {
-    # edges of one and two block heights, and fixed heights about 64 rows,
-    # a whole number of blocks for any power-of-two block up to 32768 points
-    **{f"{n}x512": (_middle(_AXIS_512, n), _AXIS_512)
+    # edges of one and two block heights, and heights about 64 rows
+    **{f"{n}x512": (_middle(_AXIS_512, n), _HEIGHT_512 * n)
        for n in sorted({2, _HEIGHT_512 - 1, _HEIGHT_512, _HEIGHT_512 + 1,
                         2 * _HEIGHT_512 + 2, 63, 64, 65, 130, 512})},
-    "3x(1+block)": (_middle(_AXIS_WIDE, 3), _AXIS_WIDE),
-    # equal steps over different ranges
-    "rows100-299x512": (_AXIS_512[100:300], _AXIS_512),
+    # 3 columns, one more than the points of a block: single-row blocks
+    "3x(1+block)": (_middle(_AXIS_512, 3), 2),
+    # a run that starts and ends away from the ends of the axis
+    "rows100-299x512": (_AXIS_512[100:300], _HEIGHT_512 * 200),
 }
 
-# unequal steps or non-uniform axes, fine enough to pass the coarse check
-_OFF_LATTICE_GRIDS = {
-    "96x300": (np.linspace(_AXIS_512[0], _AXIS_512[-1], 96),
-               np.linspace(_AXIS_512[0], _AXIS_512[-1], 300)),
-    "300x96": (np.linspace(_AXIS_512[0], _AXIS_512[-1], 300),
-               np.linspace(_AXIS_512[0], _AXIS_512[-1], 96)),
-    "non-uniform": (_warped(_AXIS_512[0], _AXIS_512[-1], 230, 0.3),
-                    _warped(_AXIS_512[0], _AXIS_512[-1], 200, -0.4)),
+def _two_steps(below, above):
+    """An axis over the span of _AXIS_512 that steps as a ``below``-sample
+    window up to the middle of the span and as an ``above``-sample window
+    after it."""
+    lo, hi = _AXIS_512[0], _AXIS_512[-1]
+    mid = 0.5 * (lo + hi)
+    return np.concatenate((np.linspace(lo, mid, below // 2),
+                           np.linspace(mid, hi, above // 2 + 1)[1:]))
+
+
+# axes off the lattice, fine enough to pass the coarse check; "AxB" is
+# _two_steps(A, B)
+_OFF_LATTICE_AXES = {
+    "96x300": _two_steps(96, 300),
+    "300x96": _two_steps(300, 96),
+    "non-uniform": _warped(_AXIS_512[0], _AXIS_512[-1], 230, 0.3),
 }
 
 
@@ -377,10 +386,11 @@ class TestRowBlockOracle:
 
     @pytest.mark.parametrize("mode", list(PmfMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("shape", list(_BLOCK_GRIDS))
-    def test_bit_identical_to_whole_grid(self, default_crystal, default_pump,
-                                         mode, shape):
-        signal, idler = _BLOCK_GRIDS[shape]
-        grid = FrequencyGrid(signal_axis=signal, idler_axis=idler)
+    def test_bit_identical_to_whole_grid(self, monkeypatch, default_crystal,
+                                         default_pump, mode, shape):
+        axis, block_points = _BLOCK_GRIDS[shape]
+        monkeypatch.setattr(optics, "_BLOCK_POINTS", block_points)
+        grid = FrequencyGrid(axis=axis)
         assert _pump_lattice_index(grid) is not None
         got = compute_jsa(grid, default_crystal, default_pump, pmf_mode=mode)
         oracle = _whole_grid_jsa(grid, default_crystal, default_pump, mode)
@@ -419,8 +429,8 @@ class TestPumpLattice:
         # RunConfig accepts
         for samples in range(64, 700):
             axis = FrequencyGrid.wavelength_window(1500e-9, 1620e-9,
-                                                   samples).signal_axis
-            assert _pump_lattice(axis, axis).size == 2 * samples - 1
+                                                   samples).axis
+            assert _pump_lattice(axis).size == 2 * samples - 1
         rng = np.random.default_rng(0)
         sizes = [700, 1001, 2047, 4096, *rng.integers(700, 4097, 8)]
         windows = [(1490.0, 1640.0), (1400.0, 1750.0), (1540.0, 1580.0),
@@ -429,24 +439,22 @@ class TestPumpLattice:
             lo, hi = windows[k % len(windows)]
             cfg = RunConfig(samples=int(samples), window=(lo * 1e-9, hi * 1e-9))
             grid = make_grid(cfg)
-            s = _pump_lattice(grid.signal_axis, grid.idler_axis)
+            s = _pump_lattice(grid.axis)
             assert s.size == 2 * cfg.samples - 1
 
     @pytest.mark.parametrize("mode", list(PmfMode), ids=lambda m: m.value)
-    @pytest.mark.parametrize("shape", list(_OFF_LATTICE_GRIDS))
+    @pytest.mark.parametrize("shape", list(_OFF_LATTICE_AXES))
     def test_off_lattice_grid_rejected(self, default_crystal, default_pump,
                                        mode, shape):
-        signal, idler = _OFF_LATTICE_GRIDS[shape]
-        grid = FrequencyGrid(signal_axis=signal, idler_axis=idler)
+        grid = FrequencyGrid(axis=_OFF_LATTICE_AXES[shape])
         assert _pump_lattice_index(grid) is None
-        with pytest.raises(ConfigError, match="one uniform step, as "
-                           "FrequencyGrid.wavelength_window makes"):
+        with pytest.raises(ConfigError, match="an axis of one uniform step, "
+                           "as FrequencyGrid.wavelength_window makes"):
             compute_jsa(grid, default_crystal, default_pump, pmf_mode=mode)
 
     def test_coarse_check_comes_first(self, default_crystal, default_pump):
-        grid = FrequencyGrid(signal_axis=_warped(_AXIS_512[0], _AXIS_512[-1],
-                                                 20, 0.3),
-                             idler_axis=_AXIS_512)
+        grid = FrequencyGrid(axis=_warped(_AXIS_512[0], _AXIS_512[-1], 20,
+                                          0.3))
         with pytest.raises(ConfigError, match="grid too coarse"):
             compute_jsa(grid, default_crystal, default_pump)
 
@@ -503,7 +511,7 @@ class TestComputeJsa:
         # polarizations and is what the exchange-overlap metric measures
         amp = default_jsa.amplitude
         grid = default_jsa.grid
-        w = np.outer(grid.signal_weights, grid.idler_weights)
+        w = np.outer(grid.weights, grid.weights)
         overlap = np.sum(np.conj(amp) * (-amp.T) * w)
         assert overlap.real > 0.995
         assert abs(overlap.imag) < 1e-9
@@ -715,14 +723,47 @@ class TestValidation:
             PolingPattern(length=1e-3, boundaries=(5e-4, 4e-4))
 
     def test_grid_must_ascend(self):
-        with pytest.raises(ConfigError):
-            FrequencyGrid(signal_axis=np.array([2.0, 1.0]),
-                          idler_axis=np.array([1.0, 2.0]))
+        with pytest.raises(ConfigError, match="axis must be strictly "
+                                              "increasing"):
+            FrequencyGrid(axis=np.array([2.0, 1.0]))
 
     @pytest.mark.parametrize("axis", [[np.nan, 2.0, 3.0], [1.0, np.nan, 3.0],
                                       [1.0, 2.0, np.nan], [1.0, 2.0, np.inf]])
     def test_grid_axes_must_be_finite(self, axis):
         # NaN compares false in the monotonicity test, and a last +inf ascends
-        with pytest.raises(ConfigError, match="idler_axis must be finite"):
-            FrequencyGrid(signal_axis=np.array([1.0, 2.0]),
-                          idler_axis=np.array(axis))
+        with pytest.raises(ConfigError, match="axis must be finite"):
+            FrequencyGrid(axis=np.array(axis))
+
+    def test_grid_is_square_on_its_one_axis(self):
+        grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 7)
+        assert [f.name for f in dataclasses.fields(grid)] == ["axis"]
+        assert grid.shape == (7, 7)
+        step = grid.axis[1] - grid.axis[0]
+        assert grid.weights == pytest.approx(np.full(7, step), rel=1e-12)
+
+    @pytest.mark.parametrize("window", [
+        (0.0, 1e-6), (-1e-6, 1e-6), (1e-6, math.inf), (math.nan, 1e-6),
+        (1e-6, math.nan), (-math.inf, 1e-6)],
+        ids=["zero", "negative", "inf", "nan-min", "nan-max", "minus-inf"])
+    def test_window_needs_positive_finite_wavelengths(self, window):
+        with pytest.raises(ConfigError, match="must be positive and finite"):
+            FrequencyGrid.wavelength_window(*window, 10)
+
+    @pytest.mark.parametrize("length, boundaries", [
+        (math.inf, ()), (math.nan, ()), (-math.inf, ()),
+        (1e-3, (math.nan,)), (1e-3, (2e-4, math.nan)), (1e-3, (math.inf,)),
+        (1e-3, (-math.inf, 5e-4))],
+        ids=["inf-length", "nan-length", "minus-inf-length", "nan-boundary",
+             "later-nan-boundary", "inf-boundary", "minus-inf-boundary"])
+    def test_pattern_must_be_finite(self, length, boundaries):
+        with pytest.raises(ConfigError, match="finite"):
+            PolingPattern(length=length, boundaries=boundaries)
+
+    @pytest.mark.parametrize("length, period", [
+        (math.inf, 46e-6), (math.nan, 46e-6), (4e-3, math.inf),
+        (4e-3, math.nan), (4e-3, 0.0)],
+        ids=["inf-length", "nan-length", "inf-period", "nan-period",
+             "zero-period"])
+    def test_grating_must_be_finite(self, length, period):
+        with pytest.raises(ConfigError, match="must be positive and finite"):
+            uniform_grating(length, period)

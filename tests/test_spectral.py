@@ -20,8 +20,8 @@ from spdc_studio.spectral import (JsiGrid, LobePair, jsa_from_jsi, jsi_of,
 
 def _gaussian_blob(grid, center_s_nm, center_i_nm, width_nm):
     """Real Gaussian lobe centered at the given signal/idler wavelengths."""
-    ws = grid.signal_axis[:, np.newaxis]
-    wi = grid.idler_axis[np.newaxis, :]
+    ws = grid.axis[:, np.newaxis]
+    wi = grid.axis[np.newaxis, :]
     cs = TWO_PI_C / (center_s_nm * 1e-9)
     ci = TWO_PI_C / (center_i_nm * 1e-9)
     sigma = TWO_PI_C / (1560e-9) ** 2 * (width_nm * 1e-9)
@@ -39,25 +39,25 @@ def _random_jsa(seed, samples=24):
 def _svd_purity(jsa):
     """Reference purity sum(sigma^4) / (sum(sigma^2))^2 from a full SVD of
     the quadrature-weighted amplitude."""
-    w = np.outer(jsa.grid.signal_weights, jsa.grid.idler_weights)
+    w = np.outer(jsa.grid.weights, jsa.grid.weights)
     sigma = np.linalg.svd(jsa.amplitude * np.sqrt(w), compute_uv=False)
     return float(np.sum(sigma**4) / np.sum(sigma**2) ** 2)
 
 
 def _gram_purity(jsa):
     """Reference purity ||G||_F^2 / (tr G)^2 from the full complex Gram
-    G = A^H A of the quadrature-weighted amplitude, as schmidt formed it
-    before it took the smaller side and the real path."""
-    w = np.outer(jsa.grid.signal_weights, jsa.grid.idler_weights)
+    G = A^H A of the quadrature-weighted amplitude, with no row blocks and
+    no real path."""
+    w = np.outer(jsa.grid.weights, jsa.grid.weights)
     a = jsa.amplitude * np.sqrt(w)
     gram = a.conj().T @ a
     return float(np.vdot(gram, gram).real) / float(np.trace(gram).real) ** 2
 
 
 def _exchange_sum(a, b, grid):
-    """Reference sum(a * conj(b.T) * outer(ws, wi)), the direct exchange
+    """Reference sum(a * conj(b.T) * outer(w, w)), the direct exchange
     overlap sum behind overlap_integral (a = b) and f12."""
-    w = np.outer(grid.signal_weights, grid.idler_weights)
+    w = np.outer(grid.weights, grid.weights)
     return complex(np.sum(a * np.conj(b.T) * w))
 
 
@@ -74,7 +74,7 @@ def _padded_lobe(lobes, which):
 def _lobes_at(jsa, cut):
     """The lobe pair split_lobes makes at the signal frequency ``cut``,
     built directly, without its strip check."""
-    split = int(np.sum(jsa.grid.signal_axis <= cut))
+    split = int(np.sum(jsa.grid.axis <= cut))
     return LobePair(jsa=jsa, split=split, marginal=jsa.signal_marginal)
 
 
@@ -89,16 +89,33 @@ def _random_amplitude(rng, shape, complex_valued, zero_lines):
     return amp
 
 
+def _non_uniform_axis(rng, n):
+    """A strictly increasing axis of ``n`` random steps."""
+    return 1e15 + 1e12 * np.cumsum(rng.uniform(0.5, 2.0, n))
+
+
+def _non_square_jsa(rng, m, n, complex_valued, zero_lines=0):
+    """An unnormalized JSA on a non-uniform square grid whose amplitude is
+    zero off an m x n block at a random place: the Gram of a non-square
+    amplitude, on one axis."""
+    side = max(m, n) + int(rng.integers(0, 8))
+    amp = np.zeros((side, side), dtype=complex if complex_valued else float)
+    r, c = (int(rng.integers(0, side - k + 1)) for k in (m, n))
+    amp[r:r + m, c:c + n] = _random_amplitude(rng, (m, n), complex_valued,
+                                              zero_lines)
+    return JsaGrid(grid=FrequencyGrid(axis=_non_uniform_axis(rng, side)),
+                   amplitude=amp)
+
+
 def _exchange_mixed_jsa(seed):
-    """Normalized JSA B + c B^T on identical non-uniform axes, real or
+    """Normalized JSA B + c B^T on a non-uniform axis, real or
     complex, with zero rows and columns. The B^T part keeps the exchange
     sums well away from zero, so they can be compared to a relative 1e-12;
     any c other than +-1 leaves the amplitude neither symmetric nor
     antisymmetric, so a dropped transpose shows."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(8, 40))
-    axis = 1e15 + 1e12 * np.cumsum(rng.uniform(0.5, 2.0, n))
-    grid = FrequencyGrid(signal_axis=axis, idler_axis=axis.copy())
+    grid = FrequencyGrid(axis=_non_uniform_axis(rng, n))
     base = _random_amplitude(rng, (n, n), bool(seed % 2), 0)
     amp = base + rng.uniform(0.3, 0.7) * base.T
     amp[rng.choice(n, n // 4, replace=False), :] = 0.0
@@ -178,15 +195,6 @@ class TestOverlapIntegral:
         with pytest.raises(ConfigError, match="all-zero"):
             overlap_integral(jsa)
 
-    def test_rejects_mismatched_axes(self):
-        grid = FrequencyGrid(
-            signal_axis=np.linspace(1.19e15, 1.25e15, 16),
-            idler_axis=np.linspace(1.18e15, 1.24e15, 16),
-        )
-        jsa = JsaGrid(grid=grid, amplitude=np.ones((16, 16)))
-        with pytest.raises(ConfigError, match="identical"):
-            overlap_integral(jsa)
-
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_bounded_on_random_amplitudes(self, seed):
@@ -210,7 +218,7 @@ class TestSchmidt:
         # a JSA assembled from two orthonormal mode pairs has exactly the
         # Schmidt coefficients it was given
         grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 160)
-        w = grid.signal_weights
+        w = grid.weights
         u1 = np.exp(-np.linspace(-3, 3, 160) ** 2)
         u2 = np.linspace(-3, 3, 160) * u1
         u1 = u1 / np.sqrt(np.sum(u1**2 * w))
@@ -233,7 +241,7 @@ class TestSchmidt:
     def test_coefficients_normalized_and_purity_bounded(self, seed):
         jsa = _random_jsa(seed)
         res = schmidt(jsa)
-        n = min(jsa.grid.shape)
+        n = jsa.grid.axis.size
         assert 1.0 / n - 1e-9 <= res.purity <= 1.0 + 1e-9
 
     def test_matches_svd_oracle_on_design_jsa_and_lobes(
@@ -248,16 +256,11 @@ class TestSchmidt:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_svd_oracle_on_tall_complex_jsas(self, seed):
-        # more rows than columns, so the Gram is taken over a transposed
-        # view, and more columns than one block, so the off-diagonal
-        # blocks of that view are weighted too; unequal non-uniform axes
-        # and a complex, unnormalized amplitude
-        rng = np.random.default_rng(seed)
-        grid = FrequencyGrid(
-            signal_axis=np.cumsum(rng.uniform(0.5, 2.0, 300)),
-            idler_axis=np.cumsum(rng.uniform(0.5, 2.0, 140)))
-        amp = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-        jsa = JsaGrid(grid=grid, amplitude=amp)
+        # an amplitude on 300 rows by 140 columns of a 300-plus grid: more
+        # rows than one block, so the off-diagonal Gram blocks are weighted
+        # too; a non-uniform axis and a complex, unnormalized amplitude,
+        # so a missing weight or conjugate would show
+        jsa = _non_square_jsa(np.random.default_rng(seed), 300, 140, True)
         assert schmidt(jsa).purity == pytest.approx(_svd_purity(jsa),
                                                     abs=1e-12)
 
@@ -267,11 +270,10 @@ class TestSchmidt:
         jsa = _random_jsa(seed)
         assert schmidt(jsa).purity == pytest.approx(_svd_purity(jsa),
                                                     abs=1e-12)
-        # unequal, non-uniform axes and a complex, unnormalized amplitude:
-        # swapped signal/idler weights or a missing conjugate would show
+        # a non-uniform axis and a complex, unnormalized amplitude: a
+        # missing weight or conjugate would show
         rng = np.random.default_rng(seed)
-        grid = FrequencyGrid(signal_axis=np.cumsum(rng.uniform(0.5, 2.0, 20)),
-                             idler_axis=np.cumsum(rng.uniform(0.5, 2.0, 28)))
+        grid = FrequencyGrid(axis=_non_uniform_axis(rng, 24))
         amp = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
         jsa = JsaGrid(grid=grid, amplitude=amp)
         assert schmidt(jsa).purity == pytest.approx(_svd_purity(jsa),
@@ -288,15 +290,15 @@ class TestExchangeChunks:
         grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 300)
         base = _random_amplitude(rng, grid.shape, complex_valued, 0)
         f = base + 0.5 * base.T
-        w_s, w_i = grid.signal_weights, grid.idler_weights
+        w = grid.weights
         split = 2 * spectral._EXCHANGE_CHUNK + 37
         before, after = slice(None, split), slice(split, None)
         for rows, cols in ((before, before), (after, after), (after, before),
                            (before, after)):
-            weighted = f[rows, cols] * w_s[rows, np.newaxis]
-            weighted *= w_i[cols]
+            weighted = f[rows, cols] * w[rows, np.newaxis]
+            weighted *= w[cols]
             whole = complex(np.vdot(f[cols, rows].T, weighted))
-            got = spectral._exchange_block(f, w_s, w_i, rows, cols)
+            got = spectral._exchange_block(f, w, rows, cols)
             assert abs(got - whole) <= 1e-13 * abs(whole)
 
     @pytest.mark.parametrize("call", [
@@ -317,15 +319,13 @@ class TestKernelsAgainstDirectFormulas:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.booleans())
     def test_schmidt_random_non_square(self, seed, complex_valued):
-        # unequal non-uniform axes, either side the longer, with zero rows
-        # and columns: a swapped weight or a wrongly chosen side would show
+        # an m x n amplitude, either side the longer, with zero rows and
+        # columns, on a non-uniform axis: a weight on the wrong side of
+        # the block would show
         rng = np.random.default_rng(seed)
         m, n = (int(k) for k in rng.integers(6, 40, size=2))
-        grid = FrequencyGrid(signal_axis=np.cumsum(rng.uniform(0.5, 2.0, m)),
-                             idler_axis=np.cumsum(rng.uniform(0.5, 2.0, n)))
-        amp = _random_amplitude(rng, (m, n), complex_valued,
-                                int(rng.integers(0, min(m, n) // 2)))
-        jsa = JsaGrid(grid=grid, amplitude=amp)
+        jsa = _non_square_jsa(rng, m, n, complex_valued,
+                              int(rng.integers(0, min(m, n) // 2)))
         assert schmidt(jsa).purity == pytest.approx(_gram_purity(jsa),
                                                     rel=1e-12)
 
@@ -349,7 +349,7 @@ class TestKernelsAgainstDirectFormulas:
         jsa = JsaGrid(grid=grid,
                       amplitude=base + 0.5 * base.T).normalized_copy()
         f = jsa.amplitude
-        weighted = f * np.outer(grid.signal_weights, grid.idler_weights)
+        weighted = f * np.outer(grid.weights, grid.weights)
         direct = abs(np.vdot(f.T, weighted))
         assert abs(np.sqrt(overlap_integral(jsa)) - direct) <= 1e-14
 
@@ -357,7 +357,7 @@ class TestKernelsAgainstDirectFormulas:
     @given(st.integers(0, 2**32 - 1))
     def test_lobe_overlap_matrix_random(self, seed):
         jsa = _exchange_mixed_jsa(seed)
-        axis = jsa.grid.signal_axis
+        axis = jsa.grid.axis
         lobes = _lobes_at(jsa, axis[axis.size // 2])
         self._assert_lobe_overlaps_match(lobes)
         for which in ("f1", "f2"):
@@ -383,7 +383,7 @@ class TestKernelsAgainstDirectFormulas:
         a1 = _padded_lobe(lobes, "f1").amplitude
         a2 = _padded_lobe(lobes, "f2").amplitude
         grid = lobes.jsa.grid
-        w = np.outer(grid.signal_weights, grid.idler_weights)
+        w = np.outer(grid.weights, grid.weights)
         f = lobe_overlap_matrix(lobes)
         assert f[0, 0].real == pytest.approx(np.sum(np.abs(a1) ** 2 * w),
                                              rel=1e-12)
@@ -396,7 +396,8 @@ class TestKernelsAgainstDirectFormulas:
 
 class TestSchmidtBranches:
     """How schmidt and single_lobe_purity sum the Gram matrix: in real or
-    complex arithmetic, over row blocks of the smaller side, never whole."""
+    complex arithmetic, over row blocks of the amplitude or of one lobe,
+    never whole."""
 
     def test_real_full_for_the_design_jsa(self, default_jsa, numpy_spy):
         purity = schmidt(default_jsa).purity
@@ -434,18 +435,24 @@ class TestSchmidtBranches:
                                        (200, 300)])
     def test_trimmed_to_the_smaller_side(self, numpy_spy, complex_valued,
                                          shape):
-        # zero rows and columns are kept: they add nothing to the Gram;
-        # 200 rows are not a whole number of blocks
+        # a lobe of min(shape) rows on a max(shape) grid: f2, the first
+        # rows, when shape is wide and f1, the last, when it is tall; its
+        # Gram is rows x rows. Zero rows and columns are kept: they add
+        # nothing to the Gram; 200 rows are not a whole number of blocks
         rng = np.random.default_rng(7)
-        amp = _random_amplitude(rng, shape, complex_valued, 3)
-        grid = FrequencyGrid(signal_axis=np.arange(1.0, shape[0] + 1),
-                             idler_axis=np.arange(1.0, shape[1] + 1))
+        side, rows = max(shape), min(shape)
+        amp = _random_amplitude(rng, (side, side), complex_valued, 3)
+        grid = FrequencyGrid(axis=np.arange(1.0, side + 1))
         jsa = JsaGrid(grid=grid, amplitude=amp)
-        purity = schmidt(jsa).purity
+        which, split = (("f2", rows) if shape[0] < shape[1]
+                        else ("f1", side - rows))
+        lobes = LobePair(jsa, split, jsa.signal_marginal)
+        purity = single_lobe_purity(lobes, which)
         _assert_blocks_tile(
-            numpy_spy.vdot_args, min(shape),
+            numpy_spy.vdot_args, rows,
             np.complex128 if complex_valued else np.float64)
-        assert purity == pytest.approx(_gram_purity(jsa), rel=1e-12)
+        assert purity == pytest.approx(
+            _gram_purity(_padded_lobe(lobes, which)), rel=1e-12)
 
     def test_holds_no_whole_gram(self, default_jsa, peak_grids):
         # one weighted row block and one Gram block; a weighted copy of the
@@ -484,7 +491,7 @@ class TestTwoLobeSummary:
         base = _random_amplitude(rng, grid.shape, True, 0)
         jsa = JsaGrid(grid=grid,
                       amplitude=base + 0.5 * base.T).normalized_copy()
-        axis = grid.signal_axis
+        axis = grid.axis
         return jsa, TWO_PI_C / (0.5 * (axis[169] + axis[170]))
 
     def test_matches_the_kernels_and_the_oracles(self, jsa_and_cut):
@@ -542,8 +549,8 @@ class TestJsaFromJsi:
         grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, 128)
         base = _gaussian_blob(grid, 1548.0, 1572.0, 4.0)
         base = base + base.T
-        ws = grid.signal_axis[:, np.newaxis]
-        wi = grid.idler_axis[np.newaxis, :]
+        ws = grid.axis[:, np.newaxis]
+        wi = grid.axis[np.newaxis, :]
         amp = np.where(wi > ws, -base, base)
         jsa = JsaGrid(grid=grid, amplitude=amp).normalized_copy()
         back = jsa_from_jsi(jsi_of(jsa))
@@ -562,8 +569,8 @@ class TestJsaFromJsi:
         jsi = jsi_of(default_jsa)
         grid = jsi.grid
         root = np.sqrt(jsi.intensity / float(
-            grid.signal_weights @ jsi.intensity @ grid.idler_weights))
-        wi_above = grid.idler_axis[np.newaxis, :] > grid.signal_axis[:, None]
+            grid.weights @ jsi.intensity @ grid.weights))
+        wi_above = grid.axis[np.newaxis, :] > grid.axis[:, None]
         expected = np.where(wi_above, -root, root)
         assert jsa_from_jsi(jsi).amplitude.tobytes() == expected.tobytes()
         assert peak_grids(lambda: jsa_from_jsi(jsi)) <= 1.5
@@ -601,14 +608,14 @@ class TestSplitLobes:
     def test_lobes_are_disjoint(self, default_jsa):
         # f1 holds exactly the rows above the cut, f2 the rest
         lobes = split_lobes(default_jsa, 1560e-9)
-        axis = default_jsa.grid.signal_axis
+        axis = default_jsa.grid.axis
         cut = TWO_PI_C / 1560e-9
         assert np.all(axis[lobes.split:] > cut)
         assert np.all(axis[:lobes.split] <= cut)
         assert 0 < lobes.split < axis.size
 
     def test_cut_on_a_grid_frequency_goes_to_f2(self, default_jsa):
-        axis = default_jsa.grid.signal_axis
+        axis = default_jsa.grid.axis
         near = int(np.argmin(np.abs(axis - TWO_PI_C / 1560e-9)))
         # a row whose frequency survives the wavelength round trip exactly
         row = next(k for k in range(near, near + 10)
@@ -691,7 +698,7 @@ class TestLobeOverlapMatrix:
         columns above the cut: |f12| = sqrt(f11 f22) exactly, up to
         rounding, and the JSA is left unnormalized (f11 ~ 1e25)."""
         grid = FrequencyGrid.wavelength_window(1500e-9, 1620e-9, samples)
-        in_f1 = grid.signal_axis > TWO_PI_C / 1560e-9
+        in_f1 = grid.axis > TWO_PI_C / 1560e-9
         b = np.random.default_rng(samples).random((samples, samples))
         b[~in_f1, :] = 0.0
         b[:, in_f1] = 0.0
@@ -733,8 +740,8 @@ class TestMarginals:
     def test_marginal_integrates_to_norm(self, default_jsa):
         for spectrum in (default_jsa, jsi_of(default_jsa)):
             density = spectrum.signal_marginal
-            assert density.shape == spectrum.grid.signal_axis.shape
-            assert np.sum(density * spectrum.grid.signal_weights) == \
+            assert density.shape == spectrum.grid.axis.shape
+            assert np.sum(density * spectrum.grid.weights) == \
                 pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("kind", ["real", "complex", "domains"])
@@ -750,10 +757,10 @@ class TestMarginals:
             jsa = compute_jsa(grid, default_crystal, default_pump,
                               pmf_mode=PmfMode.FROM_DOMAINS)
         assert (jsa.amplitude.dtype == np.float64) == (kind == "real")
-        expected = np.abs(jsa.amplitude) ** 2 @ jsa.grid.idler_weights
+        expected = np.abs(jsa.amplitude) ** 2 @ jsa.grid.weights
         assert np.allclose(jsa.signal_marginal, expected, rtol=1e-13, atol=0)
         assert jsa.norm_squared == pytest.approx(
-            jsa.grid.signal_weights @ expected, rel=1e-13)
+            jsa.grid.weights @ expected, rel=1e-13)
 
     def test_lobe_metrics_of_the_amplitude_and_its_intensity(
             self, default_jsa, measured_jsi):
